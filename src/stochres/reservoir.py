@@ -15,6 +15,8 @@ vector is ordered ``p[0] = p_{00...0}`` through ``p[2**n - 1] = p_{11...1}``.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import logging
 import math
@@ -46,6 +48,11 @@ DERIVATIVE_PROBE_POINTS = 256
 ROW_SUM_TOL = 1e-12
 DEFAULT_K_MAX = 2
 DEFAULT_WASHOUT = 1000
+# distinct drive values whose kernels one run keeps (binary drives need two)
+DRIVE_CACHE_SIZE = 64
+# shots simulated together, and uniforms per gate drawn at once for them
+SAMPLE_BLOCK = 1024
+SAMPLE_DRAW_CHUNK = 256 * 512
 
 
 def default_depth_bound(n: int) -> int:
@@ -324,8 +331,8 @@ class InputSequence:
     """Ordered drive inputs with washout and history-window metadata.
 
     ``values`` has shape (T, m). The scalar drive per step is the value
-    itself for m == 1 and the Euclidean norm for m > 1. A flat 1-D array is
-    taken to be a sequence of scalar drives.
+    itself for m == 1 and the Euclidean norm for m > 1. A 1-D array is a
+    sequence of T scalar drives; any other shape is rejected.
     """
 
     values: np.ndarray
@@ -334,10 +341,11 @@ class InputSequence:
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if self.values.shape[0] == 1 and self.values.shape[1] > 1:
-            # accept a flat list of scalar drives
-            self.values = self.values.T
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim == 1:
+            self.values = self.values[:, None]
+        if self.values.ndim != 2:
+            raise ValueError(f"values must be 1-D or 2-D (T, m), got shape {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise NonfiniteDrive("input values must be finite")
         if self.washout_length < 0:
@@ -488,6 +496,164 @@ class TrajectoryEnsemble:
 
 
 # ---------------------------------------------------------------------------
+# compiled step plan
+# ---------------------------------------------------------------------------
+
+def _bit_shifts(support, n: int) -> list:
+    """Right shifts that bring each support bit to position 0."""
+    return [n - 1 - b for b in support]
+
+
+def _read_bits(states: np.ndarray, shifts) -> np.ndarray:
+    """Sub-register index of the bits at ``shifts``, first one most significant."""
+    if not shifts:
+        return np.zeros_like(states)
+    sub = (states >> shifts[0]) & 1
+    for sh in shifts[1:]:
+        sub = (sub << 1) | ((states >> sh) & 1)
+    return sub
+
+
+def _flip_bits(states: np.ndarray, diff: np.ndarray, shifts) -> None:
+    """XOR the sub-register bits ``diff`` into ``states``, in place."""
+    for sh in reversed(shifts):
+        states ^= (diff & 1) << sh
+        diff = diff >> 1
+
+
+def _cdf_columns(kernel: np.ndarray) -> np.ndarray:
+    """Cumulative kernel rows, column-major, without the last column.
+
+    ``cols[j, sub]`` is the probability that row ``sub`` selects an index
+    ``<= j``. The last column would be 1, which no uniform in [0, 1)
+    reaches, so it never counts and is left out.
+    """
+    return np.ascontiguousarray(np.cumsum(kernel, axis=1)[:, :-1].T)
+
+
+def _is_bijection(gate: StochasticGate) -> bool:
+    return (gate.kind == "permutation"
+            and sorted(gate.params["perm"]) == list(range(2 ** gate.arity)))
+
+
+class _GatherOp:
+    """A run of adjacent bijective permutation gates, fused into one index map.
+
+    ``fwd[k]`` is where bitstring ``k`` lands after the run, so sampled
+    states advance by ``fwd[states]``; ``src`` is its inverse, so an exact
+    distribution advances by ``vec[src]``. Both are exact: a permutation
+    moves probability without arithmetic, and a one-hot kernel row's CDF
+    selects its column for every uniform in [0, 1).
+    """
+
+    def __init__(self, gates, n: int):
+        dim = 2 ** n
+        fwd = np.arange(dim, dtype=np.int64)
+        for gate in gates:
+            shifts = _bit_shifts(gate.support, n)
+            sub = _read_bits(fwd, shifts)
+            _flip_bits(fwd, sub ^ np.asarray(gate.params["perm"], dtype=np.int64)[sub], shifts)
+        self.fwd = fwd
+        self.src = np.empty_like(fwd)
+        self.src[fwd] = np.arange(dim, dtype=np.int64)
+
+    def kernel(self, u: float):
+        return None
+
+    def cdf(self, u: float):
+        return None
+
+    def exact(self, vec: np.ndarray, kernel) -> np.ndarray:
+        return vec[self.src]
+
+    def sample(self, states: np.ndarray, cdf, draws) -> np.ndarray:
+        return self.fwd[states]
+
+
+class _KernelOp:
+    """One gate applied through its kernel, with the tensor axes precomputed.
+
+    The register is viewed with each support bit as its own axis and each
+    run of other bits merged into one; the support axes are moved to the
+    front, the kernel acts on them as a matrix product, and the inverse
+    transpose puts them back. The element order, and so the arithmetic, is
+    that of moving the support axes of the full ``(2,) * n`` tensor.
+    """
+
+    def __init__(self, index: int, gate: StochasticGate, n: int):
+        self.index = index  # the gate's column in the sampler's uniforms
+        self.gate = gate
+        self.shifts = _bit_shifts(gate.support, n)
+        # axis label: the support bit, or None for a merged run of other bits
+        runs = [(label, len(list(bits))) for label, bits in itertools.groupby(
+            range(n), lambda b: b if b in gate.support else None)]
+        labels = [label for label, _ in runs]
+        dims = [2 ** size for _, size in runs]
+        axes = [labels.index(b) for b in gate.support]
+        axes += [i for i, label in enumerate(labels) if label is None]
+        self.shape = tuple(dims)
+        self.axes = tuple(axes)
+        self.inv = tuple(int(i) for i in np.argsort(axes))
+        self.moved = tuple(dims[a] for a in axes)
+        self.rows = 2 ** gate.arity
+        self.static = gate.kernel(0.0) if gate.is_static else None
+        self.static_cdf = None if self.static is None else _cdf_columns(self.static)
+
+    def kernel(self, u: float) -> np.ndarray:
+        return self.gate.kernel(u) if self.static is None else self.static
+
+    def cdf(self, u: float) -> np.ndarray:
+        return _cdf_columns(self.gate.kernel(u)) if self.static_cdf is None else self.static_cdf
+
+    def exact(self, vec: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+        mat = vec.reshape(self.shape).transpose(self.axes).reshape(self.rows, -1)
+        return (kernel.T @ mat).reshape(self.moved).transpose(self.inv).reshape(-1)
+
+    def sample(self, states: np.ndarray, cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        sub = _read_bits(states, self.shifts)
+        # index = #{j : cdf_j <= r}: half-open buckets, so states of
+        # probability zero are never selected
+        below = cdf[:, sub] <= draws[self.index]
+        new_sub = below[0] if len(below) == 1 else below.sum(axis=0)
+        _flip_bits(states, sub ^ new_sub, self.shifts)
+        return states
+
+
+class StepPlan:
+    """A gate sequence compiled once for exact and sampled propagation.
+
+    Each run of adjacent bijective permutation gates (swap, cnot, identity)
+    becomes one index gather; every other gate becomes a kernel op with its
+    transpose axes worked out here instead of at every step. Fusion needs
+    tables of ``2**n`` indices, so above the exact-mode cap every gate stays
+    a kernel op (a permutation's one-hot kernel samples exactly).
+    """
+
+    def __init__(self, gates, n: int):
+        fuse = n <= EXACT_MODE_MAX_BITS
+        self.ops = []
+        run = []
+        for index, gate in enumerate(gates):
+            if fuse and _is_bijection(gate):
+                run.append(gate)
+                continue
+            if run:
+                self.ops.append(_GatherOp(run, n))
+                run = []
+            self.ops.append(_KernelOp(index, gate, n))
+        if run:
+            self.ops.append(_GatherOp(run, n))
+
+    def kernels(self, u: float) -> list:
+        """Per-op kernels at drive ``u`` (None for gathers; static ones shared)."""
+        return [op.kernel(u) for op in self.ops]
+
+    def cdfs(self, u: float) -> list:
+        """Per-op cumulative kernel rows at drive ``u`` (see :func:`_cdf_columns`)."""
+        return [op.cdf(u) for op in self.ops]
+
+
+# ---------------------------------------------------------------------------
 # validated reservoir
 # ---------------------------------------------------------------------------
 
@@ -495,7 +661,7 @@ class Reservoir:
     """A validated reservoir ready for exact or sampled propagation.
 
     Create via :func:`build_reservoir`; construction re-checks all
-    physicality budgets.
+    physicality budgets and compiles the gate sequence into ``plan``.
     """
 
     def __init__(self, spec: ReservoirSpec, k_max: int, depth_bound: int):
@@ -504,20 +670,11 @@ class Reservoir:
         self.dim = 2 ** spec.n
         self.k_max = k_max
         self.depth_bound = depth_bound
-        self._static_kernels = [
-            g.kernel(0.0) if g.is_static else None for g in spec.gates
-        ]
+        self.plan = StepPlan(spec.gates, spec.n)
 
     @property
     def gates(self):
         return self.spec.gates
-
-    def kernels(self, u: float):
-        """Kernels of every gate at drive ``u`` (static ones cached)."""
-        return [
-            k if k is not None else g.kernel(u)
-            for g, k in zip(self.spec.gates, self._static_kernels)
-        ]
 
 
 def _probe_grid(domain, points=DERIVATIVE_PROBE_POINTS):
@@ -592,22 +749,14 @@ def build_reservoir(spec: ReservoirSpec, k_max: Optional[int] = None,
 # exact propagation
 # ---------------------------------------------------------------------------
 
-def _apply_kernel_exact(state: np.ndarray, n: int, support, kernel: np.ndarray) -> np.ndarray:
-    s = len(support)
-    tensor = state.reshape((2,) * n)
-    tensor = np.moveaxis(tensor, support, range(s))
-    mat = tensor.reshape(2 ** s, -1)
-    out = kernel.T @ mat
-    out = out.reshape((2,) * n)
-    out = np.moveaxis(out, range(s), support)
-    return out.reshape(-1)
+def step_exact(reservoir: Reservoir, state, u: float, kernels=None) -> np.ndarray:
+    """One exact time step: run the reservoir's compiled plan at drive ``u``.
 
-
-def step_exact(reservoir: Reservoir, state, u: float) -> np.ndarray:
-    """One exact time step: apply every gate kernel at drive ``u``.
-
-    ``state`` may be a :class:`BitstringDistribution` or a raw probability
-    vector; the result is a probability vector.
+    Gather ops permute the probability vector; kernel ops apply their gate
+    kernel along the gate's bits. ``state`` may be a
+    :class:`BitstringDistribution` or a raw probability vector; the result is
+    a probability vector. ``kernels`` is ``reservoir.plan.kernels(u)``, for
+    callers that step many times at the same drive value.
     """
     if not np.isfinite(u):
         raise NonfiniteDrive(f"drive is {u!r}")
@@ -618,8 +767,10 @@ def step_exact(reservoir: Reservoir, state, u: float) -> np.ndarray:
     vec = state.probs if isinstance(state, BitstringDistribution) else np.asarray(state, dtype=float)
     if vec.size != reservoir.dim:
         raise MixedDimensions("state size does not match reservoir")
-    for gate, kernel in zip(reservoir.gates, reservoir.kernels(float(u))):
-        vec = _apply_kernel_exact(vec, reservoir.n, gate.support, kernel)
+    if kernels is None:
+        kernels = reservoir.plan.kernels(float(u))
+    for op, kernel in zip(reservoir.plan.ops, kernels):
+        vec = op.exact(vec, kernel)
     return vec
 
 
@@ -628,7 +779,8 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
 
     Output row ``t`` is the distribution after processing drive
     ``washout_length + t``. Each row is clipped to the simplex to absorb
-    float drift over long runs.
+    float drift over long runs. Kernels are built once per distinct drive
+    value (up to ``DRIVE_CACHE_SIZE`` of them) and reused across steps.
     """
     drives = inputs.drives
     if len(inputs) <= inputs.washout_length:
@@ -637,10 +789,11 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
         )
     inputs.check_drive_bound(max(abs(reservoir.spec.drive_domain[0]),
                                  abs(reservoir.spec.drive_domain[1])))
+    kernels_at = functools.lru_cache(maxsize=DRIVE_CACHE_SIZE)(reservoir.plan.kernels)
     state = reservoir.spec.initial_state.probs.copy()
     out = np.empty((len(inputs) - inputs.washout_length, reservoir.dim))
     for t, u in enumerate(drives):
-        state = step_exact(reservoir, state, u)
+        state = step_exact(reservoir, state, u, kernels_at(float(u)))
         np.clip(state, 0.0, None, out=state)
         state /= state.sum()
         if t >= inputs.washout_length:
@@ -652,54 +805,36 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
 # sampled propagation
 # ---------------------------------------------------------------------------
 
-def _gate_sampling_tables(reservoir: Reservoir, u: float):
-    """Per-gate (bit shifts, cumulative kernel rows) for vectorized sampling."""
-    tables = []
-    n = reservoir.n
-    for gate, kernel in zip(reservoir.gates, reservoir.kernels(u)):
-        shifts = np.array([n - 1 - b for b in gate.support], dtype=np.int64)
-        cdf = np.cumsum(kernel, axis=1)
-        cdf[:, -1] = 1.0
-        tables.append((shifts, cdf))
-    return tables
-
-
 def _sample_block(reservoir: Reservoir, drives, washout, shot_slice, seed,
                   out, step_tables):
     """Simulate shots [shot_slice] with per-shot Philox streams."""
     shot_ids = range(shot_slice.start, shot_slice.stop)
     gens = [_rng.stream(seed, s) for s in shot_ids]
-    m = len(gens)
     n_gates = len(reservoir.gates)
+    ops = reservoir.plan.ops
     init = reservoir.spec.initial_state.probs
     init_cdf = np.cumsum(init)
     init_cdf[-1] = 1.0
 
-    # one uniform for the initial state, then one per (step, gate)
+    # one uniform for the initial state, then one per (step, gate); a fused
+    # gather leaves its gates' uniforms unread
     r0 = np.array([g.random() for g in gens])
     states = np.searchsorted(init_cdf, r0, side="right").astype(np.int64)
     np.clip(states, 0, reservoir.dim - 1, out=states)
 
-    chunk = 512
+    # steps whose uniforms are drawn at once: SAMPLE_DRAW_CHUNK per gate
+    chunk = max(1, SAMPLE_DRAW_CHUNK // len(gens))
     t0 = 0
     while t0 < len(drives):
         t1 = min(t0 + chunk, len(drives))
-        # draws[i] has shape (t1 - t0, n_gates) for shot i
-        draws = np.stack([g.random((t1 - t0, n_gates)) for g in gens])
+        # draws[i, t - t0, gi] is shot i's uniform for gate gi at step t
+        draws = np.empty((len(gens), t1 - t0, n_gates))
+        for i, g in enumerate(gens):
+            g.random(out=draws[i])
         for t in range(t0, t1):
-            tables = step_tables[t]
-            for gi, (shifts, cdf) in enumerate(tables):
-                s = len(shifts)
-                sub = np.zeros(m, dtype=np.int64)
-                for j, sh in enumerate(shifts):
-                    sub |= ((states >> sh) & 1) << (s - 1 - j)
-                r = draws[:, t - t0, gi]
-                # index = #{j : cdf_j <= r}: half-open buckets, so states of
-                # probability zero are never selected
-                new_sub = (cdf[sub] <= r[:, None]).sum(axis=1)
-                diff = sub ^ new_sub
-                for j, sh in enumerate(shifts):
-                    states ^= ((diff >> (s - 1 - j)) & 1) << sh
+            step_draws = np.ascontiguousarray(draws[:, t - t0].T)
+            for op, cdf in zip(ops, step_tables[t]):
+                states = op.sample(states, cdf, step_draws)
             if t >= washout:
                 out[shot_slice, t - washout] = states
         t0 = t1
@@ -711,7 +846,12 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
 
     Every shot has its own counter-based stream keyed by (seed, shot index),
     so the result is bit-identical for any ``threads`` value and any block
-    schedule. Per step, each gate consumes exactly one uniform per shot.
+    schedule. Shots advance through the reservoir's compiled plan: a gather
+    op maps states through its index table, and a kernel op draws each
+    shot's new sub-register from its gate's kernel row. Per step, each gate
+    owns exactly one uniform per shot, so fusing gates leaves every stream,
+    and the output, unchanged. Kernel rows are built once per distinct drive
+    value (up to ``DRIVE_CACHE_SIZE`` of them).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -727,10 +867,10 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
 
     steps_out = len(inputs) - inputs.washout_length
     out = np.empty((shots, steps_out), dtype=np.int64)
-    step_tables = [_gate_sampling_tables(reservoir, float(u)) for u in drives]
+    tables_at = functools.lru_cache(maxsize=DRIVE_CACHE_SIZE)(reservoir.plan.cdfs)
+    step_tables = [tables_at(float(u)) for u in drives]
 
-    block = 256
-    slices = [slice(s, min(s + block, shots)) for s in range(0, shots, block)]
+    slices = [slice(s, min(s + SAMPLE_BLOCK, shots)) for s in range(0, shots, SAMPLE_BLOCK)]
     if threads <= 1 or len(slices) == 1:
         for sl in slices:
             _sample_block(reservoir, drives, inputs.washout_length, sl, seed,

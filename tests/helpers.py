@@ -4,9 +4,12 @@ import numpy as np
 
 from stochres.reservoir import (
     ReservoirSpec,
+    cnot_gate,
     constant_gate,
     controlled_flip_gate,
     flip_gate,
+    identity_gate,
+    permutation_gate,
     set_gate,
     swap_gate,
 )
@@ -42,6 +45,57 @@ def random_physical_reservoir(n, gen):
         gates.append(flip_gate(b, gen.uniform(0.02, lam_hi)))
     return ReservoirSpec(n=n, gates=gates, drive_domain=(-1.0, 1.0),
                          depth_bound=4 * n + 4)
+
+
+def _random_permutation_gate(n, gen):
+    kinds = ["not", "identity"] + (["swap", "cnot", "perm2"] if n >= 2 else [])
+    kind = kinds[gen.integers(len(kinds))]
+    b = int(gen.integers(n))
+    if kind == "not":
+        return permutation_gate((b,), [1, 0])
+    if kind == "identity":
+        return identity_gate(b)
+    # any two distinct bits, so supports are often far apart or reversed
+    i, j = (int(x) for x in gen.choice(n, size=2, replace=False))
+    if kind == "swap":
+        return swap_gate(i, j)
+    if kind == "cnot":
+        return cnot_gate(i, j)
+    return permutation_gate((i, j), gen.permutation(4))
+
+
+def _random_stochastic_gate(n, gen):
+    kinds = ["flip", "constant"] + (["controlled_flip", "constant2"] if n >= 2 else [])
+    kind = kinds[gen.integers(len(kinds))]
+    b = int(gen.integers(n))
+    if kind == "flip":
+        return flip_gate(b, {"type": "poly", "coeffs": [gen.uniform(0.2, 0.4),
+                                                        gen.uniform(-0.2, 0.2)]})
+    if kind == "constant":
+        return constant_gate((b,), gen.dirichlet(np.ones(2), size=2))
+    i, j = (int(x) for x in gen.choice(n, size=2, replace=False))
+    if kind == "constant2":
+        return constant_gate((i, j), gen.dirichlet(np.ones(4), size=4))
+    return controlled_flip_gate(i, j, {
+        "type": "logistic", "rate": gen.uniform(0.5, 2.0),
+        "center": gen.uniform(-0.3, 0.3), "lo": 0.0, "hi": gen.uniform(0.1, 0.35),
+    })
+
+
+def random_mixed_reservoir(n, gen, permutations_only=False):
+    """Chains of permutation gates broken up by stochastic gates.
+
+    Chains mix swaps, cnots, bit inversions, identities and random 2-bit
+    bijections on adjacent or distant bits, so that fused runs start and
+    stop in varied places; ``constant``, ``controlled_flip`` and ``flip``
+    gates sit between them unless ``permutations_only``.
+    """
+    gates = []
+    for _ in range(int(gen.integers(1, 4))):
+        gates += [_random_permutation_gate(n, gen) for _ in range(int(gen.integers(0, 4)))]
+        if not permutations_only:
+            gates += [_random_stochastic_gate(n, gen) for _ in range(int(gen.integers(0, 3)))]
+    return ReservoirSpec(n=n, gates=gates, depth_bound=len(gates))
 
 
 def dense_gate_matrix(n, support, kernel):

@@ -22,6 +22,7 @@ from stochres.reservoir import (
     InputMeasure,
     InputSequence,
     ReservoirSpec,
+    SAMPLE_BLOCK,
     asymmetric_flip_gate,
     constant_gate,
     fading_memory_error,
@@ -32,7 +33,12 @@ from stochres.reservoir import (
     set_gate,
 )
 
-from helpers import dense_step_oracle, random_physical_reservoir
+from helpers import (
+    dense_gate_matrix,
+    dense_step_oracle,
+    random_mixed_reservoir,
+    random_physical_reservoir,
+)
 
 
 # --- construction and validation -------------------------------------------
@@ -123,6 +129,40 @@ def test_step_preserves_simplex(seed, n):
     out = sr.step_exact(res, state, float(gen.uniform(-1, 1)))
     assert np.all(out >= -1e-13)
     assert abs(out.sum() - 1.0) < 1e-12
+
+
+# --- compiled step plan ------------------------------------------------------
+
+def test_plan_fuses_adjacent_permutations_into_one_gather():
+    res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.05))
+    kinds = [type(op).__name__ for op in res.plan.ops]
+    # three swaps fuse; the set gate and four flips stay kernel ops
+    assert kinds == ["_GatherOp"] + ["_KernelOp"] * 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 5))
+def test_plan_step_matches_dense_oracle(seed, n):
+    gen = np.random.default_rng(seed)
+    spec = random_mixed_reservoir(n, gen)
+    res = sr.build_reservoir(spec)
+    state = gen.dirichlet(np.ones(2 ** n))
+    for u in gen.uniform(-1, 1, 2):
+        expected = dense_step_oracle(spec, state, u)
+        assert np.max(np.abs(sr.step_exact(res, state, u) - expected)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 5))
+def test_plan_permutation_only_step_is_the_composed_permutation(seed, n):
+    gen = np.random.default_rng(seed)
+    spec = random_mixed_reservoir(n, gen, permutations_only=True)
+    res = sr.build_reservoir(spec)
+    composed = np.eye(2 ** n)
+    for gate in spec.gates:
+        composed = composed @ dense_gate_matrix(n, gate.support, gate.kernel(0.0))
+    state = gen.dirichlet(np.ones(2 ** n))
+    np.testing.assert_array_equal(sr.step_exact(res, state, 0.3), state[np.argmax(composed, axis=0)])
 
 
 # --- running sequences -------------------------------------------------------
@@ -221,6 +261,44 @@ def test_sampling_thread_count_invariance():
     b = sample_trajectories(res, seq, shots=700, seed=42, threads=8)
     assert np.array_equal(a.samples, b.samples)
     assert a.seed_root == b.seed_root == 42
+
+
+def test_sampling_thread_count_invariance_across_blocks():
+    gen = np.random.default_rng(8)
+    spec = random_physical_reservoir(3, gen)
+    res = sr.build_reservoir(spec)
+    seq = InputSequence(gen.uniform(-1, 1, (12, 1)), washout_length=2)
+    a = sample_trajectories(res, seq, shots=2 * SAMPLE_BLOCK + 5, seed=4, threads=1)
+    b = sample_trajectories(res, seq, shots=2 * SAMPLE_BLOCK + 5, seed=4, threads=3)
+    assert np.array_equal(a.samples, b.samples)
+
+
+def test_sampling_shot_is_independent_of_block_size():
+    # the draw chunk shrinks as the block grows; a shot's stream must not care
+    gen = np.random.default_rng(2)
+    res = sr.build_reservoir(random_physical_reservoir(3, gen))
+    seq = InputSequence(gen.uniform(-1, 1, (700, 1)), washout_length=10)
+    few = sample_trajectories(res, seq, shots=5, seed=6)
+    many = sample_trajectories(res, seq, shots=SAMPLE_BLOCK, seed=6)
+    assert np.array_equal(many.samples[:5], few.samples)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3))
+def test_sampler_matches_exact_on_plans_with_permutations(seed, n):
+    # every bit ends the step with flip noise in [0.1, 0.3], so every
+    # bitstring has probability >= 0.1**n: each cell expects >= 3 counts
+    gen = np.random.default_rng(seed)
+    spec = random_mixed_reservoir(n, gen)
+    spec.gates += [flip_gate(b, gen.uniform(0.1, 0.3)) for b in range(n)]
+    spec.depth_bound = len(spec.gates)
+    res = sr.build_reservoir(spec)
+    seq = InputSequence(gen.uniform(-1, 1, 6), washout_length=1)
+    exact = sr.run_exact(res, seq)
+    shots = 3000
+    freqs = sr.empirical_probabilities(sample_trajectories(res, seq, shots, seed=seed)).data
+    stderr = np.sqrt(exact * (1 - exact) / shots)
+    assert np.all(np.abs(freqs - exact) <= 5 * stderr)
 
 
 def test_sampled_frequencies_concentrate_around_exact():
@@ -365,6 +443,19 @@ def test_vector_inputs_drive_through_their_norm():
     out = sr.run_exact(res, seq)
     np.testing.assert_allclose(out[0], [0.5, 0.5], atol=1e-14)   # p = 0.1 * 5
     np.testing.assert_allclose(out[1], [0.95, 0.05], atol=1e-14)
+
+
+def test_input_sequence_shape_comes_from_ndim():
+    one_step = InputSequence(np.array([[3.0, 4.0]]))
+    assert len(one_step) == 1
+    np.testing.assert_allclose(one_step.drives, [5.0])
+    flat = InputSequence(np.array([0.1, 0.2, 0.3]))
+    assert flat.values.shape == (3, 1)
+    np.testing.assert_array_equal(flat.drives, [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError):
+        InputSequence(np.zeros((2, 2, 1)))
+    with pytest.raises(ValueError):
+        InputSequence(np.float64(0.5))
 
 
 def test_run_rejects_out_of_domain_drive():
