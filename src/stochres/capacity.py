@@ -2,9 +2,10 @@
 
 Three routes to the same quantity are implemented and cross-checkable:
 
-- ``capacity`` / ``total_capacity``: least-squares reconstruction of target
-  functions from the readout signals, summed over an orthonormal target
-  basis ("basis-sum").
+- ``ReadoutFit`` / ``capacity`` / ``total_capacity``: least-squares
+  reconstruction of target functions from the readout signals, one
+  factorization for all targets, summed over an orthonormal target basis
+  ("basis-sum").
 - ``gram_matrices`` + ``eigentask_decomposition`` + ``ipc_spectral``: the
   spectrum of the generalized noise-to-signal matrix built from the
   input-averaged first and second moments of the readouts ("spectral").
@@ -21,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -47,7 +48,7 @@ def finite_time_threshold(rows: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# single-target capacity
+# reconstruction capacity
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -78,52 +79,102 @@ def _resolve_signals(signals, weights):
     return data, weights
 
 
+class ReadoutScores(NamedTuple):
+    """Capacities of a batch of targets scored against one :class:`ReadoutFit`.
+
+    Entry ``k`` of each vector, and column ``k`` of ``weights`` (one row per
+    signal column, zero on dropped columns), belongs to target column ``k``.
+    """
+
+    capacities: np.ndarray
+    weights: np.ndarray
+    clipped_by: np.ndarray
+    threshold: float
+    below_threshold: np.ndarray
+
+
+class ReadoutFit:
+    """Weighted least-squares readout of the signal columns, factored once.
+
+    Resolves the signals and row weights, drops identically zero columns
+    (logged), and takes one thin SVD of ``sqrt(w) * X``. Singular values at
+    or below ``eps * max(rows, cols) * s_max`` count as zero, the cutoff of
+    ``np.linalg.lstsq(rcond=None)``, so every target gets the minimum-norm
+    least-squares readout. :meth:`score` then reconstructs any number of
+    targets from this one factorization.
+    """
+
+    def __init__(self, signals, weights: Optional[np.ndarray] = None):
+        data, self.w = _resolve_signals(signals, weights)
+        self.rows, self.columns = data.shape
+        self.keep = np.max(np.abs(data), axis=0) > 0.0
+        self.dropped_columns = int(np.sum(~self.keep))
+        if self.dropped_columns:
+            logger.info("capacity: dropping %d all-zero signal columns", self.dropped_columns)
+        if not np.any(self.keep):
+            raise DegenerateSignals("all signal columns are identically zero")
+        xw = data[:, self.keep]  # a copy, weighted in place
+        if self.rows < xw.shape[1]:
+            logger.warning("capacity: %d rows < %d columns, estimate will overfit",
+                           self.rows, xw.shape[1])
+        sw = np.sqrt(self.w)
+        xw *= sw[:, None]
+        u, s, vt = np.linalg.svd(xw, full_matrices=False)
+        rank = s > np.finfo(float).eps * max(xw.shape) * s[0]
+        # orthonormal basis of the weighted signal span, with sqrt(w) folded
+        # in so that span.T @ y projects sqrt(w) * y; back maps span
+        # coordinates to the minimum-norm readout weights
+        self.span = u[:, rank] * sw[:, None]
+        self.back = vt[rank].T / s[rank]
+
+    def score(self, targets, threshold: Optional[float] = None) -> ReadoutScores:
+        """Capacities ``1 - SSE/SST``, clipped into [0, 1], of the columns of
+        the ``(rows, K)`` matrix ``targets``.
+
+        The weighted residual energy SSE is SST minus the energy of the
+        projection onto the signal span. A target column with zero weighted
+        energy raises ZeroTarget; a clip larger than ``NUMERICAL_SLACK`` is
+        logged as a warning. ``threshold`` defaults to the finite-time
+        threshold of the row count.
+        """
+        y = np.asarray(targets, dtype=float)
+        if y.ndim != 2 or y.shape[0] != self.rows:
+            raise ValueError("targets must be a (rows, K) matrix matching the signal rows")
+        sst = np.einsum("i,ik,ik->k", self.w, y, y)
+        if np.any(sst <= 0.0):
+            raise ZeroTarget(f"target column {int(np.argmax(sst <= 0.0))} has zero weighted energy")
+        proj = self.span.T @ y
+        raw = np.einsum("rk,rk->k", proj, proj) / sst
+        caps = np.clip(raw, 0.0, 1.0)
+        clipped_by = raw - caps
+        for by in clipped_by[np.abs(clipped_by) > NUMERICAL_SLACK]:
+            logger.warning("capacity clipped by %.3g", by)
+        weights = np.zeros((self.columns, y.shape[1]))
+        weights[self.keep] = self.back @ proj
+        thr = finite_time_threshold(self.rows) if threshold is None else threshold
+        return ReadoutScores(caps, weights, clipped_by, thr, caps < thr)
+
+
 def capacity(signals, target, weights: Optional[np.ndarray] = None,
              threshold: Optional[float] = None) -> CapacityReport:
     """Capacity to reconstruct ``target`` linearly from the signal columns.
 
-    Solves the weighted least-squares problem with a rank-revealing SVD
-    factorization and returns ``1 - SSE/SST`` clipped into [0, 1]. Columns
-    that are identically zero are dropped (and logged); a target with zero
-    weighted energy raises ZeroTarget.
+    Fits a :class:`ReadoutFit` and scores the one target against it: the
+    weighted least-squares capacity ``1 - SSE/SST`` clipped into [0, 1].
+    Columns that are identically zero are dropped (and logged); a target
+    with zero weighted energy raises ZeroTarget. To score many targets
+    against the same signals, fit once and call :meth:`ReadoutFit.score`.
     """
-    data, w = _resolve_signals(signals, weights)
     y = np.asarray(target, dtype=float)
-    if y.shape != (data.shape[0],):
+    fit = ReadoutFit(signals, weights)
+    if y.shape != (fit.rows,):
         raise ValueError("target length must match signal rows")
-    sst = float(np.sum(w * y * y))
-    if sst <= 0.0:
-        raise ZeroTarget("target has zero weighted energy")
-
-    keep = np.max(np.abs(data), axis=0) > 0.0
-    dropped = int(np.sum(~keep))
-    if dropped:
-        logger.info("capacity: dropping %d all-zero signal columns", dropped)
-    if not np.any(keep):
-        raise DegenerateSignals("all signal columns are identically zero")
-    x = data[:, keep]
-    rows = data.shape[0]
-    if rows < x.shape[1]:
-        logger.warning("capacity: %d rows < %d columns, estimate will overfit",
-                       rows, x.shape[1])
-
-    sw = np.sqrt(w)
-    sol, _, _, _ = np.linalg.lstsq(x * sw[:, None], y * sw, rcond=None)
-    resid = y - x @ sol
-    sse = float(np.sum(w * resid * resid))
-    raw = 1.0 - sse / sst
-    clipped = min(max(raw, 0.0), 1.0)
-    clipped_by = raw - clipped
-    if abs(clipped_by) > NUMERICAL_SLACK:
-        logger.warning("capacity clipped by %.3g", clipped_by)
-
-    thr = finite_time_threshold(rows) if threshold is None else threshold
-    full_weights = np.zeros(data.shape[1])
-    full_weights[keep] = sol
+    scores = fit.score(y[:, None], threshold)
     return CapacityReport(
-        capacity=clipped, weights=full_weights, rows=rows, threshold=thr,
-        below_threshold=clipped < thr, clipped_by=clipped_by,
-        dropped_columns=dropped,
+        capacity=float(scores.capacities[0]), weights=scores.weights[:, 0],
+        rows=fit.rows, threshold=scores.threshold,
+        below_threshold=bool(scores.below_threshold[0]),
+        clipped_by=float(scores.clipped_by[0]), dropped_columns=fit.dropped_columns,
     )
 
 
@@ -417,16 +468,12 @@ class TargetBasis:
             ws = w / w.sum()
         vals = np.stack([self._phi(g, xs) for g in degrees])
         one_d = vals @ (ws[:, None] * vals.T)
-        err = 0.0
-        for a, ia in enumerate(self.indices):
-            for b in range(a, len(self.indices)):
-                ib = self.indices[b]
-                prod = 1.0
-                for d in range(self.max_delay + 1):
-                    prod *= one_d[ia[d], ib[d]]
-                target = 1.0 if a == b else 0.0
-                err = max(err, abs(prod - target))
-        return err
+        # gram[a, b] is the product over delays of one_d[ia[d], ib[d]]
+        idx = np.asarray(self.indices)
+        gram = np.ones((len(idx), len(idx)))
+        for col in idx.T:
+            gram *= one_d[col[:, None], col[None, :]]
+        return float(np.max(np.triu(np.abs(gram - np.eye(len(idx))))))
 
 
 def build_target_basis(measure, max_delay: int, max_degree: int) -> TargetBasis:
@@ -444,8 +491,9 @@ def total_capacity(signals, basis: TargetBasis, drives: np.ndarray,
 
     ``drives`` is the full drive sequence; ``start`` is the absolute time of
     the first signal row (the washout length), which must be at least
-    ``basis.max_delay``. Capacities below the finite-time threshold are
-    reported but excluded from the total.
+    ``basis.max_delay``. All targets are scored against one
+    :class:`ReadoutFit` of the signals. Capacities below the finite-time
+    threshold are reported but excluded from the total.
     """
     gram_err = basis.gram_error()
     if gram_err > orthonormality_tol:
@@ -454,24 +502,22 @@ def total_capacity(signals, basis: TargetBasis, drives: np.ndarray,
         )
     if start < basis.max_delay:
         raise ValueError("washout shorter than the basis max_delay")
-    data, w = _resolve_signals(signals, None)
+    fit = ReadoutFit(signals)
     targets = basis.evaluate(np.asarray(drives, dtype=float))
     offset = start - basis.max_delay
-    targets = targets[offset:offset + data.shape[0]]
-    if targets.shape[0] != data.shape[0]:
+    targets = targets[offset:offset + fit.rows]
+    if targets.shape[0] != fit.rows:
         raise ValueError("drive sequence does not cover the signal rows")
 
-    thr = finite_time_threshold(data.shape[0]) if threshold is None else threshold
-    caps = np.empty(len(basis))
-    for j in range(targets.shape[1]):
-        caps[j] = capacity(data, targets[:, j], weights=w, threshold=thr).capacity
-    included = caps >= thr
+    scores = fit.score(targets, threshold)
+    caps = scores.capacities
+    included = ~scores.below_threshold
     return IPCReport(
         ipc_value=float(np.sum(caps[included])),
         method="basis-sum",
         components=caps,
-        signal_count=data.shape[1],
+        signal_count=fit.columns,
         truncation={"max_delay": basis.max_delay, "max_degree": basis.max_degree,
                     "targets": len(basis), "excluded_below_threshold": int(np.sum(~included))},
-        threshold=thr,
+        threshold=scores.threshold,
     )

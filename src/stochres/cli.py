@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", type=Path, default=Path("."),
                        help="artifact output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for parallel sections")
+                       help="accepted for compatibility; sampling runs on one thread")
     return parser
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .capacity import IPCReport, capacity, finite_time_threshold, ipc_probability_rep
+from .capacity import IPCReport, ReadoutFit, TargetBasis, ipc_probability_rep
 from .errors import (
     ConditioningFailure,
     ExactModeOverflow,
@@ -331,7 +331,8 @@ def power_basis_demo(n: int, samples: int = 100_000,
     These products are exactly the monomials x^0 .. x^(2^n - 1). The report
     contains the numeric rank of their Gram matrix under the drive measure
     and the summed capacity against the orthonormal polynomial targets of
-    the same degrees. A rank below 2**n raises ConditioningFailure with
+    the same degrees, all scored against one :class:`ReadoutFit` of the
+    monomials. A rank below 2**n raises ConditioningFailure with
     diagnostics instead of reporting a silently wrong span.
     """
     if not 1 <= n <= 6:
@@ -357,20 +358,18 @@ def power_basis_demo(n: int, samples: int = 100_000,
             "the monomial Gram is numerically singular at this size"
         )
 
-    from .capacity import _legendre_orthonormal  # local import avoids cycle at module load
-
-    caps = np.empty(d)
-    thr = finite_time_threshold(x.size)
-    for g in range(d):
-        target = _legendre_orthonormal(g, x, measure.lo, measure.hi) if g else np.ones_like(x)
-        caps[g] = capacity(cols, target, weights=w, threshold=thr).capacity
+    # orthonormal Legendre targets of degrees 0 .. d - 1, scored in one fit
+    targets = TargetBasis(0, d - 1, "iid-uniform-interval", lo=measure.lo,
+                          hi=measure.hi).evaluate(x)
+    scores = ReadoutFit(cols, w).score(targets)
+    caps, thr = scores.capacities, scores.threshold
     report = IPCReport(
-        ipc_value=float(np.sum(caps[caps >= thr])),
+        ipc_value=float(np.sum(caps[~scores.below_threshold])),
         method="basis-sum",
         components=caps,
         signal_count=d,
         truncation={"max_delay": 0, "max_degree": d - 1, "targets": d,
-                    "excluded_below_threshold": int(np.sum(caps < thr))},
+                    "excluded_below_threshold": int(np.sum(scores.below_threshold))},
         threshold=thr,
     )
     return PowerBasisReport(n=n, rank=rank, gram_eigenvalues=eigs,

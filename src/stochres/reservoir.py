@@ -15,12 +15,10 @@ vector is ordered ``p[0] = p_{00...0}`` through ``p[2**n - 1] = p_{11...1}``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -48,8 +46,8 @@ DERIVATIVE_PROBE_POINTS = 256
 ROW_SUM_TOL = 1e-12
 DEFAULT_K_MAX = 2
 DEFAULT_WASHOUT = 1000
-# distinct drive values whose kernels one run keeps (binary drives need two)
-DRIVE_CACHE_SIZE = 64
+# exact steps whose drive-dependent kernels are built together
+EXACT_DRIVE_CHUNK = 256
 # shots simulated together, and uniforms per gate drawn at once for them
 SAMPLE_BLOCK = 1024
 SAMPLE_DRAW_CHUNK = 256 * 512
@@ -146,36 +144,45 @@ class StochasticGate:
                     and self.params["drive10"].get("type") == "constant")
         return self.params.get("drive", {}).get("type") == "constant"
 
-    def kernel(self, u: float) -> np.ndarray:
-        """Row-stochastic transition matrix of shape (2**arity, 2**arity)."""
+    def kernel(self, u) -> np.ndarray:
+        """Row-stochastic transition matrix of shape (2**arity, 2**arity).
+
+        For an array of drives ``u`` the result is the stack of kernels, of
+        shape ``u.shape + (2**arity, 2**arity)``, built entry by entry with
+        the same arithmetic as one drive at a time.
+        """
+        u = np.asarray(u, dtype=float)
         if self.kind == "constant":
-            return np.asarray(self.params["matrix"], dtype=float)
+            k = np.asarray(self.params["matrix"], dtype=float)
+            return np.broadcast_to(k, u.shape + k.shape)
         if self.kind == "permutation":
             perm = self.params["perm"]
             dim = len(perm)
             k = np.zeros((dim, dim))
             k[np.arange(dim), perm] = 1.0
-            return k
+            return np.broadcast_to(k, u.shape + k.shape)
         if self.kind == "asymmetric_flip":
-            a = float(eval_drive_fn(self.params["drive01"], u))
-            b = float(eval_drive_fn(self.params["drive10"], u))
-            return np.array([[1.0 - a, a], [b, 1.0 - b]])
-        p = float(eval_drive_fn(self.params["drive"], u))
-        if self.kind == "flip":
-            return np.array([[1.0 - p, p], [p, 1.0 - p]])
-        if self.kind == "set":
-            return np.array([[1.0 - p, p], [1.0 - p, p]])
-        if self.kind == "controlled_flip":
-            # support order is (control, target)
-            return np.array(
-                [
-                    [1.0, 0.0, 0.0, 0.0],
-                    [0.0, 1.0, 0.0, 0.0],
-                    [0.0, 0.0, 1.0 - p, p],
-                    [0.0, 0.0, p, 1.0 - p],
+            a = eval_drive_fn(self.params["drive01"], u)
+            b = eval_drive_fn(self.params["drive10"], u)
+            rows = [[1.0 - a, a], [b, 1.0 - b]]
+        else:
+            p = eval_drive_fn(self.params["drive"], u)
+            if self.kind == "flip":
+                rows = [[1.0 - p, p], [p, 1.0 - p]]
+            elif self.kind == "set":
+                rows = [[1.0 - p, p], [1.0 - p, p]]
+            elif self.kind == "controlled_flip":
+                # support order is (control, target)
+                one, zero = np.ones_like(p), np.zeros_like(p)
+                rows = [
+                    [one, zero, zero, zero],
+                    [zero, one, zero, zero],
+                    [zero, zero, 1.0 - p, p],
+                    [zero, zero, p, 1.0 - p],
                 ]
-            )
-        raise ValueError(f"unknown gate kind: {self.kind!r}")
+            else:
+                raise ValueError(f"unknown gate kind: {self.kind!r}")
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def constant_gate(support, matrix) -> StochasticGate:
@@ -526,9 +533,10 @@ def _cdf_columns(kernel: np.ndarray) -> np.ndarray:
 
     ``cols[j, sub]`` is the probability that row ``sub`` selects an index
     ``<= j``. The last column would be 1, which no uniform in [0, 1)
-    reaches, so it never counts and is left out.
+    reaches, so it never counts and is left out. A stack of kernels gives
+    the stack of their tables.
     """
-    return np.ascontiguousarray(np.cumsum(kernel, axis=1)[:, :-1].T)
+    return np.ascontiguousarray(np.swapaxes(np.cumsum(kernel, axis=-1)[..., :-1], -1, -2))
 
 
 def _is_bijection(gate: StochasticGate) -> bool:
@@ -557,10 +565,12 @@ class _GatherOp:
         self.src = np.empty_like(fwd)
         self.src[fwd] = np.arange(dim, dtype=np.int64)
 
-    def kernel(self, u: float):
+    varies = False  # with the drive
+
+    def kernel(self, u):
         return None
 
-    def cdf(self, u: float):
+    def cdf(self, u):
         return None
 
     def exact(self, vec: np.ndarray, kernel) -> np.ndarray:
@@ -596,14 +606,15 @@ class _KernelOp:
         self.inv = tuple(int(i) for i in np.argsort(axes))
         self.moved = tuple(dims[a] for a in axes)
         self.rows = 2 ** gate.arity
-        self.static = gate.kernel(0.0) if gate.is_static else None
-        self.static_cdf = None if self.static is None else _cdf_columns(self.static)
+        self.varies = not gate.is_static
+        self.static = None if self.varies else gate.kernel(0.0)
+        self.static_cdf = None if self.varies else _cdf_columns(self.static)
 
-    def kernel(self, u: float) -> np.ndarray:
-        return self.gate.kernel(u) if self.static is None else self.static
+    def kernel(self, u) -> np.ndarray:
+        return self.gate.kernel(u) if self.varies else self.static
 
-    def cdf(self, u: float) -> np.ndarray:
-        return _cdf_columns(self.gate.kernel(u)) if self.static_cdf is None else self.static_cdf
+    def cdf(self, u) -> np.ndarray:
+        return _cdf_columns(self.gate.kernel(u)) if self.varies else self.static_cdf
 
     def exact(self, vec: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         mat = vec.reshape(self.shape).transpose(self.axes).reshape(self.rows, -1)
@@ -643,14 +654,25 @@ class StepPlan:
             self.ops.append(_KernelOp(index, gate, n))
         if run:
             self.ops.append(_GatherOp(run, n))
+        # kernel entries that depend on the drive, per drive value
+        self.drive_entries = sum(op.rows ** 2 for op in self.ops if op.varies)
 
-    def kernels(self, u: float) -> list:
-        """Per-op kernels at drive ``u`` (None for gathers; static ones shared)."""
+    def kernels(self, u) -> list:
+        """Per-op kernels at drive ``u`` (None for gathers; static ones shared).
+
+        For a 1-D array of drives, a drive-dependent op gives a stack of
+        kernels, one per drive; see :meth:`per_value`.
+        """
         return [op.kernel(u) for op in self.ops]
 
-    def cdfs(self, u: float) -> list:
+    def cdfs(self, u) -> list:
         """Per-op cumulative kernel rows at drive ``u`` (see :func:`_cdf_columns`)."""
         return [op.cdf(u) for op in self.ops]
+
+    def per_value(self, tables: list, count: int) -> list:
+        """Split ``kernels`` or ``cdfs`` of ``count`` drives into one op list per drive."""
+        return [[t[i] if op.varies else t for op, t in zip(self.ops, tables)]
+                for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -694,10 +716,7 @@ def _validate_gate(gate: StochasticGate, n: int, k_max: int,
 
     dim = 2 ** gate.arity
     grid = _probe_grid(domain)
-    if gate.is_static:
-        stack = gate.kernel(grid[0])[None, :, :]
-    else:
-        stack = np.stack([gate.kernel(u) for u in grid])
+    stack = gate.kernel(grid)
     if stack.shape[1:] != (dim, dim):
         raise StochasticityViolation(
             f"kernel shape {stack.shape[1:]} does not match support size {gate.arity}"
@@ -779,8 +798,10 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
 
     Output row ``t`` is the distribution after processing drive
     ``washout_length + t``. Each row is clipped to the simplex to absorb
-    float drift over long runs. Kernels are built once per distinct drive
-    value (up to ``DRIVE_CACHE_SIZE`` of them) and reused across steps.
+    float drift over long runs. Steps run in chunks of at most
+    ``EXACT_DRIVE_CHUNK``; the kernels of a chunk's distinct drive values
+    are built at once, one array-valued drive evaluation per gate, and take
+    no more memory than the output.
     """
     drives = inputs.drives
     if len(inputs) <= inputs.washout_length:
@@ -789,15 +810,19 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
         )
     inputs.check_drive_bound(max(abs(reservoir.spec.drive_domain[0]),
                                  abs(reservoir.spec.drive_domain[1])))
-    kernels_at = functools.lru_cache(maxsize=DRIVE_CACHE_SIZE)(reservoir.plan.kernels)
+    plan = reservoir.plan
     state = reservoir.spec.initial_state.probs.copy()
     out = np.empty((len(inputs) - inputs.washout_length, reservoir.dim))
-    for t, u in enumerate(drives):
-        state = step_exact(reservoir, state, u, kernels_at(float(u)))
-        np.clip(state, 0.0, None, out=state)
-        state /= state.sum()
-        if t >= inputs.washout_length:
-            out[t - inputs.washout_length] = state
+    chunk = max(1, min(EXACT_DRIVE_CHUNK, out.size // max(plan.drive_entries, 1)))
+    for t0 in range(0, len(drives), chunk):
+        values, inverse = np.unique(drives[t0:t0 + chunk], return_inverse=True)
+        kernels = plan.per_value(plan.kernels(values), len(values))
+        for t, i in enumerate(inverse.tolist(), start=t0):
+            state = step_exact(reservoir, state, drives[t], kernels[i])
+            np.clip(state, 0.0, None, out=state)
+            state /= state.sum()
+            if t >= inputs.washout_length:
+                out[t - inputs.washout_length] = state
     return out
 
 
@@ -845,13 +870,15 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
     """Draw ``shots`` independent trajectories.
 
     Every shot has its own counter-based stream keyed by (seed, shot index),
-    so the result is bit-identical for any ``threads`` value and any block
-    schedule. Shots advance through the reservoir's compiled plan: a gather
-    op maps states through its index table, and a kernel op draws each
-    shot's new sub-register from its gate's kernel row. Per step, each gate
-    owns exactly one uniform per shot, so fusing gates leaves every stream,
-    and the output, unchanged. Kernel rows are built once per distinct drive
-    value (up to ``DRIVE_CACHE_SIZE`` of them).
+    so the result is bit-identical for any block schedule. Shots run in
+    blocks of ``SAMPLE_BLOCK`` on one thread: the loop over plan ops holds
+    the GIL, so worker threads would add only scheduling, and ``threads``
+    is accepted but unused. Shots advance through the reservoir's compiled
+    plan: a gather op maps states through its index table, and a kernel op
+    draws each shot's new sub-register from its gate's kernel row. Per
+    step, each gate owns exactly one uniform per shot, so fusing gates
+    leaves every stream, and the output, unchanged. Kernel rows are built
+    once for all of the run's distinct drive values.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -867,23 +894,12 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
 
     steps_out = len(inputs) - inputs.washout_length
     out = np.empty((shots, steps_out), dtype=np.int64)
-    tables_at = functools.lru_cache(maxsize=DRIVE_CACHE_SIZE)(reservoir.plan.cdfs)
-    step_tables = [tables_at(float(u)) for u in drives]
-
-    slices = [slice(s, min(s + SAMPLE_BLOCK, shots)) for s in range(0, shots, SAMPLE_BLOCK)]
-    if threads <= 1 or len(slices) == 1:
-        for sl in slices:
-            _sample_block(reservoir, drives, inputs.washout_length, sl, seed,
-                          out, step_tables)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_sample_block, reservoir, drives,
-                            inputs.washout_length, sl, seed, out, step_tables)
-                for sl in slices
-            ]
-            for f in futures:
-                f.result()
+    values, inverse = np.unique(drives, return_inverse=True)
+    tables = reservoir.plan.per_value(reservoir.plan.cdfs(values), len(values))
+    step_tables = [tables[i] for i in inverse]
+    for s in range(0, shots, SAMPLE_BLOCK):
+        _sample_block(reservoir, drives, inputs.washout_length,
+                      slice(s, min(s + SAMPLE_BLOCK, shots)), seed, out, step_tables)
     return TrajectoryEnsemble(out, reservoir.n, seed, inputs.washout_length)
 
 

@@ -138,3 +138,46 @@ def brute_force_moments(probs, n):
     for m in range(2 ** n):
         out[m] = probs[(idx & m) == m].sum()
     return out
+
+
+def lstsq_capacities(data, targets, weights):
+    """Capacities of each target column by its own ``np.linalg.lstsq`` solve.
+
+    The per-target reference for the factor-once readout: weights are
+    normalized, all-zero columns are dropped, and each capacity is
+    ``1 - SSE/SST`` of the weighted least-squares fit, clipped into [0, 1].
+    """
+    data = np.asarray(data, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    w = w / w.sum()
+    x = data[:, np.max(np.abs(data), axis=0) > 0.0]
+    sw = np.sqrt(w)
+    caps = []
+    for y in np.asarray(targets, dtype=float).T:
+        sol = np.linalg.lstsq(x * sw[:, None], y * sw, rcond=None)[0]
+        resid = y - x @ sol
+        caps.append(min(max(1.0 - np.sum(w * resid * resid) / np.sum(w * y * y), 0.0), 1.0))
+    return np.array(caps)
+
+
+def gram_error_loop(basis):
+    """``TargetBasis.gram_error`` by a double loop over index pairs."""
+    degrees = range(basis.max_degree + 1)
+    if basis.measure_kind == "iid-uniform-binary":
+        xs = np.array([0.0, 1.0])
+        ws = np.array([0.5, 0.5])
+    else:
+        x, w = np.polynomial.legendre.leggauss(2 * basis.max_degree + 2)
+        xs = 0.5 * (basis.hi + basis.lo) + 0.5 * (basis.hi - basis.lo) * x
+        ws = w / w.sum()
+    vals = np.stack([basis._phi(g, xs) for g in degrees])
+    one_d = vals @ (ws[:, None] * vals.T)
+    err = 0.0
+    for a, ia in enumerate(basis.indices):
+        for b in range(a, len(basis.indices)):
+            ib = basis.indices[b]
+            prod = 1.0
+            for d in range(basis.max_delay + 1):
+                prod *= one_d[ia[d], ib[d]]
+            err = max(err, abs(prod - (1.0 if a == b else 0.0)))
+    return err

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import stochres as sr
 from stochres.capacity import (
+    ReadoutFit,
     TargetBasis,
     _legendre_orthonormal,
     build_target_basis,
@@ -24,7 +25,7 @@ from stochres.errors import (
 from stochres.reservoir import InputMeasure, InputSequence, ReservoirSpec, sample_trajectories, set_gate
 from stochres.signals import SignalMatrix
 
-from helpers import random_physical_reservoir
+from helpers import gram_error_loop, lstsq_capacities, random_physical_reservoir
 
 
 def linear_drive_signals(order=64):
@@ -97,6 +98,41 @@ def test_capacity_threshold_flag():
     rep = sr.capacity(x, y)
     assert rep.threshold == finite_time_threshold(100)
     assert 0.0 <= rep.capacity <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(3, 60), st.integers(1, 12),
+       st.integers(0, 3), st.integers(0, 3), st.integers(1, 6))
+def test_readout_fit_matches_per_target_lstsq(seed, rows, cols, zeros, dups, k):
+    # random row weights, all-zero columns, exactly repeated columns (rank
+    # deficiency), rows < cols for small rows, and both reachable targets
+    # and pure-noise targets that land below the finite-time threshold
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=(rows, cols))
+    zeros = min(zeros, cols - 1)
+    for j in range(zeros, min(zeros + dups, cols - 1)):
+        x[:, j] = 2.0 * x[:, -1]
+    x[:, :zeros] = 0.0
+    w = gen.uniform(0.1, 1.0, rows)
+    y = gen.normal(size=(rows, k))
+    y[:, 0] += x @ gen.normal(size=cols)
+    fit = ReadoutFit(x, w)
+    scores = fit.score(y)
+    assert fit.dropped_columns == zeros
+    assert np.max(np.abs(scores.capacities - lstsq_capacities(x, y, w))) <= 1e-12
+    assert scores.threshold == finite_time_threshold(rows)
+    assert np.array_equal(scores.below_threshold, scores.capacities < scores.threshold)
+    assert np.all(scores.weights[:zeros] == 0.0)
+    assert abs(sr.capacity(x, y[:, -1], weights=w).capacity - scores.capacities[-1]) <= 1e-12
+
+
+def test_readout_fit_rejects_any_zero_energy_target():
+    gen = np.random.default_rng(4)
+    x = gen.normal(size=(20, 3))
+    y = gen.normal(size=(20, 4))
+    y[:, 2] = 0.0
+    with pytest.raises(ZeroTarget):
+        ReadoutFit(x).score(y)
 
 
 # --- gram matrices -----------------------------------------------------------
@@ -286,6 +322,16 @@ def test_binary_basis_limits_degree():
     assert basis.gram_error() < 1e-12
 
 
+@pytest.mark.parametrize("kind, max_delay, max_degree", [
+    ("iid-uniform-binary", 5, 1),
+    ("iid-uniform-interval", 4, 3),
+    ("iid-uniform-interval", 2, 5),
+])
+def test_gram_error_matches_pairwise_loop(kind, max_delay, max_degree):
+    basis = TargetBasis(max_delay, max_degree, kind, lo=-0.5, hi=2.0)
+    assert basis.gram_error() == gram_error_loop(basis)
+
+
 def test_basis_sum_counts_spanned_directions():
     gen = np.random.default_rng(7)
     measure = InputMeasure("iid-uniform-interval", -1, 1)
@@ -296,6 +342,17 @@ def test_basis_sum_counts_spanned_directions():
     rep = sr.total_capacity(signals, basis, drives, start=0)
     assert abs(rep.ipc_value - 3.0) < 1e-6
     assert rep.method == "basis-sum"
+
+
+def test_basis_sum_logs_dropped_columns_once(caplog):
+    gen = np.random.default_rng(11)
+    measure = InputMeasure("iid-uniform-interval", -1, 1)
+    basis = build_target_basis(measure, max_delay=1, max_degree=2)
+    drives = gen.uniform(-1, 1, 400)
+    signals = np.column_stack([basis.evaluate(drives)[:, :3], np.zeros(399)])
+    with caplog.at_level("INFO", logger="stochres.capacity"):
+        sr.total_capacity(signals, basis, drives, start=1)
+    assert sum("all-zero signal columns" in r.getMessage() for r in caplog.records) == 1
 
 
 def test_basis_sum_linear_drive_exact_mode():

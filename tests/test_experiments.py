@@ -13,6 +13,8 @@ from stochres.errors import (
     NonpositiveSignal,
     SearchBudgetExceeded,
 )
+from stochres import rng
+from stochres.capacity import _legendre_orthonormal
 from stochres.experiments import (
     matched_polynomial_sharpness,
     shift_register_capacity_closed_form,
@@ -21,6 +23,8 @@ from stochres.experiments import (
     verify_shatter_witness,
 )
 from stochres.reservoir import InputMeasure, InputSequence
+
+from helpers import lstsq_capacities
 
 
 BINARY = InputMeasure("iid-uniform-binary", 0.0, 1.0, seed=11)
@@ -159,6 +163,15 @@ def test_power_basis_three_bits_full_span():
     rep = sr.power_basis_demo(3, samples=100_000, seed=2)
     assert rep.rank == 8
     assert abs(rep.ipc_report.ipc_value - 8.0) <= 0.05
+
+
+def test_power_basis_components_match_per_target_lstsq():
+    rep = sr.power_basis_demo(3, samples=100_000, seed=2)
+    x = InputMeasure("iid-uniform-interval", -1.0, 1.0).draw(100_000, rng.stream(2, 3))
+    targets = np.column_stack([np.ones_like(x)] + [
+        _legendre_orthonormal(g, x, -1.0, 1.0) for g in range(1, 8)])
+    ref = lstsq_capacities(np.vander(x, N=8, increasing=True), targets, np.ones(x.size))
+    assert np.max(np.abs(rep.ipc_report.components - ref)) <= 1e-12
 
 
 def test_power_basis_six_bits_full_rank_or_explicit_failure():

@@ -206,6 +206,47 @@ def test_run_equals_iterated_steps():
         np.testing.assert_array_equal(out[t], state)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_run_on_continuous_drives_equals_step_loop_bit_for_bit(n):
+    # the run builds each gate's kernels for a chunk's distinct drives in
+    # one array-valued evaluation; a step builds them for its drive alone.
+    # 400 steps span two chunks, and at n = 1 the kernels of all drives
+    # would outgrow the output, so the chunks are smaller still.
+    gen = np.random.default_rng(30 + n)
+    spec = random_physical_reservoir(n, gen)
+    spec.gates.append(asymmetric_flip_gate(
+        0, {"type": "logistic", "rate": 1.5, "center": 0.1, "lo": 0.05, "hi": 0.3},
+        {"type": "poly", "coeffs": [0.2, 0.1]}))
+    spec.depth_bound = len(spec.gates)
+    res = sr.build_reservoir(spec)
+    drives = gen.choice(gen.uniform(-1, 1, 150), size=400)  # repeats on purpose
+    out = sr.run_exact(res, InputSequence(drives, washout_length=50))
+    if n == 1:
+        assert res.plan.drive_entries * len(drives) > out.size
+    state = spec.initial_state.probs.copy()
+    for t, u in enumerate(drives):
+        state = sr.step_exact(res, state, u)
+        np.clip(state, 0.0, None, out=state)
+        state /= state.sum()
+        if t >= 50:
+            assert np.array_equal(out[t - 50], state)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4))
+def test_plan_stacks_equal_per_drive_kernels_bit_for_bit(seed, n):
+    gen = np.random.default_rng(seed)
+    res = sr.build_reservoir(random_mixed_reservoir(n, gen))
+    us = gen.uniform(-1, 1, 7)
+    for build in (res.plan.kernels, res.plan.cdfs):
+        per_value = res.plan.per_value(build(us), len(us))
+        for i, u in enumerate(us):
+            for stacked, single in zip(per_value[i], build(float(u))):
+                assert (stacked is None) == (single is None)
+                if single is not None:
+                    assert np.array_equal(stacked, single)
+
+
 def test_run_mixing_matches_dense_product_oracle():
     gen = np.random.default_rng(77)
     gates = [constant_gate((0, 1), gen.dirichlet(np.ones(4), size=4)),

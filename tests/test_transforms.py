@@ -25,12 +25,14 @@ from stochres.signals import (
     write_csv,
 )
 from stochres.transforms import (
+    mobius_superset,
     moments_for_masks,
     moments_from_probabilities,
     moments_from_samples,
     probabilities_from_moments,
     signal_moments,
     subset_mask,
+    zeta_superset,
 )
 
 from helpers import brute_force_moments, random_physical_reservoir
@@ -83,6 +85,20 @@ def test_roundtrip_is_identity(seed, n):
     row = np.random.default_rng(seed).dirichlet(np.ones(2 ** n))
     back = probabilities_from_moments(moments_from_probabilities(row, n), n)
     assert np.max(np.abs(back - row)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6),
+       st.sampled_from([(5,), (1,), (3, 4), (2, 1)]))
+def test_batched_transforms_act_row_by_row(seed, n, lead):
+    rows = np.random.default_rng(seed).dirichlet(np.ones(2 ** n), size=lead)
+    moments = zeta_superset(rows, n)
+    back = mobius_superset(moments, n)
+    assert moments.shape == back.shape == rows.shape
+    assert np.max(np.abs(back - rows)) < 1e-12
+    for index in np.ndindex(*lead):
+        assert np.array_equal(moments[index], zeta_superset(rows[index], n))
+        assert np.array_equal(back[index], mobius_superset(moments[index], n))
 
 
 def test_moment_monotone_under_mask_growth():
