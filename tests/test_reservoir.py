@@ -15,14 +15,19 @@ from stochres.errors import (
     InsufficientTrials,
     LocalityViolation,
     NonfiniteDrive,
+    NumericCheckFailure,
     StochasticityViolation,
 )
 from stochres.reservoir import (
+    DENSE_ENTRIES_PER_OP,
+    RENORM_DRIFT_TOL,
     BitstringDistribution,
     InputMeasure,
     InputSequence,
     ReservoirSpec,
     SAMPLE_BLOCK,
+    _DenseOp,
+    _KernelOp,
     asymmetric_flip_gate,
     constant_gate,
     fading_memory_error,
@@ -136,8 +141,38 @@ def test_step_preserves_simplex(seed, n):
 def test_plan_fuses_adjacent_permutations_into_one_gather():
     res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.05))
     kinds = [type(op).__name__ for op in res.plan.ops]
-    # three swaps fuse; the set gate and four flips stay kernel ops
-    assert kinds == ["_GatherOp"] + ["_KernelOp"] * 5
+    # three swaps fuse; the set gate stays a kernel op; the four static
+    # flips fold into one dense op
+    assert kinds == ["_GatherOp", "_KernelOp", "_DenseOp"]
+    parts = res.plan.ops[2].parts
+    assert all(type(op) is _KernelOp for op in parts)
+    assert [(op.index, op.gate) for op in parts] == list(enumerate(res.gates))[4:]
+
+
+def test_scan_family_folds_through_n8_and_not_at_n9():
+    def folds(n):
+        res = sr.build_reservoir(sr.shift_register_flip_family(n, 0.05))
+        return any(isinstance(op, _DenseOp) for op in res.plan.ops)
+
+    assert folds(8) and not folds(9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8))
+def test_folded_step_matches_dense_oracle(seed, n):
+    # a trailing run of static gates long enough to fold at this n
+    gen = np.random.default_rng(seed)
+    spec = random_mixed_reservoir(n, gen)
+    length = max(2, -(-4 ** n // DENSE_ENTRIES_PER_OP))
+    spec.gates += [constant_gate((int(gen.integers(n)),), gen.dirichlet(np.ones(2), size=2))
+                   for _ in range(length)]
+    spec.depth_bound = len(spec.gates)
+    res = sr.build_reservoir(spec)
+    assert isinstance(res.plan.ops[-1], _DenseOp)
+    state = gen.dirichlet(np.ones(2 ** n))
+    for u in gen.uniform(-1, 1, 2):
+        expected = dense_step_oracle(spec, state, u)
+        assert np.max(np.abs(sr.step_exact(res, state, u) - expected)) < 1e-13
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,6 +282,41 @@ def test_plan_stacks_equal_per_drive_kernels_bit_for_bit(seed, n):
                     assert np.array_equal(stacked, single)
 
 
+def test_run_on_folded_plan_equals_step_loop_bit_for_bit():
+    spec = sr.shift_register_flip_family(6, 0.05)
+    res = sr.build_reservoir(spec)
+    assert any(isinstance(op, _DenseOp) for op in res.plan.ops)
+    drives = np.random.default_rng(6).integers(0, 2, 300).astype(float)
+    out = sr.run_exact(res, InputSequence(drives, washout_length=20))
+    state = spec.initial_state.probs.copy()
+    for t, u in enumerate(drives):
+        state = sr.step_exact(res, state, u)
+        np.clip(state, 0.0, None, out=state)
+        state /= state.sum()
+        if t >= 20:
+            assert np.array_equal(out[t - 20], state)
+
+
+def _scaled_dense_reservoir(factor):
+    res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.05))
+    res.plan.ops[-1].matrix *= factor
+    return res
+
+
+def test_run_raises_on_renormalization_drift():
+    # every step now multiplies the total by 1 + 2 * tol
+    res = _scaled_dense_reservoir(1.0 + 2 * RENORM_DRIFT_TOL)
+    seq = InputSequence(np.ones(10), washout_length=0)
+    with pytest.raises(NumericCheckFailure, match="drift"):
+        sr.run_exact(res, seq)
+
+
+def test_run_accepts_drift_just_below_tolerance():
+    res = _scaled_dense_reservoir(1.0 + 0.5 * RENORM_DRIFT_TOL)
+    out = sr.run_exact(res, InputSequence(np.ones(10), washout_length=0))
+    np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-15)
+
+
 def test_run_mixing_matches_dense_product_oracle():
     gen = np.random.default_rng(77)
     gates = [constant_gate((0, 1), gen.dirichlet(np.ones(4), size=4)),
@@ -280,6 +350,19 @@ def test_sampling_deterministic_circuit_matches_exact():
     exact_states = np.argmax(sr.run_exact(res, seq), axis=1)
     ens = sample_trajectories(res, seq, shots=11, seed=1)
     assert np.array_equal(ens.samples, np.tile(exact_states, (11, 1)))
+
+
+def test_sampling_through_dense_ops_equals_sampling_their_parts():
+    gen = np.random.default_rng(4)
+    spec = random_physical_reservoir(4, gen)
+    res = sr.build_reservoir(spec)
+    assert any(isinstance(op, _DenseOp) for op in res.plan.ops)
+    seq = InputSequence(gen.uniform(-1, 1, 40), washout_length=5)
+    folded = sample_trajectories(res, seq, shots=300, seed=9)
+    res.plan.ops = [part for op in res.plan.ops
+                    for part in (op.parts if isinstance(op, _DenseOp) else [op])]
+    expanded = sample_trajectories(res, seq, shots=300, seed=9)
+    assert folded.samples.tobytes() == expanded.samples.tobytes()
 
 
 def test_sampling_binomial_concentration():
