@@ -32,6 +32,7 @@ from .errors import (
     EmptyRank,
     MissingShotMetadata,
     NotPSD,
+    NumericCheckFailure,
     ZeroTarget,
 )
 from .signals import MODE_EMPIRICAL, MODE_EXACT, SignalMatrix
@@ -190,7 +191,9 @@ def gram_matrices(signals: SignalMatrix):
     so <x x^T> = diag(<x>). Exact mode uses the true probabilities;
     empirical mode plugs the observed frequencies into the same formulas
     (shot metadata required), so both estimates converge to the exact pair
-    as shots and rows grow.
+    as shots and rows grow. G2 is therefore diagonal, which
+    :func:`eigentask_decomposition` recognises and handles without dense
+    products.
     """
     if signals.mode not in (MODE_EXACT, MODE_EMPIRICAL):
         raise ValueError("gram matrices need probability or frequency signals")
@@ -241,6 +244,15 @@ class EigentaskDecomposition:
         return self.whitener @ self.eigentasks[:, k]
 
 
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """``0.5 * (a + a.T)``, or ``a`` itself when it already equals its
+    transpose bit for bit, where that expression would return it unchanged."""
+    bits = a.view(np.int64)
+    if np.array_equal(bits, bits.T):
+        return a
+    return 0.5 * (a + a.T)
+
+
 def eigentask_decomposition(g1: np.ndarray, g2: np.ndarray,
                             rank_tolerance: float = DEFAULT_RANK_TOLERANCE
                             ) -> EigentaskDecomposition:
@@ -249,14 +261,27 @@ def eigentask_decomposition(g1: np.ndarray, g2: np.ndarray,
     G1 is spectrally decomposed; directions below ``rank_tolerance`` times
     the top eigenvalue are dropped; G2 is whitened by the retained part of
     G1; the eigenvalues of the whitened matrix minus one are the
-    noise-to-signal ratios.
+    noise-to-signal ratios. A non-finite entry in either matrix raises
+    NumericCheckFailure.
+
+    A diagonal G2, as :func:`gram_matrices` gives for one-hot readout, is
+    recognised and used as its diagonal: its eigenvalues are the sorted
+    diagonal and the whitening product scales rows instead of multiplying
+    by a dense matrix. Every product skipped is an exact zero, so the
+    result equals the dense computation bit for bit.
     """
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)
     if g1.shape != g2.shape or g1.shape[0] != g1.shape[1]:
         raise ValueError("G1 and G2 must be square matrices of equal size")
-    g1 = 0.5 * (g1 + g1.T)
-    g2 = 0.5 * (g2 + g2.T)
+    for name, g in (("G1", g1), ("G2", g2)):
+        if not np.all(np.isfinite(g)):
+            raise NumericCheckFailure(f"{name} has non-finite entries")
+    g2_diagonal = np.diagonal(g2)
+    g2_is_diagonal = np.count_nonzero(g2) == np.count_nonzero(g2_diagonal)
+    g1 = _symmetrized(g1)
+    if not g2_is_diagonal:
+        g2 = _symmetrized(g2)
 
     evals, vecs = np.linalg.eigh(g1)
     top = float(evals[-1])
@@ -264,7 +289,10 @@ def eigentask_decomposition(g1: np.ndarray, g2: np.ndarray,
         raise EmptyRank("G1 has no positive eigenvalues")
     if evals[0] < -1e-8 * top:
         raise NotPSD(f"G1 eigenvalue {evals[0]:.3g} below -1e-8 * max")
-    g2_evals = np.linalg.eigvalsh(g2)
+    if g2_is_diagonal:
+        g2_evals = np.sort(g2_diagonal)
+    else:
+        g2_evals = np.linalg.eigvalsh(g2)
     if g2_evals[0] < -1e-8 * max(g2_evals[-1], 1e-300):
         raise NotPSD(f"G2 eigenvalue {g2_evals[0]:.3g} below -1e-8 * max")
 
@@ -274,8 +302,11 @@ def eigentask_decomposition(g1: np.ndarray, g2: np.ndarray,
     dropped = int(np.sum(~keep))
     whitener = vecs[:, keep] / np.sqrt(evals[keep])
 
-    m = whitener.T @ g2 @ whitener
-    m = 0.5 * (m + m.T)
+    if g2_is_diagonal:
+        m = (whitener.T * g2_diagonal) @ whitener
+    else:
+        m = whitener.T @ g2 @ whitener
+    m = _symmetrized(m)
     mu, tasks = np.linalg.eigh(m)
     sigma_sq = mu - 1.0
 

@@ -1015,6 +1015,9 @@ def fading_memory_error(reservoir: Reservoir, h: int, measure: InputMeasure,
     probabilities is the part of the state the window fails to determine.
     Returns the mean over output components of that conditional variance,
     averaged over windows. Non-increasing in ``h`` up to Monte Carlo noise.
+    Each resample builds the kernels of its distinct drive values once and
+    steps through them, which equals a loop of plain :func:`step_exact`
+    calls bit for bit.
     """
     if h < 1:
         raise ValueError("history window must be >= 1")
@@ -1024,18 +1027,19 @@ def fading_memory_error(reservoir: Reservoir, h: int, measure: InputMeasure,
     if total < h:
         raise ValueError("total_window must be >= h")
 
+    plan = reservoir.plan
     acc = 0.0
     for trial in range(trials):
         gen = _rng.stream(seed, trial)
         window = measure.draw(h, gen)
         finals = np.empty((resamples, reservoir.dim))
         for r in range(resamples):
-            prefix = measure.draw(total - h, gen)
+            drives = np.concatenate([measure.draw(total - h, gen), window])
+            values, inverse = np.unique(drives, return_inverse=True)
+            kernels = plan.per_value(plan.kernels(values), len(values))
             state = reservoir.spec.initial_state.probs.copy()
-            for u in prefix:
-                state = step_exact(reservoir, state, u)
-            for u in window:
-                state = step_exact(reservoir, state, u)
+            for u, i in zip(drives, inverse.tolist()):
+                state = step_exact(reservoir, state, u, kernels[i])
             finals[r] = state
         acc += float(np.mean(np.var(finals, axis=0, ddof=1)))
     return acc / trials

@@ -14,6 +14,7 @@ import datetime
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,12 +102,25 @@ class RunManifest:
         }
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file next to ``path``, then rename it into
+    place, so ``path`` never holds a partial file; the temp file never
+    outlives the call."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_results(artifacts, out_dir) -> list:
     """Write artifacts with fixed column order and float formatting.
 
     CSV payloads are ``{"header": [...], "rows": [[...], ...]}``; floats are
     rendered with 17 significant digits so a parse-back reproduces them
-    bit-exactly. JSON payloads are dumped with sorted keys.
+    bit-exactly. JSON payloads are dumped with sorted keys. Each file is
+    written to a temp file in ``out_dir`` and renamed into place.
     """
     out_dir = Path(out_dir)
     try:
@@ -122,12 +136,13 @@ def write_results(artifacts, out_dir) -> list:
                         for c in row
                     ]
                     lines.append(",".join(cells))
-                path.write_text("\n".join(lines) + "\n")
+                text = "\n".join(lines) + "\n"
             elif art.kind == "json":
-                path.write_text(json.dumps(art.payload, sort_keys=True, indent=1,
-                                           default=_json_default) + "\n")
+                text = json.dumps(art.payload, sort_keys=True, indent=1,
+                                  default=_json_default) + "\n"
             else:
                 raise ValueError(f"unknown artifact kind: {art.kind!r}")
+            _write_atomic(path, text)
             paths.append(path)
         return paths
     except OSError as exc:
@@ -403,8 +418,11 @@ def validate_config(config: dict) -> dict:
 def run_experiment(config: dict) -> RunManifest:
     """Validate, dispatch, write artifacts plus manifest, return the manifest.
 
-    Raises NumericCheckFailure (after writing everything) when the
-    experiment's built-in verification does not pass.
+    A manifest left in ``out_dir`` by an earlier run is deleted before any
+    artifact is written, and the new one is written last, so a run that
+    fails part way leaves no manifest that could vouch for a mix of old and
+    new files. Raises NumericCheckFailure (after writing everything) when
+    the experiment's built-in verification does not pass.
     """
     effective = validate_config(config)
     name = effective["experiment"]
@@ -417,6 +435,10 @@ def run_experiment(config: dict) -> RunManifest:
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
     artifacts, passed = runner(params, seed, threads)
+    try:
+        (out_dir / "manifest.json").unlink(missing_ok=True)
+    except OSError as exc:
+        raise IOFailure(str(exc)) from exc
     paths = write_results(artifacts, out_dir)
     finished = datetime.datetime.now(datetime.timezone.utc)
 
@@ -433,10 +455,9 @@ def run_experiment(config: dict) -> RunManifest:
         ],
     )
     try:
-        (out_dir / "manifest.json").write_text(
-            json.dumps(manifest.to_dict(), sort_keys=True, indent=1,
-                       default=_json_default) + "\n"
-        )
+        _write_atomic(out_dir / "manifest.json",
+                      json.dumps(manifest.to_dict(), sort_keys=True, indent=1,
+                                 default=_json_default) + "\n")
     except OSError as exc:
         raise IOFailure(str(exc)) from exc
     if not passed:

@@ -181,3 +181,28 @@ def gram_error_loop(basis):
                 prod *= one_d[ia[d], ib[d]]
             err = max(err, abs(prod - (1.0 if a == b else 0.0)))
     return err
+
+
+def dense_eigentask_reference(g1, g2, rank_tolerance=1e-10):
+    """``eigentask_decomposition`` as a dense computation that ignores structure.
+
+    Symmetrizes both matrices and whitens G2 with two dense products.
+    Returns ``(sigma_sq, eigentasks, whitener, retained_rank,
+    clipped_negatives)``; the error checks are left out, so inputs must be
+    valid.
+    """
+    g1 = np.asarray(g1, dtype=float)
+    g2 = np.asarray(g2, dtype=float)
+    g1 = 0.5 * (g1 + g1.T)
+    g2 = 0.5 * (g2 + g2.T)
+    evals, vecs = np.linalg.eigh(g1)
+    keep = evals >= rank_tolerance * float(evals[-1])
+    whitener = vecs[:, keep] / np.sqrt(evals[keep])
+    m = whitener.T @ g2 @ whitener
+    m = 0.5 * (m + m.T)
+    mu, tasks = np.linalg.eigh(m)
+    sigma_sq = mu - 1.0
+    clip = (sigma_sq < 0.0) & (sigma_sq >= -1e-10)
+    sigma_sq = np.where(clip, 0.0, sigma_sq)
+    order = np.argsort(sigma_sq)
+    return sigma_sq[order], tasks[:, order], whitener, int(np.sum(keep)), int(np.sum(clip))

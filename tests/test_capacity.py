@@ -20,12 +20,18 @@ from stochres.errors import (
     EmptyRank,
     MissingShotMetadata,
     NotPSD,
+    NumericCheckFailure,
     ZeroTarget,
 )
 from stochres.reservoir import InputMeasure, InputSequence, ReservoirSpec, sample_trajectories, set_gate
 from stochres.signals import SignalMatrix
 
-from helpers import gram_error_loop, lstsq_capacities, random_physical_reservoir
+from helpers import (
+    dense_eigentask_reference,
+    gram_error_loop,
+    lstsq_capacities,
+    random_physical_reservoir,
+)
 
 
 def linear_drive_signals(order=64):
@@ -251,6 +257,62 @@ def test_duplicated_signal_column_leaves_spectral_capacity_unchanged():
     g1d, g2d = m @ g1 @ m.T, m @ g2 @ m.T
     dup = sr.ipc_spectral(sr.eigentask_decomposition(g1d, g2d)).ipc_value
     assert abs(dup - base) < 1e-9
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12), st.integers(0, 12),
+       st.integers(0, 4), st.booleans(), st.booleans())
+def test_decomposition_equals_dense_reference_bit_for_bit(seed, d, rank, zeros, skew, dense):
+    # G1 of any rank (zero rows included), optionally perturbed off exact
+    # symmetry; G2 a non-negative diagonal with exact zeros, or that
+    # diagonal plus a low-rank PSD part so the dense path runs too
+    gen = np.random.default_rng(seed)
+    a = gen.normal(size=(d, min(rank, d)))
+    a[:min(zeros, d - 1)] = 0.0
+    g1 = a @ a.T + np.diag(gen.uniform(0.0, 1e-3, d) * (rank == 0))
+    if skew:
+        g1 = g1 + 1e-14 * gen.normal(size=(d, d))
+    diagonal = gen.uniform(0.0, 2.0, d) * (gen.random(d) < 0.8)
+    g2 = np.diag(diagonal)
+    if dense:
+        b = gen.normal(size=(d, 2))
+        g2 = g2 + 0.1 * b @ b.T
+    dec = sr.eigentask_decomposition(g1, g2)
+    sigma_sq, tasks, whitener, retained, clipped = dense_eigentask_reference(g1, g2)
+    assert _same_bits(dec.sigma_sq, sigma_sq)
+    assert _same_bits(dec.eigentasks, tasks)
+    assert _same_bits(dec.whitener, whitener)
+    assert dec.retained_rank == retained
+    assert dec.clipped_negatives == clipped
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_decomposition_g2_psd_tolerance(dense):
+    rotation = np.array([[0.6, -0.8], [0.8, 0.6]]) if dense else np.eye(2)
+    for low, rejected in ((-2e-8, True), (-1e-9, False)):
+        g2 = rotation @ np.diag([1.0, low]) @ rotation.T
+        assert (np.count_nonzero(g2) == 2) != dense
+        if rejected:
+            with pytest.raises(NotPSD, match="G2"):
+                sr.eigentask_decomposition(np.eye(2), g2)
+        else:
+            assert sr.eigentask_decomposition(np.eye(2), g2).retained_rank == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("name", ["G1", "G2"])
+def test_decomposition_rejects_non_finite_input(name, dense, bad):
+    g1 = np.array([[2.0, 0.5], [0.5, 1.0]])
+    g2 = np.array([[3.0, 0.2], [0.2, 2.0]]) if dense else np.diag([3.0, 2.0])
+    (g1 if name == "G1" else g2)[1, 1] = bad
+    with pytest.raises(NumericCheckFailure, match=name):
+        sr.eigentask_decomposition(g1, g2)
 
 
 # --- aggregate capacity --------------------------------------------------------

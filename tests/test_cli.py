@@ -1,13 +1,14 @@
 """Run configs, artifact writing, manifests, CLI exit codes."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stochres.cli import main
-from stochres.errors import ConfigValidation, NumericCheckFailure, UnknownExperiment
+from stochres.errors import ConfigValidation, IOFailure, NumericCheckFailure, UnknownExperiment
 from stochres.runio import (
     Artifact,
     config_hash,
@@ -86,6 +87,30 @@ def test_manifest_checksums_cover_all_artifacts(tmp_path):
         blob = (tmp_path / entry["path"]).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
         assert len(blob) == entry["bytes"]
+
+
+def test_failed_rewrite_leaves_no_manifest_and_no_temp_files(tmp_path, monkeypatch):
+    cfg = {"experiment": "switching", "out_dir": str(tmp_path), "grid_points": 301}
+    run_experiment(cfg)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["manifest.json", "switching_report.json", "switching_signals.csv"]
+
+    replace = os.replace
+    calls = []
+
+    def fail_second_artifact(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_second_artifact)
+    with pytest.raises(IOFailure, match="disk full"):
+        run_experiment({**cfg, "grid_points": 401})
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(after) == ["switching_report.json", "switching_signals.csv"]
+    assert after["switching_signals.csv"] != before["switching_signals.csv"]
+    assert after["switching_report.json"] == before["switching_report.json"]
 
 
 # --- determinism ------------------------------------------------------------------

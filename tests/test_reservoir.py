@@ -37,6 +37,7 @@ from stochres.reservoir import (
     sample_trajectories,
     set_gate,
 )
+from stochres.rng import stream
 
 from helpers import (
     dense_gate_matrix,
@@ -493,6 +494,25 @@ def test_fading_memory_decreases_and_matches_recursion_oracle():
         acc += finals.var(ddof=1)
     oracle = acc / trials  # variance identical for both components
     assert 0.4 * oracle < errs[1] < 2.5 * oracle
+
+
+def test_fading_memory_equals_plain_step_loop_bit_for_bit():
+    # continuous drives, so nearly every step has its own kernels
+    res = sr.build_reservoir(random_physical_reservoir(3, np.random.default_rng(21)))
+    measure = InputMeasure("iid-uniform-interval", -1, 1, seed=0)
+    h, trials, resamples, total, seed = 3, 10, 4, 16, 5
+    acc = 0.0
+    for trial in range(trials):
+        gen = stream(seed, trial)
+        window = measure.draw(h, gen)
+        finals = np.empty((resamples, res.dim))
+        for r in range(resamples):
+            state = res.spec.initial_state.probs.copy()
+            for u in np.concatenate([measure.draw(total - h, gen), window]):
+                state = sr.step_exact(res, state, u)
+            finals[r] = state
+        acc += float(np.mean(np.var(finals, axis=0, ddof=1)))
+    assert fading_memory_error(res, h, measure, trials, resamples, total, seed) == acc / trials
 
 
 def test_fading_memory_requires_enough_trials():
