@@ -34,8 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="root seed (overrides the config)")
         p.add_argument("--out-dir", type=Path, default=Path("."),
                        help="artifact output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; sampling runs on one thread")
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility (overrides the config); "
+                            "sampling runs on one thread")
     return parser
 
 
@@ -56,7 +57,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config["seed"] = args.seed
         config["out_dir"] = str(args.out_dir)
-        config["threads"] = args.threads
+        if args.threads is not None:
+            config["threads"] = args.threads
         manifest = run_experiment(config)
     except (ConfigValidation, UnknownExperiment) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -20,7 +20,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -39,6 +38,7 @@ from .errors import (
     NumericCheckFailure,
     StochasticityViolation,
 )
+from .fileio import read_raw, write_raw
 
 logger = logging.getLogger(__name__)
 
@@ -486,26 +486,19 @@ class TrajectoryEnsemble:
         return np.arange(self.shots, dtype=np.int64)
 
     def save(self, path) -> None:
-        """Persist as raw row-major int64 plus a JSON sidecar."""
-        path = Path(path)
-        self.samples.astype("<i8").tofile(path)
-        sidecar = {
+        """Persist as raw row-major int64 plus a JSON sidecar at ``<path>.json``."""
+        write_raw(path, self.samples, "<i8", {
             "n": self.n,
-            "S": int(self.shots),
-            "T": int(self.steps),
-            "seed": int(self.seed_root),
-            "washout": int(self.washout_length),
+            "S": self.shots,
+            "T": self.steps,
+            "seed": self.seed_root,
+            "washout": self.washout_length,
             "dtype": "<i8",
-        }
-        path.with_suffix(path.suffix + ".json").write_text(
-            json.dumps(sidecar, sort_keys=True)
-        )
+        })
 
     @classmethod
     def load(cls, path) -> "TrajectoryEnsemble":
-        path = Path(path)
-        sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        raw = np.fromfile(path, dtype="<i8").reshape(sidecar["S"], sidecar["T"])
+        raw, sidecar = read_raw(path, "<i8", ("S", "T"))
         return cls(raw, sidecar["n"], sidecar["seed"], sidecar.get("washout", 0))
 
 
@@ -886,9 +879,9 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
     entries are set to zero and the state is divided by its sum; if that
     sum is ever further than ``RENORM_DRIFT_TOL`` from one, the run raises
     :class:`NumericCheckFailure` with the drift instead of hiding it. Steps
-    run in chunks of at most ``EXACT_DRIVE_CHUNK``; the kernels of a
-    chunk's distinct drive values are built at once, one array-valued drive
-    evaluation per gate, and take no more memory than the output.
+    run in chunks of ``EXACT_DRIVE_CHUNK``; the kernels of a chunk's
+    distinct drive values are built at once, one array-valued drive
+    evaluation per gate.
     """
     drives = inputs.drives
     if len(inputs) <= inputs.washout_length:
@@ -900,10 +893,9 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
     plan = reservoir.plan
     state = reservoir.spec.initial_state.probs.copy()
     out = np.empty((len(inputs) - inputs.washout_length, reservoir.dim))
-    chunk = max(1, min(EXACT_DRIVE_CHUNK, out.size // max(plan.drive_entries, 1)))
     drift = 0.0  # largest |sum - 1| so far
-    for t0 in range(0, len(drives), chunk):
-        values, inverse = np.unique(drives[t0:t0 + chunk], return_inverse=True)
+    for t0 in range(0, len(drives), EXACT_DRIVE_CHUNK):
+        values, inverse = np.unique(drives[t0:t0 + EXACT_DRIVE_CHUNK], return_inverse=True)
         kernels = plan.per_value(plan.kernels(values), len(values))
         for t, i in enumerate(inverse.tolist(), start=t0):
             state = step_exact(reservoir, state, drives[t], kernels[i])
@@ -1015,9 +1007,8 @@ def fading_memory_error(reservoir: Reservoir, h: int, measure: InputMeasure,
     probabilities is the part of the state the window fails to determine.
     Returns the mean over output components of that conditional variance,
     averaged over windows. Non-increasing in ``h`` up to Monte Carlo noise.
-    Each resample builds the kernels of its distinct drive values once and
-    steps through them, which equals a loop of plain :func:`step_exact`
-    calls bit for bit.
+    Each resampled history is one :func:`run_exact` call, so it gets the
+    same drive-bound and renormalization-drift checks.
     """
     if h < 1:
         raise ValueError("history window must be >= 1")
@@ -1027,7 +1018,6 @@ def fading_memory_error(reservoir: Reservoir, h: int, measure: InputMeasure,
     if total < h:
         raise ValueError("total_window must be >= h")
 
-    plan = reservoir.plan
     acc = 0.0
     for trial in range(trials):
         gen = _rng.stream(seed, trial)
@@ -1035,11 +1025,6 @@ def fading_memory_error(reservoir: Reservoir, h: int, measure: InputMeasure,
         finals = np.empty((resamples, reservoir.dim))
         for r in range(resamples):
             drives = np.concatenate([measure.draw(total - h, gen), window])
-            values, inverse = np.unique(drives, return_inverse=True)
-            kernels = plan.per_value(plan.kernels(values), len(values))
-            state = reservoir.spec.initial_state.probs.copy()
-            for u, i in zip(drives, inverse.tolist()):
-                state = step_exact(reservoir, state, u, kernels[i])
-            finals[r] = state
+            finals[r] = run_exact(reservoir, InputSequence(drives, washout_length=total - 1))[0]
         acc += float(np.mean(np.var(finals, axis=0, ddof=1)))
     return acc / trials

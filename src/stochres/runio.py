@@ -1,10 +1,10 @@
 """Configuration-driven experiment runs with reproducibility manifests.
 
 A run takes a validated JSON config, dispatches to a registered experiment,
-writes CSV/JSON artifacts with fixed formatting (so identical config and
-seed produce byte-identical files at any thread count), and records a
-manifest with the config hash, seed, version, timestamps, and per-artifact
-checksums.
+writes CSV/JSON artifacts through :mod:`stochres.fileio` (so identical
+config and seed produce byte-identical files at any thread count), and
+records a manifest with the config hash, seed, version, timestamps, and
+per-artifact checksums.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import datetime
 import hashlib
 import json
 import math
-import os
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,26 +39,14 @@ from .experiments import (
     switching_subset_class,
     verify_shatter_witness,
 )
+from .fileio import csv_text, json_default, json_text, write_atomic
 from .qembed import verification_report
 from .reservoir import InputMeasure, InputSequence, build_reservoir, run_exact, sample_trajectories
 from .signals import empirical_probabilities, probability_signals
 
 
-def format_float(x) -> str:
-    """17 significant digits: enough to round-trip any float64 exactly."""
-    return f"{float(x):.17g}"
-
-
-def _json_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=json_default)
 
 
 def config_hash(config: dict) -> str:
@@ -102,51 +90,31 @@ class RunManifest:
         }
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a temp file next to ``path``, then rename it into
-    place, so ``path`` never holds a partial file; the temp file never
-    outlives the call."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def write_results(artifacts, out_dir) -> list:
-    """Write artifacts with fixed column order and float formatting.
+    """Write artifacts through :mod:`stochres.fileio`, in list order.
 
-    CSV payloads are ``{"header": [...], "rows": [[...], ...]}``; floats are
-    rendered with 17 significant digits so a parse-back reproduces them
-    bit-exactly. JSON payloads are dumped with sorted keys. Each file is
-    written to a temp file in ``out_dir`` and renamed into place.
+    CSV payloads are ``{"header": [...], "rows": [[...], ...]}``, with
+    floats at 17 significant digits so a parse-back reproduces them
+    bit-exactly; JSON payloads use the sorted-key, indent-1 format. Each
+    file is written to a temp file in ``out_dir`` and renamed into place.
     """
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        paths = []
-        for art in artifacts:
-            path = out_dir / art.name
-            if art.kind == "csv":
-                lines = [",".join(art.payload["header"])]
-                for row in art.payload["rows"]:
-                    cells = [
-                        format_float(c) if isinstance(c, (float, np.floating)) else str(c)
-                        for c in row
-                    ]
-                    lines.append(",".join(cells))
-                text = "\n".join(lines) + "\n"
-            elif art.kind == "json":
-                text = json.dumps(art.payload, sort_keys=True, indent=1,
-                                  default=_json_default) + "\n"
-            else:
-                raise ValueError(f"unknown artifact kind: {art.kind!r}")
-            _write_atomic(path, text)
-            paths.append(path)
-        return paths
     except OSError as exc:
         raise IOFailure(str(exc)) from exc
+    paths = []
+    for art in artifacts:
+        if art.kind == "csv":
+            text = csv_text(art.payload["header"], art.payload["rows"])
+        elif art.kind == "json":
+            text = json_text(art.payload)
+        else:
+            raise ValueError(f"unknown artifact kind: {art.kind!r}")
+        path = out_dir / art.name
+        write_atomic(path, text)
+        paths.append(path)
+    return paths
 
 
 def _sha256(path: Path) -> str:
@@ -157,7 +125,7 @@ def _sha256(path: Path) -> str:
 # experiment runners
 # ---------------------------------------------------------------------------
 
-def _run_ipc(params, seed, threads):
+def _run_ipc(params, seed):
     n = params["n"]
     lam = params["lambda"]
     measure = InputMeasure("iid-uniform-binary", 0.0, 1.0, seed=seed)
@@ -168,7 +136,7 @@ def _run_ipc(params, seed, threads):
         signals = probability_signals(run_exact(res, seq))
         trace = ipc_probability_rep(signals)
     else:
-        ens = sample_trajectories(res, seq, params["shots"], seed, threads=threads)
+        ens = sample_trajectories(res, seq, params["shots"], seed)
         signals = empirical_probabilities(ens)
         trace = None
     decomp = eigentask_decomposition(*gram_matrices(signals))
@@ -189,7 +157,7 @@ def _run_ipc(params, seed, threads):
     ], True
 
 
-def _run_scan(params, seed, threads):
+def _run_scan(params, seed):
     measure = InputMeasure("iid-uniform-binary", 0.0, 1.0, seed=seed)
     curve = scan_system_size(
         shift_register_flip_family,
@@ -217,7 +185,7 @@ def _run_scan(params, seed, threads):
     ], True
 
 
-def _run_switching(params, seed, threads):
+def _run_switching(params, seed):
     count = params["count"]
     domain = (params["domain_lo"], params["domain_hi"])
     beta = sweep_exponential_sharpness(count, domain, params["target_min_peak"],
@@ -251,7 +219,7 @@ def _run_switching(params, seed, threads):
     ], True
 
 
-def _run_tails(params, seed, threads):
+def _run_tails(params, seed):
     gen = _rng.stream(seed, 17)
     u = np.linspace(params["u_min"], params["u_max"], params["points"])
     rows = []
@@ -278,7 +246,7 @@ def _run_tails(params, seed, threads):
     ], report["accuracy"] >= 0.95
 
 
-def _run_power_basis(params, seed, threads):
+def _run_power_basis(params, seed):
     try:
         rep = power_basis_demo(params["n"], params["samples"], seed=seed)
         payload = {
@@ -302,7 +270,7 @@ def _run_power_basis(params, seed, threads):
     return arts, True
 
 
-def _run_learnability(params, seed, threads):
+def _run_learnability(params, seed):
     rows = []
     for qi, q in enumerate(params["q_values"]):
         curve = sample_complexity_curve(q, params["m0_grid"], params["trials"],
@@ -330,7 +298,7 @@ def _run_learnability(params, seed, threads):
     ], True
 
 
-def _run_fat_shatter(params, seed, threads):
+def _run_fat_shatter(params, seed):
     beta = sweep_exponential_sharpness(params["count"], (0.0, 1.0),
                                        params["target_min_peak"])
     fam = switching_family("exponential", params["count"], (0.0, 1.0), beta)
@@ -352,7 +320,7 @@ def _run_fat_shatter(params, seed, threads):
     return [Artifact("fat_shatter.json", "json", report)], verified and d >= 2
 
 
-def _run_embed_check(params, seed, threads):
+def _run_embed_check(params, seed):
     report = verification_report(tolerance=params["tolerance"],
                                  cases=params["cases"], dt=params["dt"], seed=seed)
     return [Artifact("embed_check.json", "json", report)], bool(report["passed"])
@@ -381,6 +349,20 @@ EXPERIMENTS: dict = {
 _COMMON_KEYS = {"experiment", "seed", "out_dir", "threads"}
 
 
+def _number(key, value, want):
+    """``value`` as ``want`` (int or float). Bools, non-numbers, non-finite
+    numbers and, for int, numbers with a fraction raise ConfigValidation
+    rather than being rounded or passed on."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return want(value)
+        if isinstance(value, numbers.Real) and math.isfinite(value) \
+                and (want is float or float(value).is_integer()):
+            return want(value)
+    kind = "an integer" if want is int else "a finite number"
+    raise ConfigValidation(f"config key {key!r} expects {kind}, got {value!r}")
+
+
 def validate_config(config: dict) -> dict:
     """Merge defaults, reject unknown keys, and return the effective config."""
     if "experiment" not in config:
@@ -393,8 +375,8 @@ def validate_config(config: dict) -> dict:
     for key in config:
         if key not in allowed:
             raise ConfigValidation(f"unknown config key: {key!r}")
-    effective = {"experiment": name, "seed": int(config.get("seed", 0)),
-                 "threads": int(config.get("threads", 1))}
+    effective = {"experiment": name, "seed": _number("seed", config.get("seed", 0), int),
+                 "threads": _number("threads", config.get("threads", 1), int)}
     if "out_dir" in config:
         effective["out_dir"] = str(config["out_dir"])
     merged = copy.deepcopy(defaults)
@@ -402,9 +384,8 @@ def validate_config(config: dict) -> dict:
         if key not in defaults:
             continue
         want = type(defaults[key])
-        if want in (int, float) and isinstance(value, (int, float)) \
-                and not isinstance(value, bool):
-            merged[key] = want(value)
+        if want in (int, float):
+            merged[key] = _number(key, value, want)
         elif isinstance(value, want):
             merged[key] = value
         else:
@@ -430,11 +411,10 @@ def run_experiment(config: dict) -> RunManifest:
     params = {k: effective[k] for k in defaults}
     out_dir = Path(effective.get("out_dir", "."))
     seed = effective["seed"]
-    threads = effective["threads"]
 
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
-    artifacts, passed = runner(params, seed, threads)
+    artifacts, passed = runner(params, seed)
     try:
         (out_dir / "manifest.json").unlink(missing_ok=True)
     except OSError as exc:
@@ -454,12 +434,7 @@ def run_experiment(config: dict) -> RunManifest:
             for p in paths
         ],
     )
-    try:
-        _write_atomic(out_dir / "manifest.json",
-                      json.dumps(manifest.to_dict(), sort_keys=True, indent=1,
-                                 default=_json_default) + "\n")
-    except OSError as exc:
-        raise IOFailure(str(exc)) from exc
+    write_atomic(out_dir / "manifest.json", json_text(manifest.to_dict()))
     if not passed:
         raise NumericCheckFailure(f"experiment {name!r} failed its numeric checks")
     return manifest

@@ -8,7 +8,6 @@ product moments indexed by subset masks. Rows may carry probability weights
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import MissingShotMetadata, MixedDimensions
+from .fileio import csv_text, read_raw, write_atomic, write_raw
 from .reservoir import BitstringDistribution, TrajectoryEnsemble
 
 logger = logging.getLogger(__name__)
@@ -141,12 +141,14 @@ def noise_floor_mask(sm: SignalMatrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def write_csv(sm: SignalMatrix, path) -> None:
-    path = Path(path)
-    header = ",".join(str(int(l)) for l in sm.labels)
-    lines = [header]
-    for row in sm.data:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Labels as the header line, then one line of 17-digit floats per row.
+
+    The format has no weight column, so a weighted matrix raises ValueError
+    rather than losing its weights; use :func:`write_binary` for one.
+    """
+    if sm.weights is not None:
+        raise ValueError("CSV has no weight column; write a weighted matrix with write_binary")
+    write_atomic(path, csv_text([str(int(l)) for l in sm.labels], sm.data))
 
 
 def read_csv(path, mode: str, n: int, shots: Optional[int] = None) -> SignalMatrix:
@@ -158,23 +160,23 @@ def read_csv(path, mode: str, n: int, shots: Optional[int] = None) -> SignalMatr
 
 
 def write_binary(sm: SignalMatrix, path) -> None:
-    """Raw little-endian float64 rows plus a JSON sidecar."""
-    path = Path(path)
-    sm.data.astype("<f8").tofile(path)
-    sidecar = {
+    """Raw little-endian float64 rows plus a JSON sidecar at ``<path>.json``
+    (mode, n, shape, labels, shots and the row weights, null when none)."""
+    write_raw(path, sm.data, "<f8", {
         "mode": sm.mode,
         "n": sm.n,
-        "rows": int(sm.rows),
-        "columns": int(sm.columns),
-        "labels": [int(l) for l in sm.labels],
+        "rows": sm.rows,
+        "columns": sm.columns,
+        "labels": sm.labels,
         "shots": sm.shots,
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, sort_keys=True))
+        "weights": sm.weights,
+    })
 
 
 def read_binary(path) -> SignalMatrix:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    data = np.fromfile(path, dtype="<f8").reshape(sidecar["rows"], sidecar["columns"])
+    """Read a :func:`write_binary` file; a sidecar without weights (written
+    before they were recorded) reads as unweighted."""
+    data, sidecar = read_raw(path, "<f8", ("rows", "columns"))
     return SignalMatrix(data, sidecar["mode"], sidecar["n"],
-                        labels=np.asarray(sidecar["labels"]), shots=sidecar["shots"])
+                        labels=np.asarray(sidecar["labels"]),
+                        weights=sidecar.get("weights"), shots=sidecar["shots"])

@@ -34,35 +34,30 @@ def _check_dense(n: int) -> None:
         )
 
 
+def _superset_pass(values, n: int, combine) -> np.ndarray:
+    """Along each bit axis, ``values[m] = combine(values[m], values[m | bit])``
+    for every ``m`` without the bit, in place on a float copy."""
+    _check_dense(n)
+    out = np.array(values, dtype=float, copy=True)
+    t = out.reshape(out.shape[:-1] + (2,) * n)
+    for k in reversed(range(n)):  # bit axes first to last; the order fixes the rounding
+        tail = (slice(None),) * k
+        lo = t[(..., 0) + tail]  # a view, even when it holds one value
+        combine(lo, t[(..., 1) + tail], out=lo)
+    return out
+
+
 def zeta_superset(values: np.ndarray, n: int) -> np.ndarray:
     """In O(n * 2**n), replace values[m] with sum over supersets of m.
 
     Works on the last axis, so a (T, 2**n) matrix transforms row-wise.
     """
-    _check_dense(n)
-    out = np.array(values, dtype=float, copy=True)
-    shape = out.shape[:-1] + (2,) * n
-    t = out.reshape(shape)
-    for axis in range(len(shape) - n, len(shape)):
-        lo = [slice(None)] * len(shape)
-        hi = [slice(None)] * len(shape)
-        lo[axis], hi[axis] = 0, 1
-        t[tuple(lo)] += t[tuple(hi)]
-    return t.reshape(values.shape)
+    return _superset_pass(values, n, np.add)
 
 
 def mobius_superset(values: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`zeta_superset`."""
-    _check_dense(n)
-    out = np.array(values, dtype=float, copy=True)
-    shape = out.shape[:-1] + (2,) * n
-    t = out.reshape(shape)
-    for axis in range(len(shape) - n, len(shape)):
-        lo = [slice(None)] * len(shape)
-        hi = [slice(None)] * len(shape)
-        lo[axis], hi[axis] = 0, 1
-        t[tuple(lo)] -= t[tuple(hi)]
-    return t.reshape(values.shape)
+    return _superset_pass(values, n, np.subtract)
 
 
 def moments_from_probabilities(probs: np.ndarray, n: int) -> np.ndarray:

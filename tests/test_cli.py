@@ -182,6 +182,32 @@ def test_config_type_validation():
     assert isinstance(eff["lambda"], float)  # ints promote to float defaults
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", 3.9), ("n", True), ("n", "3"), ("n", float("inf")),
+    ("seed", 2.9), ("seed", "abc"), ("seed", False), ("seed", float("nan")),
+    ("threads", "x"), ("threads", 1.5),
+    ("lambda", float("nan")), ("lambda", float("inf")), ("lambda", True),
+])
+def test_config_numbers_are_not_rounded_or_passed_on(key, value):
+    with pytest.raises(ConfigValidation, match=key):
+        validate_config({"experiment": "ipc", key: value})
+
+
+def test_integral_numbers_are_accepted_for_integer_keys():
+    eff = validate_config({"experiment": "ipc", "n": 4.0, "seed": 7.0, "threads": 2})
+    assert (eff["n"], eff["seed"], eff["threads"]) == (4, 7, 2)
+    assert all(type(eff[k]) is int for k in ("n", "seed", "threads"))
+
+
+@pytest.mark.parametrize("text", ['{"n": 3.9}', '{"seed": 2.9}', '{"seed": "abc"}',
+                                  '{"threads": "x"}', '{"lambda": NaN}'])
+def test_cli_rejects_ambiguous_numbers_with_config_exit_code(text, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["ipc", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_remaining_runners_produce_artifacts(tmp_path):
     runs = [
         ({"experiment": "tails", "draws": 40, "out_dir": str(tmp_path / "t")},

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import stochres as sr
 from stochres.errors import (
     DepthViolation,
+    DriveBoundViolation,
     DriveDerivativeViolation,
     EmptyAfterWashout,
     InsufficientTrials,
@@ -497,7 +498,9 @@ def test_fading_memory_decreases_and_matches_recursion_oracle():
 
 
 def test_fading_memory_equals_plain_step_loop_bit_for_bit():
-    # continuous drives, so nearly every step has its own kernels
+    # each resampled history's final state is the last row of a plain
+    # run_exact over it; continuous drives, so nearly every step has its
+    # own kernels
     res = sr.build_reservoir(random_physical_reservoir(3, np.random.default_rng(21)))
     measure = InputMeasure("iid-uniform-interval", -1, 1, seed=0)
     h, trials, resamples, total, seed = 3, 10, 4, 16, 5
@@ -507,12 +510,19 @@ def test_fading_memory_equals_plain_step_loop_bit_for_bit():
         window = measure.draw(h, gen)
         finals = np.empty((resamples, res.dim))
         for r in range(resamples):
-            state = res.spec.initial_state.probs.copy()
-            for u in np.concatenate([measure.draw(total - h, gen), window]):
-                state = sr.step_exact(res, state, u)
-            finals[r] = state
+            drives = np.concatenate([measure.draw(total - h, gen), window])
+            finals[r] = sr.run_exact(res, InputSequence(drives, washout_length=0))[-1]
         acc += float(np.mean(np.var(finals, axis=0, ddof=1)))
     assert fading_memory_error(res, h, measure, trials, resamples, total, seed) == acc / trials
+
+
+def test_fading_memory_rejects_drives_outside_the_drive_domain():
+    spec = ReservoirSpec(n=1, gates=[asymmetric_flip_gate(
+        0, {"type": "poly", "coeffs": [0.15, 0.1]}, 0.45)], drive_domain=(-1, 1))
+    res = sr.build_reservoir(spec)
+    measure = InputMeasure("iid-uniform-interval", -5, 5, seed=0)
+    with pytest.raises(DriveBoundViolation):
+        fading_memory_error(res, 1, measure, trials=10, resamples=3, total_window=8)
 
 
 def test_fading_memory_requires_enough_trials():
