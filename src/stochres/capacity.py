@@ -540,14 +540,20 @@ def total_capacity(signals, basis: TargetBasis, drives: np.ndarray,
     if targets.shape[0] != fit.rows:
         raise ValueError("drive sequence does not cover the signal rows")
 
-    scores = fit.score(targets, threshold)
+    return _basis_sum_report(fit.score(targets, threshold), basis, fit.columns)
+
+
+def _basis_sum_report(scores: ReadoutScores, basis: TargetBasis,
+                      signal_count: int) -> IPCReport:
+    """The basis-sum :class:`IPCReport` of ``scores`` over ``basis``: every
+    capacity as a component, the total over those at or above threshold."""
     caps = scores.capacities
     included = ~scores.below_threshold
     return IPCReport(
         ipc_value=float(np.sum(caps[included])),
         method="basis-sum",
         components=caps,
-        signal_count=fit.columns,
+        signal_count=signal_count,
         truncation={"max_delay": basis.max_delay, "max_degree": basis.max_degree,
                     "targets": len(basis), "excluded_below_threshold": int(np.sum(~included))},
         threshold=scores.threshold,

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .capacity import IPCReport, ReadoutFit, TargetBasis, ipc_probability_rep
+from .capacity import IPCReport, ReadoutFit, TargetBasis, _basis_sum_report, ipc_probability_rep
 from .errors import (
     ConditioningFailure,
     ExactModeOverflow,
@@ -359,19 +359,8 @@ def power_basis_demo(n: int, samples: int = 100_000,
         )
 
     # orthonormal Legendre targets of degrees 0 .. d - 1, scored in one fit
-    targets = TargetBasis(0, d - 1, "iid-uniform-interval", lo=measure.lo,
-                          hi=measure.hi).evaluate(x)
-    scores = ReadoutFit(cols, w).score(targets)
-    caps, thr = scores.capacities, scores.threshold
-    report = IPCReport(
-        ipc_value=float(np.sum(caps[~scores.below_threshold])),
-        method="basis-sum",
-        components=caps,
-        signal_count=d,
-        truncation={"max_delay": 0, "max_degree": d - 1, "targets": d,
-                    "excluded_below_threshold": int(np.sum(scores.below_threshold))},
-        threshold=thr,
-    )
+    basis = TargetBasis(0, d - 1, "iid-uniform-interval", lo=measure.lo, hi=measure.hi)
+    report = _basis_sum_report(ReadoutFit(cols, w).score(basis.evaluate(x)), basis, d)
     return PowerBasisReport(n=n, rank=rank, gram_eigenvalues=eigs,
                             ipc_report=report, samples=int(x.size))
 

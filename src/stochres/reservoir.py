@@ -115,6 +115,16 @@ def eval_drive_fn(spec: dict, u):
 # gates
 # ---------------------------------------------------------------------------
 
+# each drive-dependent kind as one two-rate bit kernel: (P(0->1), P(1->0))
+# from the gate's drives, evaluated by parameter name
+_TWO_RATE = {
+    "flip": lambda d: (d["drive"], d["drive"]),
+    "set": lambda d: (d["drive"], 1.0 - d["drive"]),
+    "asymmetric_flip": lambda d: (d["drive01"], d["drive10"]),
+    "controlled_flip": lambda d: (d["drive"], d["drive"]),
+}
+
+
 @dataclass(frozen=True)
 class StochasticGate:
     """A stochastic circuit element acting on a few bits.
@@ -143,20 +153,23 @@ class StochasticGate:
 
     @property
     def is_static(self) -> bool:
-        """True when the kernel does not depend on the drive."""
-        if self.kind in ("constant", "permutation"):
-            return True
-        if self.kind == "asymmetric_flip":
-            return (self.params["drive01"].get("type") == "constant"
-                    and self.params["drive10"].get("type") == "constant")
-        return self.params.get("drive", {}).get("type") == "constant"
+        """True when the kernel does not depend on the drive: every drive
+        spec in ``params`` is constant (``constant`` and ``permutation``
+        gates have none)."""
+        return all(spec.get("type") == "constant"
+                   for spec in self.params.values() if isinstance(spec, dict))
 
     def kernel(self, u) -> np.ndarray:
         """Row-stochastic transition matrix of shape (2**arity, 2**arity).
 
         For an array of drives ``u`` the result is the stack of kernels, of
         shape ``u.shape + (2**arity, 2**arity)``, built entry by entry with
-        the same arithmetic as one drive at a time.
+        the same arithmetic as one drive at a time. Every drive-dependent
+        kind is the two-rate bit kernel ``[[1 - a, a], [b, 1 - b]]`` of
+        :data:`_TWO_RATE` on the last support bit, applied when every other
+        support bit is 1: the whole kernel of a 1-bit gate, and the
+        lower-right block of the identity for ``controlled_flip``, whose
+        support is (control, target).
         """
         u = np.asarray(u, dtype=float)
         if self.kind == "constant":
@@ -168,28 +181,22 @@ class StochasticGate:
             k = np.zeros((dim, dim))
             k[np.arange(dim), perm] = 1.0
             return np.broadcast_to(k, u.shape + k.shape)
-        if self.kind == "asymmetric_flip":
-            a = eval_drive_fn(self.params["drive01"], u)
-            b = eval_drive_fn(self.params["drive10"], u)
-            rows = [[1.0 - a, a], [b, 1.0 - b]]
-        else:
-            p = eval_drive_fn(self.params["drive"], u)
-            if self.kind == "flip":
-                rows = [[1.0 - p, p], [p, 1.0 - p]]
-            elif self.kind == "set":
-                rows = [[1.0 - p, p], [1.0 - p, p]]
-            elif self.kind == "controlled_flip":
-                # support order is (control, target)
-                one, zero = np.ones_like(p), np.zeros_like(p)
-                rows = [
-                    [one, zero, zero, zero],
-                    [zero, one, zero, zero],
-                    [zero, zero, 1.0 - p, p],
-                    [zero, zero, p, 1.0 - p],
-                ]
-            else:
-                raise ValueError(f"unknown gate kind: {self.kind!r}")
-        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+        if self.kind not in _TWO_RATE:
+            raise ValueError(f"unknown gate kind: {self.kind!r}")
+        a, b = _TWO_RATE[self.kind]({name: eval_drive_fn(spec, u)
+                                     for name, spec in self.params.items()})
+        dim = 2 ** self.arity
+        k = np.zeros(u.shape + (dim, dim))
+        held = np.arange(dim - 2)
+        k[..., held, held] = 1.0
+        k[..., -2, -2], k[..., -2, -1] = 1.0 - a, a
+        k[..., -1, -2], k[..., -1, -1] = b, 1.0 - b
+        return k
+
+
+def _drive_spec(drive) -> dict:
+    """A drive spec dict as given, or a number as a constant drive."""
+    return drive if isinstance(drive, dict) else {"type": "constant", "value": float(drive)}
 
 
 def constant_gate(support, matrix) -> StochasticGate:
@@ -206,16 +213,12 @@ def identity_gate(bit: int) -> StochasticGate:
 
 def flip_gate(bit: int, drive) -> StochasticGate:
     """Flip ``bit`` with probability given by ``drive`` (dict or constant)."""
-    if not isinstance(drive, dict):
-        drive = {"type": "constant", "value": float(drive)}
-    return StochasticGate((int(bit),), "flip", {"drive": drive})
+    return StochasticGate((int(bit),), "flip", {"drive": _drive_spec(drive)})
 
 
 def set_gate(bit: int, drive) -> StochasticGate:
     """Resample ``bit`` to 1 with probability given by ``drive``."""
-    if not isinstance(drive, dict):
-        drive = {"type": "constant", "value": float(drive)}
-    return StochasticGate((int(bit),), "set", {"drive": drive})
+    return StochasticGate((int(bit),), "set", {"drive": _drive_spec(drive)})
 
 
 def asymmetric_flip_gate(bit: int, drive01, drive10) -> StochasticGate:
@@ -224,18 +227,13 @@ def asymmetric_flip_gate(bit: int, drive01, drive10) -> StochasticGate:
     The state feeds back: the chain has memory whenever the two
     probabilities do not sum to one.
     """
-    if not isinstance(drive01, dict):
-        drive01 = {"type": "constant", "value": float(drive01)}
-    if not isinstance(drive10, dict):
-        drive10 = {"type": "constant", "value": float(drive10)}
     return StochasticGate((int(bit),), "asymmetric_flip",
-                          {"drive01": drive01, "drive10": drive10})
+                          {"drive01": _drive_spec(drive01), "drive10": _drive_spec(drive10)})
 
 
 def controlled_flip_gate(control: int, target: int, drive) -> StochasticGate:
-    if not isinstance(drive, dict):
-        drive = {"type": "constant", "value": float(drive)}
-    return StochasticGate((int(control), int(target)), "controlled_flip", {"drive": drive})
+    return StochasticGate((int(control), int(target)), "controlled_flip",
+                          {"drive": _drive_spec(drive)})
 
 
 def swap_gate(i: int, j: int) -> StochasticGate:
@@ -324,7 +322,7 @@ class InputMeasure:
         return generator.choice(nodes, size=length, p=weights)
 
     def sequence(self, length: int, washout_length: int = DEFAULT_WASHOUT,
-                 history_window: int = 1, stream_path=()) -> "InputSequence":
+                 stream_path=()) -> "InputSequence":
         """Build an :class:`InputSequence` of scalar drives from this measure.
 
         For ``quadrature-grid`` the sequence is the node grid itself (with
@@ -332,17 +330,15 @@ class InputMeasure:
         """
         if self.kind == "quadrature-grid":
             nodes, weights = self.quadrature()
-            return InputSequence(nodes[:, None], washout_length=0,
-                                 history_window=history_window, weights=weights)
+            return InputSequence(nodes[:, None], washout_length=0, weights=weights)
         gen = _rng.stream(self.seed, *stream_path)
         values = self.draw(length, gen)[:, None]
-        return InputSequence(values, washout_length=washout_length,
-                             history_window=history_window)
+        return InputSequence(values, washout_length=washout_length)
 
 
 @dataclass
 class InputSequence:
-    """Ordered drive inputs with washout and history-window metadata.
+    """Ordered drive inputs with a washout length and optional row weights.
 
     ``values`` has shape (T, m). The scalar drive per step is the value
     itself for m == 1 and the Euclidean norm for m > 1. A 1-D array is a
@@ -351,7 +347,6 @@ class InputSequence:
 
     values: np.ndarray
     washout_length: int = DEFAULT_WASHOUT
-    history_window: int = 1
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -364,8 +359,6 @@ class InputSequence:
             raise NonfiniteDrive("input values must be finite")
         if self.washout_length < 0:
             raise ValueError("washout_length must be >= 0")
-        if self.history_window < 1:
-            raise ValueError("history_window must be >= 1")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != (len(self),):
@@ -481,10 +474,6 @@ class TrajectoryEnsemble:
     def steps(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def stream_ids(self) -> np.ndarray:
-        return np.arange(self.shots, dtype=np.int64)
-
     def save(self, path) -> None:
         """Persist as raw row-major int64 plus a JSON sidecar at ``<path>.json``."""
         write_raw(path, self.samples, "<i8", {
@@ -539,6 +528,12 @@ def _cdf_columns(kernel: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(np.cumsum(kernel, axis=-1)[..., :-1], -1, -2))
 
 
+def _cdf_tables(kernels) -> list:
+    """The :func:`_cdf_columns` of each plan op's kernel; None (a gather or
+    dense op, which has no kernel) stays None."""
+    return [None if k is None else _cdf_columns(k) for k in kernels]
+
+
 def _is_bijection(gate: StochasticGate) -> bool:
     return (gate.kind == "permutation"
             and sorted(gate.params["perm"]) == list(range(2 ** gate.arity)))
@@ -568,9 +563,6 @@ class _GatherOp:
     varies = False  # with the drive
 
     def kernel(self, u):
-        return None
-
-    def cdf(self, u):
         return None
 
     def exact(self, vec: np.ndarray, kernel) -> np.ndarray:
@@ -617,13 +609,9 @@ class _KernelOp:
         )
         self.varies = not gate.is_static
         self.static = None if self.varies else gate.kernel(0.0)
-        self.static_cdf = None if self.varies else _cdf_columns(self.static)
 
     def kernel(self, u) -> np.ndarray:
         return self.gate.kernel(u) if self.varies else self.static
-
-    def cdf(self, u) -> np.ndarray:
-        return _cdf_columns(self.gate.kernel(u)) if self.varies else self.static_cdf
 
     def exact(self, vec: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         shape, axes, moved, inv, flat = self.layouts[vec.ndim - 1]
@@ -648,7 +636,8 @@ class _DenseOp:
     the parts run over the identity, one row per start state; its sums
     group the parts' products differently, so an exact step moves in the
     last bits. Sampling runs the parts themselves, each on its own uniforms
-    and with its own static CDFs, so every stream and sample is unchanged.
+    and with the CDF table of its own kernel, so every stream and sample is
+    unchanged.
     """
 
     varies = False  # with the drive
@@ -659,12 +648,9 @@ class _DenseOp:
         for part in parts:
             rows = part.exact(rows, part.kernel(0.0))
         self.matrix = np.ascontiguousarray(rows)
-        self.part_cdfs = [part.cdf(0.0) for part in parts]
+        self.part_cdfs = _cdf_tables(part.kernel(0.0) for part in parts)
 
     def kernel(self, u):
-        return None
-
-    def cdf(self, u):
         return None
 
     def exact(self, vec: np.ndarray, kernel) -> np.ndarray:
@@ -726,8 +712,6 @@ class StepPlan:
             ops.append(_GatherOp(run, n))
         # above the cap exact steps are refused, so a dense matrix is never used
         self.ops = _fold_static_runs(ops, n) if fuse else ops
-        # kernel entries that depend on the drive, per drive value
-        self.drive_entries = sum(op.rows ** 2 for op in self.ops if op.varies)
 
     def kernels(self, u) -> list:
         """Per-op kernels at drive ``u`` (None for gathers and dense ops; static ones shared).
@@ -738,12 +722,12 @@ class StepPlan:
         return [op.kernel(u) for op in self.ops]
 
     def cdfs(self, u) -> list:
-        """Per-op cumulative kernel rows at drive ``u`` (see :func:`_cdf_columns`).
+        """The sampler's tables: :func:`_cdf_columns` of :meth:`kernels` at ``u``.
 
-        None for gathers, and for dense ops, which hold their parts' static
-        tables themselves.
+        None for gathers, and for dense ops, which hold their parts' tables
+        themselves.
         """
-        return [op.cdf(u) for op in self.ops]
+        return _cdf_tables(self.kernels(u))
 
     def per_value(self, tables: list, count: int) -> list:
         """Split ``kernels`` or ``cdfs`` of ``count`` drives into one op list per drive."""
@@ -844,6 +828,20 @@ def build_reservoir(spec: ReservoirSpec, k_max: Optional[int] = None,
 # exact propagation
 # ---------------------------------------------------------------------------
 
+def _checked_drives(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
+    """The scalar drives of ``inputs``, once a step is left after washout and
+    every drive is finite and within the reservoir's drive domain."""
+    if len(inputs) <= inputs.washout_length:
+        raise EmptyAfterWashout(
+            f"sequence length {len(inputs)} <= washout {inputs.washout_length}"
+        )
+    drives = inputs.drives
+    if not np.all(np.isfinite(drives)):
+        raise NonfiniteDrive("drive sequence contains non-finite values")
+    inputs.check_drive_bound(max(map(abs, reservoir.spec.drive_domain)))
+    return drives
+
+
 def step_exact(reservoir: Reservoir, state, u: float, kernels=None) -> np.ndarray:
     """One exact time step: run the reservoir's compiled plan at drive ``u``.
 
@@ -883,13 +881,7 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
     distinct drive values are built at once, one array-valued drive
     evaluation per gate.
     """
-    drives = inputs.drives
-    if len(inputs) <= inputs.washout_length:
-        raise EmptyAfterWashout(
-            f"sequence length {len(inputs)} <= washout {inputs.washout_length}"
-        )
-    inputs.check_drive_bound(max(abs(reservoir.spec.drive_domain[0]),
-                                 abs(reservoir.spec.drive_domain[1])))
+    drives = _checked_drives(reservoir, inputs)
     plan = reservoir.plan
     state = reservoir.spec.initial_state.probs.copy()
     out = np.empty((len(inputs) - inputs.washout_length, reservoir.dim))
@@ -972,15 +964,7 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    drives = inputs.drives
-    if len(inputs) <= inputs.washout_length:
-        raise EmptyAfterWashout(
-            f"sequence length {len(inputs)} <= washout {inputs.washout_length}"
-        )
-    if not np.all(np.isfinite(drives)):
-        raise NonfiniteDrive("drive sequence contains non-finite values")
-    inputs.check_drive_bound(max(abs(reservoir.spec.drive_domain[0]),
-                                 abs(reservoir.spec.drive_domain[1])))
+    drives = _checked_drives(reservoir, inputs)
 
     steps_out = len(inputs) - inputs.washout_length
     out = np.empty((shots, steps_out), dtype=np.int64)

@@ -346,6 +346,11 @@ EXPERIMENTS: dict = {
     "embed-check": (_run_embed_check, {"tolerance": 1e-12, "cases": 100, "dt": 1e-3}),
 }
 
+# allowed values of a config key: a set of values, or an int as the least
+# allowed value; scan-n also needs n_min <= n_max
+_ALLOWED = {"mode": {"exact", "sampled"}, "n": 1, "shots": 1, "timesteps": 1,
+            "repeats": 1, "n_min": 1, "washout": 0}
+
 _COMMON_KEYS = {"experiment", "seed", "out_dir", "threads"}
 
 
@@ -364,7 +369,8 @@ def _number(key, value, want):
 
 
 def validate_config(config: dict) -> dict:
-    """Merge defaults, reject unknown keys, and return the effective config."""
+    """Merge defaults, reject unknown keys, wrong types and values outside
+    ``_ALLOWED``, and return the effective config."""
     if "experiment" not in config:
         raise ConfigValidation("config is missing the 'experiment' key")
     name = config["experiment"]
@@ -392,6 +398,18 @@ def validate_config(config: dict) -> dict:
             raise ConfigValidation(
                 f"config key {key!r} expects {want.__name__}, got {type(value).__name__}"
             )
+    for key, allowed in _ALLOWED.items():
+        if key not in merged:
+            continue
+        value = merged[key]
+        if isinstance(allowed, set) and value not in allowed:
+            raise ConfigValidation(
+                f"config key {key!r} must be one of {sorted(allowed)}, got {value!r}")
+        if isinstance(allowed, int) and value < allowed:
+            raise ConfigValidation(f"config key {key!r} must be >= {allowed}, got {value!r}")
+    if "n_min" in merged and merged["n_min"] > merged["n_max"]:
+        raise ConfigValidation(
+            f"config key 'n_min' ({merged['n_min']}) exceeds 'n_max' ({merged['n_max']})")
     effective.update(merged)
     return effective
 

@@ -208,6 +208,39 @@ def test_cli_rejects_ambiguous_numbers_with_config_exit_code(text, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"mode": "bogus"}', "mode"),
+    ('{"n": 0}', "n"),
+    ('{"mode": "sampled", "shots": 0}', "shots"),
+    ('{"timesteps": -5}', "timesteps"),
+])
+def test_cli_rejects_out_of_range_values_with_config_exit_code(text, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["ipc", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, overrides, key", [
+    ("ipc", {"washout": -1}, "washout"),
+    ("scan-n", {"repeats": 0}, "repeats"),
+    ("scan-n", {"n_min": 0}, "n_min"),
+    ("scan-n", {"n_min": 5, "n_max": 4}, "n_min"),
+    ("power-basis", {"n": 0}, "n"),
+])
+def test_config_ranges_are_checked(experiment, overrides, key):
+    with pytest.raises(ConfigValidation, match=key):
+        validate_config({"experiment": experiment, **overrides})
+
+
+def test_config_range_limits_are_inclusive():
+    eff = validate_config({"experiment": "scan-n", "n_min": 3, "n_max": 3, "repeats": 1,
+                           "timesteps": 1, "washout": 0})
+    assert (eff["n_min"], eff["n_max"], eff["washout"]) == (3, 3, 0)
+    assert validate_config({"experiment": "ipc", "mode": "sampled", "shots": 1})["shots"] == 1
+
+
 def test_remaining_runners_produce_artifacts(tmp_path):
     runs = [
         ({"experiment": "tails", "draws": 40, "out_dir": str(tmp_path / "t")},

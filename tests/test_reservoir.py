@@ -31,6 +31,8 @@ from stochres.reservoir import (
     _KernelOp,
     asymmetric_flip_gate,
     constant_gate,
+    controlled_flip_gate,
+    eval_drive_fn,
     fading_memory_error,
     flip_gate,
     identity_gate,
@@ -87,6 +89,71 @@ def test_build_rejects_non_stochastic_kernel():
     bad = constant_gate((0,), [[0.5, 0.6], [0.2, 0.8]])
     with pytest.raises(StochasticityViolation):
         sr.build_reservoir(ReservoirSpec(n=1, gates=[bad]))
+
+
+# --- the two-rate bit kernel behind the drive-dependent kinds ----------------
+
+_POLY = {"type": "poly", "coeffs": [0.5, 0.5]}  # p = (1 + u) / 2: 0 and 1 at the ends
+_SLOPE = {"type": "poly", "coeffs": [0.2, 0.1]}
+
+_CLOSED_FORM = {
+    "flip": lambda d: [[1 - d["drive"], d["drive"]], [d["drive"], 1 - d["drive"]]],
+    "set": lambda d: [[1 - d["drive"], d["drive"]], [1 - d["drive"], d["drive"]]],
+    "asymmetric_flip": lambda d: [[1 - d["drive01"], d["drive01"]],
+                                  [d["drive10"], 1 - d["drive10"]]],
+    "controlled_flip": lambda d: [[1, 0, 0, 0], [0, 1, 0, 0],
+                                  [0, 0, 1 - d["drive"], d["drive"]],
+                                  [0, 0, d["drive"], 1 - d["drive"]]],
+}
+
+
+@pytest.mark.parametrize("gate, static", [
+    (flip_gate(0, 0.3), True),
+    (flip_gate(0, _POLY), False),
+    (set_gate(0, 0.3), True),
+    (set_gate(0, 1.0), True),
+    (set_gate(0, _POLY), False),
+    (asymmetric_flip_gate(0, 0.1, 0.4), True),
+    (asymmetric_flip_gate(0, 0.1, _SLOPE), False),
+    (asymmetric_flip_gate(0, _POLY, _SLOPE), False),
+    (controlled_flip_gate(0, 1, 0.2), True),
+    (controlled_flip_gate(0, 1, _POLY), False),
+], ids=["flip-constant", "flip-poly", "set-constant", "set-one", "set-poly",
+        "asymmetric-constant", "asymmetric-mixed", "asymmetric-poly",
+        "controlled-constant", "controlled-poly"])
+def test_two_rate_kinds_match_their_closed_form(gate, static):
+    us = np.linspace(-1.0, 1.0, 41)
+    stack = gate.kernel(us)
+    for i, u in enumerate(us):
+        drives = {name: float(eval_drive_fn(spec, u)) for name, spec in gate.params.items()}
+        expected = np.array(_CLOSED_FORM[gate.kind](drives), dtype=float)
+        if gate.kind == "set" and 0.0 < drives["drive"] < 1.0:
+            # entry (1, 1) is 1 - (1 - p): off from p by at most half an ulp of 1
+            assert np.array_equal(stack[i, 0], expected[0])
+            assert stack[i, 1, 0] == expected[1, 0]
+            assert abs(stack[i, 1, 1] - expected[1, 1]) <= 6e-17
+        else:
+            assert np.array_equal(stack[i], expected)
+    assert gate.is_static is static
+
+
+def test_spec_json_form_of_every_two_rate_kind_is_pinned():
+    spec = ReservoirSpec(n=2, gates=[
+        flip_gate(0, 0.25), set_gate(1, _POLY), asymmetric_flip_gate(0, 0.1, _SLOPE),
+        controlled_flip_gate(0, 1, 0.2)])
+    assert spec.to_json() == (
+        '{"depth_bound": 8, "derivative_bound": 8.0, "drive_domain": [-1.0, 1.0], "gates": ['
+        '{"derivative_bound": null, "kernel_kind": "flip", '
+        '"params": {"drive": {"type": "constant", "value": 0.25}}, "support": [0]}, '
+        '{"derivative_bound": null, "kernel_kind": "set", '
+        '"params": {"drive": {"coeffs": [0.5, 0.5], "type": "poly"}}, "support": [1]}, '
+        '{"derivative_bound": null, "kernel_kind": "asymmetric_flip", '
+        '"params": {"drive01": {"type": "constant", "value": 0.1}, '
+        '"drive10": {"coeffs": [0.2, 0.1], "type": "poly"}}, "support": [0]}, '
+        '{"derivative_bound": null, "kernel_kind": "controlled_flip", '
+        '"params": {"drive": {"type": "constant", "value": 0.2}}, "support": [0, 1]}], '
+        '"initial_state": [0.25, 0.25, 0.25, 0.25], "k_max": 2, "n": 2}'
+    )
 
 
 # --- exact stepping ----------------------------------------------------------
@@ -247,8 +314,7 @@ def test_run_equals_iterated_steps():
 def test_run_on_continuous_drives_equals_step_loop_bit_for_bit(n):
     # the run builds each gate's kernels for a chunk's distinct drives in
     # one array-valued evaluation; a step builds them for its drive alone.
-    # 400 steps span two chunks, and at n = 1 the kernels of all drives
-    # would outgrow the output, so the chunks are smaller still.
+    # 400 steps span two chunks.
     gen = np.random.default_rng(30 + n)
     spec = random_physical_reservoir(n, gen)
     spec.gates.append(asymmetric_flip_gate(
@@ -258,8 +324,6 @@ def test_run_on_continuous_drives_equals_step_loop_bit_for_bit(n):
     res = sr.build_reservoir(spec)
     drives = gen.choice(gen.uniform(-1, 1, 150), size=400)  # repeats on purpose
     out = sr.run_exact(res, InputSequence(drives, washout_length=50))
-    if n == 1:
-        assert res.plan.drive_entries * len(drives) > out.size
     state = spec.initial_state.probs.copy()
     for t, u in enumerate(drives):
         state = sr.step_exact(res, state, u)
