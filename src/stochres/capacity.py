@@ -6,15 +6,18 @@ Three routes to the same quantity are implemented and cross-checkable:
   reconstruction of target functions from the readout signals, one
   factorization for all targets, summed over an orthonormal target basis
   ("basis-sum").
-- ``gram_matrices`` + ``eigentask_decomposition`` + ``ipc_spectral``: the
-  spectrum of the generalized noise-to-signal matrix built from the
-  input-averaged first and second moments of the readouts ("spectral").
+- ``eigentask_decomposition`` + ``ipc_spectral``: the spectrum of the
+  generalized noise-to-signal matrix of the input-averaged first and second
+  moments (G1, G2) of the readouts ("spectral"). One-hot signals are
+  decomposed directly, with G2 diagonal; ``gram_matrices`` forms the pair
+  for the general route.
 - ``ipc_probability_rep``: the trace shortcut available when the signals
   are the bitstring probabilities themselves ("probability-trace").
 
-In exact-probability mode with single-shot readout semantics the spectral
-and probability-trace routes agree identically whenever no signal direction
-falls below the rank tolerance.
+On exact probabilities the one-hot spectral route sums the eigenvalues of
+a matrix whose trace is the probability-trace capacity, so the two routes
+agree by construction, to rounding plus the eigenvalues below the rank
+tolerance.
 """
 
 from __future__ import annotations
@@ -183,6 +186,16 @@ def capacity(signals, target, weights: Optional[np.ndarray] = None,
 # gram matrices and eigentasks
 # ---------------------------------------------------------------------------
 
+def _one_hot_readout(signals: SignalMatrix):
+    """Row weights and data of signals with one-hot single-shot readout:
+    exact probabilities, or empirical frequencies with their shot count."""
+    if signals.mode not in (MODE_EXACT, MODE_EMPIRICAL):
+        raise ValueError("one-hot moments need probability or frequency signals")
+    if signals.mode == MODE_EMPIRICAL and signals.shots is None:
+        raise MissingShotMetadata("empirical one-hot moments need the shot count")
+    return signals.row_weights(), signals.data
+
+
 def gram_matrices(signals: SignalMatrix):
     """Input-averaged first and second moment matrices (G1, G2).
 
@@ -191,18 +204,13 @@ def gram_matrices(signals: SignalMatrix):
     so <x x^T> = diag(<x>). Exact mode uses the true probabilities;
     empirical mode plugs the observed frequencies into the same formulas
     (shot metadata required), so both estimates converge to the exact pair
-    as shots and rows grow. G2 is therefore diagonal, which
-    :func:`eigentask_decomposition` recognises and handles without dense
-    products.
+    as shots and rows grow. G1 is returned as the product computes it,
+    symmetric up to rounding; :func:`eigentask_decomposition` symmetrizes
+    its input. The one-hot spectrum itself needs neither matrix:
+    ``eigentask_decomposition(signals)`` takes it from the signals.
     """
-    if signals.mode not in (MODE_EXACT, MODE_EMPIRICAL):
-        raise ValueError("gram matrices need probability or frequency signals")
-    if signals.mode == MODE_EMPIRICAL and signals.shots is None:
-        raise MissingShotMetadata("empirical gram matrices need the shot count")
-    w = signals.row_weights()
-    x = signals.data
+    w, x = _one_hot_readout(signals)
     g1 = (x * w[:, None]).T @ x
-    g1 = 0.5 * (g1 + g1.T)
     g2 = np.diag(w @ x)
     return g1, g2
 
@@ -222,13 +230,17 @@ def shot_averaged_second_moment(g1: np.ndarray, g2: np.ndarray, shots: int) -> n
 
 @dataclass
 class EigentaskDecomposition:
-    """Spectrum of the generalized noise-to-signal matrix.
+    """Spectrum of the generalized noise-to-signal matrix of (G1, G2).
 
     ``sigma_sq`` are the noise-to-signal ratios sorted ascending;
     ``eigentasks`` holds the matching orthonormal eigenvectors (columns) in
-    the whitened signal basis; ``whitener`` maps whitened coordinates back
-    to signal space, so signal-space readout weights for eigentask k are
-    ``whitener @ eigentasks[:, k]``.
+    the whitened signal basis; ``whitener`` (``signal_dim`` rows) maps
+    whitened coordinates back to signal space, so signal-space readout
+    weights for eigentask k are ``whitener @ eigentasks[:, k]``. Stacked as
+    the columns of ``V``, these weights satisfy ``V.T @ G1 @ V = I`` and
+    ``V.T @ G2 @ V = diag(1 + sigma_sq)``. The one-hot route returns the
+    readout weights themselves as ``whitener`` and the identity as
+    ``eigentasks``. ``dropped_count`` is ``signal_dim - retained_rank``.
     """
 
     sigma_sq: np.ndarray
@@ -253,35 +265,64 @@ def _symmetrized(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def eigentask_decomposition(g1: np.ndarray, g2: np.ndarray,
+def _sorted_ratios(sigma_sq: np.ndarray):
+    """Ratios in [-1e-10, 0) set to zero, sorted ascending, with the number
+    set to zero and the sorting order; a ratio still negative is logged."""
+    clip = (sigma_sq < 0.0) & (sigma_sq >= -1e-10)
+    sigma_sq = np.where(clip, 0.0, sigma_sq)
+    if np.any(sigma_sq < 0.0):
+        logger.warning("noise-to-signal ratio below -1e-10: G2 does not dominate G1")
+    order = np.argsort(sigma_sq)
+    return sigma_sq[order], int(np.sum(clip)), order
+
+
+def eigentask_decomposition(source, g2: Optional[np.ndarray] = None,
                             rank_tolerance: float = DEFAULT_RANK_TOLERANCE
                             ) -> EigentaskDecomposition:
-    """Diagonalize the noise-to-signal matrix of the pair (G1, G2).
+    """Diagonalize the noise-to-signal matrix of one-hot signals or of a
+    pair (G1, G2).
 
-    G1 is spectrally decomposed; directions below ``rank_tolerance`` times
-    the top eigenvalue are dropped; G2 is whitened by the retained part of
-    G1; the eigenvalues of the whitened matrix minus one are the
-    noise-to-signal ratios. A non-finite entry in either matrix raises
-    NumericCheckFailure.
+    ``eigentask_decomposition(signals)`` takes a :class:`SignalMatrix` of
+    exact probabilities or empirical frequencies (shot count required), whose
+    one-hot readout has the diagonal G2 = diag(m) of the weighted column
+    means m. Columns with m = 0 are dropped; the rest form
+    ``Y = sqrt(w) X diag(m)^-1/2``. The squared singular values b of Y are
+    the eigenvalues of G1 relative to G2, b = 1/(1 + sigma_sq); one ``eigh``
+    of the smaller of ``Y Y^T`` (rows x rows) and ``Y^T Y`` gives them, and
+    neither G1 nor G2 is formed. Values b >= ``rank_tolerance`` * max(b) are
+    retained and sigma_sq = 1/b - 1. The b sum to the trace of ``Y Y^T``,
+    which is the probability-trace capacity, so :func:`ipc_spectral` and
+    :func:`ipc_probability_rep` agree by construction. The readout weights
+    ``diag(m)^-1/2 Y^T u / b`` of each left singular vector u are returned
+    as ``whitener`` (zero on dropped columns). A non-finite signal or row
+    weight raises NumericCheckFailure.
 
-    A diagonal G2, as :func:`gram_matrices` gives for one-hot readout, is
-    recognised and used as its diagonal: its eigenvalues are the sorted
-    diagonal and the whitening product scales rows instead of multiplying
-    by a dense matrix. Every product skipped is an exact zero, so the
-    result equals the dense computation bit for bit.
+    ``eigentask_decomposition(g1, g2)`` takes any pair, such as a G2 from
+    :func:`shot_averaged_second_moment`. G1 is spectrally decomposed;
+    directions below ``rank_tolerance`` times its top eigenvalue are
+    dropped; G2 is whitened by the retained part of G1; the eigenvalues of
+    the whitened matrix minus one are the ratios. A non-finite entry in
+    either matrix raises NumericCheckFailure.
+
+    Both routes set ratios in [-1e-10, 0) to zero, counting them in
+    ``clipped_negatives``, warn about any ratio still negative, and sort the
+    ratios ascending.
     """
-    g1 = np.asarray(g1, dtype=float)
+    if isinstance(source, SignalMatrix):
+        if g2 is not None:
+            raise ValueError("pass a SignalMatrix alone or the pair (G1, G2)")
+        return _one_hot_decomposition(source, rank_tolerance)
+    if g2 is None:
+        raise ValueError("G1 needs its G2")
+    g1 = np.asarray(source, dtype=float)
     g2 = np.asarray(g2, dtype=float)
     if g1.shape != g2.shape or g1.shape[0] != g1.shape[1]:
         raise ValueError("G1 and G2 must be square matrices of equal size")
     for name, g in (("G1", g1), ("G2", g2)):
         if not np.all(np.isfinite(g)):
             raise NumericCheckFailure(f"{name} has non-finite entries")
-    g2_diagonal = np.diagonal(g2)
-    g2_is_diagonal = np.count_nonzero(g2) == np.count_nonzero(g2_diagonal)
     g1 = _symmetrized(g1)
-    if not g2_is_diagonal:
-        g2 = _symmetrized(g2)
+    g2 = _symmetrized(g2)
 
     evals, vecs = np.linalg.eigh(g1)
     top = float(evals[-1])
@@ -289,40 +330,63 @@ def eigentask_decomposition(g1: np.ndarray, g2: np.ndarray,
         raise EmptyRank("G1 has no positive eigenvalues")
     if evals[0] < -1e-8 * top:
         raise NotPSD(f"G1 eigenvalue {evals[0]:.3g} below -1e-8 * max")
-    if g2_is_diagonal:
-        g2_evals = np.sort(g2_diagonal)
-    else:
-        g2_evals = np.linalg.eigvalsh(g2)
+    g2_evals = np.linalg.eigvalsh(g2)
     if g2_evals[0] < -1e-8 * max(g2_evals[-1], 1e-300):
         raise NotPSD(f"G2 eigenvalue {g2_evals[0]:.3g} below -1e-8 * max")
 
     keep = evals >= rank_tolerance * top
     if not np.any(keep):
         raise EmptyRank("no eigenvalue above the rank tolerance")
-    dropped = int(np.sum(~keep))
     whitener = vecs[:, keep] / np.sqrt(evals[keep])
 
-    if g2_is_diagonal:
-        m = (whitener.T * g2_diagonal) @ whitener
-    else:
-        m = whitener.T @ g2 @ whitener
-    m = _symmetrized(m)
+    m = _symmetrized(whitener.T @ g2 @ whitener)
     mu, tasks = np.linalg.eigh(m)
-    sigma_sq = mu - 1.0
-
-    clipped = int(np.sum((sigma_sq < 0.0) & (sigma_sq >= -1e-10)))
-    sigma_sq = np.where((sigma_sq < 0.0) & (sigma_sq >= -1e-10), 0.0, sigma_sq)
-    if np.any(sigma_sq < 0.0):
-        logger.warning("noise-to-signal ratio below -1e-10: G2 does not dominate G1")
-
-    order = np.argsort(sigma_sq)
+    sigma_sq, clipped, order = _sorted_ratios(mu - 1.0)
     return EigentaskDecomposition(
-        sigma_sq=sigma_sq[order],
+        sigma_sq=sigma_sq,
         eigentasks=tasks[:, order],
         retained_rank=int(np.sum(keep)),
-        dropped_count=dropped,
+        dropped_count=int(np.sum(~keep)),
         rank_tolerance=rank_tolerance,
         signal_dim=g1.shape[0],
+        whitener=whitener,
+        clipped_negatives=clipped,
+    )
+
+
+def _one_hot_decomposition(signals: SignalMatrix,
+                           rank_tolerance: float) -> EigentaskDecomposition:
+    """The one-hot route of :func:`eigentask_decomposition`."""
+    w, x = _one_hot_readout(signals)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise NumericCheckFailure("signals have non-finite entries")
+    means = w @ x
+    keep = means > 0.0
+    if not np.any(keep):
+        raise EmptyRank("no signal column has a positive mean")
+    scale = 1.0 / np.sqrt(means[keep])
+    y = x[:, keep]  # a copy, scaled in place
+    y *= np.sqrt(w)[:, None]
+    y *= scale
+    few_rows = y.shape[0] < y.shape[1]
+    beta, vecs = np.linalg.eigh(y @ y.T if few_rows else y.T @ y)
+    retained = beta >= rank_tolerance * beta[-1]
+    beta = beta[retained]
+    if few_rows:
+        # V / sqrt(b), with the right singular vectors V = Y^T u / sqrt(b)
+        weights = (y.T @ vecs[:, retained]) / beta
+    else:
+        weights = vecs[:, retained] / np.sqrt(beta)
+    sigma_sq, clipped, order = _sorted_ratios(1.0 / beta - 1.0)
+    whitener = np.zeros((x.shape[1], beta.size))
+    whitener[keep] = scale[:, None] * weights[:, order]
+    return EigentaskDecomposition(
+        sigma_sq=sigma_sq,
+        eigentasks=np.eye(beta.size),
+        retained_rank=beta.size,
+        dropped_count=x.shape[1] - beta.size,
+        rank_tolerance=rank_tolerance,
+        signal_dim=x.shape[1],
         whitener=whitener,
         clipped_negatives=clipped,
     )

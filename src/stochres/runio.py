@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import rng as _rng
-from .capacity import eigentask_decomposition, gram_matrices, ipc_probability_rep, ipc_spectral
+from .capacity import eigentask_decomposition, ipc_probability_rep, ipc_spectral
 from .errors import ConditioningFailure, ConfigValidation, IOFailure, NumericCheckFailure, UnknownExperiment
 from .experiments import (
     classify_tails,
@@ -139,7 +139,7 @@ def _run_ipc(params, seed):
         ens = sample_trajectories(res, seq, params["shots"], seed)
         signals = empirical_probabilities(ens)
         trace = None
-    decomp = eigentask_decomposition(*gram_matrices(signals))
+    decomp = eigentask_decomposition(signals)
     spectral = ipc_spectral(decomp)
     report = {
         "n": n,
@@ -346,10 +346,18 @@ EXPERIMENTS: dict = {
     "embed-check": (_run_embed_check, {"tolerance": 1e-12, "cases": 100, "dt": 1e-3}),
 }
 
-# allowed values of a config key: a set of values, or an int as the least
-# allowed value; scan-n also needs n_min <= n_max
-_ALLOWED = {"mode": {"exact", "sampled"}, "n": 1, "shots": 1, "timesteps": 1,
-            "repeats": 1, "n_min": 1, "washout": 0}
+# allowed values of each experiment's config keys: a set of values, an int
+# as the least allowed value, or an inclusive (least, greatest) pair;
+# scan-n also needs n_min <= n_max
+_ALLOWED = {
+    "ipc": {"mode": {"exact", "sampled"}, "n": 1, "shots": 1, "timesteps": 1, "washout": 0},
+    "scan-n": {"n_min": 1, "timesteps": 1, "repeats": 1, "washout": 0},
+    "switching": {"count": 1},
+    "tails": {"draws": 1},
+    "power-basis": {"n": (1, 6), "samples": 1},
+    "learnability": {"trials": 1000},
+    "fat-shatter": {"count": 1},
+}
 
 _COMMON_KEYS = {"experiment", "seed", "out_dir", "threads"}
 
@@ -398,15 +406,18 @@ def validate_config(config: dict) -> dict:
             raise ConfigValidation(
                 f"config key {key!r} expects {want.__name__}, got {type(value).__name__}"
             )
-    for key, allowed in _ALLOWED.items():
-        if key not in merged:
-            continue
+    for key, allowed in _ALLOWED.get(name, {}).items():
         value = merged[key]
-        if isinstance(allowed, set) and value not in allowed:
-            raise ConfigValidation(
-                f"config key {key!r} must be one of {sorted(allowed)}, got {value!r}")
-        if isinstance(allowed, int) and value < allowed:
-            raise ConfigValidation(f"config key {key!r} must be >= {allowed}, got {value!r}")
+        if isinstance(allowed, set):
+            if value not in allowed:
+                raise ConfigValidation(
+                    f"config key {key!r} must be one of {sorted(allowed)}, got {value!r}")
+            continue
+        lo, hi = allowed if isinstance(allowed, tuple) else (allowed, None)
+        if value < lo:
+            raise ConfigValidation(f"config key {key!r} must be >= {lo}, got {value!r}")
+        if hi is not None and value > hi:
+            raise ConfigValidation(f"config key {key!r} must be <= {hi}, got {value!r}")
     if "n_min" in merged and merged["n_min"] > merged["n_max"]:
         raise ConfigValidation(
             f"config key 'n_min' ({merged['n_min']}) exceeds 'n_max' ({merged['n_max']})")

@@ -315,6 +315,105 @@ def test_decomposition_rejects_non_finite_input(name, dense, bad):
         sr.eigentask_decomposition(g1, g2)
 
 
+# --- one-hot eigentask route ----------------------------------------------------
+
+def _physical_signals(seed, n, steps, shots):
+    """Exact (``shots == 0``) or sampled signals of a random physical reservoir."""
+    gen = np.random.default_rng(seed)
+    res = sr.build_reservoir(random_physical_reservoir(n, gen))
+    seq = InputSequence(gen.uniform(-1, 1, (steps + 10, 1)), washout_length=10)
+    if shots:
+        return sr.empirical_probabilities(sample_trajectories(res, seq, shots, seed=seed))
+    return sr.probability_signals(sr.run_exact(res, seq))
+
+
+def _one_hot_identity_errors(sm, dec, tasks):
+    """Max deviations of ``W.T G1 W`` from I and of ``W.T G2 W`` from
+    diag(1 + sigma_sq), relative to that diagonal, for the readout weights W
+    of eigentasks ``tasks``. Both products are taken in factored form, so
+    the check adds no rounding of a formed G1."""
+    w = sm.row_weights()
+    v = np.column_stack([dec.readout_weights(k) for k in tasks])
+    z = np.sqrt(w)[:, None] * (sm.data @ v)
+    s = np.sqrt(w @ sm.data)[:, None] * v
+    scale = 1.0 / np.sqrt(1.0 + dec.sigma_sq[tasks])
+    eye = np.eye(len(tasks))
+    return (np.max(np.abs(z.T @ z - eye)),
+            np.max(np.abs(scale[:, None] * (s.T @ s) * scale - eye)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(3, 200),
+       st.sampled_from([0, 1, 20, 500]))
+def test_one_hot_route_matches_pencil_route(seed, n, steps, shots):
+    sm = _physical_signals(seed, n, steps, shots)
+    dec = sr.eigentask_decomposition(sm)
+    assert dec.signal_dim == 2 ** n
+    assert dec.retained_rank <= min(2 ** n, steps)
+    assert dec.retained_rank + dec.dropped_count == dec.signal_dim
+    if not shots:
+        trace = sr.ipc_probability_rep(sm).ipc_value
+        assert abs(sr.ipc_spectral(dec).ipc_value - trace) <= 1e-12
+    # each capacity b = 1/(1 + sigma_sq) is known to absolute rounding, so
+    # sigma_sq = 1/b - 1 and the weights, normalized by b, are resolved to
+    # 1e-10 only where b is not tiny
+    beta = 1.0 / (1.0 + dec.sigma_sq)
+    resolved = np.flatnonzero(beta >= 1e-4)
+    g1_err, g2_err = _one_hot_identity_errors(sm, dec, resolved)
+    assert g1_err <= 1e-10 and g2_err <= 1e-10
+    pencil = sr.eigentask_decomposition(*sr.gram_matrices(sm))
+    if dec.retained_rank == pencil.retained_rank == dec.signal_dim:
+        assert np.max(np.abs(beta - 1.0 / (1.0 + pencil.sigma_sq))) <= 1e-12
+        gap = np.abs(dec.sigma_sq - pencil.sigma_sq)[resolved]
+        assert np.all(gap <= 1e-10 * (1.0 + pencil.sigma_sq[resolved]))
+
+
+@pytest.mark.parametrize("n, steps", [(4, 6), (3, 40), (2, 300)])
+def test_one_hot_spectral_equals_probability_trace(n, steps):
+    # (4, 6) has fewer rows than columns, so at most 6 of 16 directions remain
+    sm = _physical_signals(17 + n, n, steps, 0)
+    dec = sr.eigentask_decomposition(sm)
+    assert dec.retained_rank <= min(steps, 2 ** n)
+    trace = sr.ipc_probability_rep(sm).ipc_value
+    assert abs(sr.ipc_spectral(dec).ipc_value - trace) <= 1e-12
+
+
+def test_one_hot_route_counts_zero_mean_columns_as_dropped():
+    gen = np.random.default_rng(8)
+    data = np.zeros((50, 8))
+    data[:, [0, 2, 3, 6, 7]] = gen.dirichlet(np.ones(5), size=50)
+    sm = sr.probability_signals(data)
+    dec = sr.eigentask_decomposition(sm)
+    assert dec.signal_dim == 8 and dec.retained_rank == 5 and dec.dropped_count == 3
+    assert np.all(dec.whitener[[1, 4, 5]] == 0.0)
+    assert abs(sr.ipc_spectral(dec).ipc_value - sr.ipc_probability_rep(sm).ipc_value) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["data", "weights"])
+def test_one_hot_route_rejects_non_finite_signals(where, bad):
+    data = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
+    weights = np.ones(3)
+    (data[1] if where == "data" else weights)[1] = bad
+    sm = SignalMatrix(data, "exact-probability", 1, weights=weights)
+    # an infinite weight normalizes to inf / inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericCheckFailure, match="non-finite"):
+        sr.eigentask_decomposition(sm)
+
+
+def test_one_hot_route_needs_one_hot_signals():
+    data = np.array([[1.0, 0.0], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="probability or frequency"):
+        sr.eigentask_decomposition(SignalMatrix(data, "moment", 1))
+    with pytest.raises(MissingShotMetadata):
+        sr.eigentask_decomposition(SignalMatrix(data, "empirical-frequency", 1))
+    sm = SignalMatrix(data, "empirical-frequency", 1, shots=2)
+    with pytest.raises(ValueError, match="alone"):
+        sr.eigentask_decomposition(sm, np.eye(2))
+    with pytest.raises(ValueError, match="G2"):
+        sr.eigentask_decomposition(np.eye(2))
+
+
 # --- aggregate capacity --------------------------------------------------------
 
 def test_spectral_capacity_of_clean_rank():

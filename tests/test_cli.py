@@ -241,6 +241,41 @@ def test_config_range_limits_are_inclusive():
     assert validate_config({"experiment": "ipc", "mode": "sampled", "shots": 1})["shots"] == 1
 
 
+@pytest.mark.parametrize("experiment, text, key", [
+    ("power-basis", '{"n": 7}', "n"),
+    ("power-basis", '{"samples": 0}', "samples"),
+    ("tails", '{"draws": 0}', "draws"),
+    ("switching", '{"count": 0}', "count"),
+    ("fat-shatter", '{"count": 0}', "count"),
+    ("learnability", '{"trials": 999}', "trials"),
+])
+def test_cli_rejects_other_experiments_out_of_range_values(experiment, text, key,
+                                                           tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main([experiment, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_shared_config_keys_have_per_experiment_limits():
+    # power-basis caps n at 6; ipc runs n = 11 and beyond
+    assert validate_config({"experiment": "ipc", "n": 11})["n"] == 11
+    assert validate_config({"experiment": "power-basis", "n": 6})["n"] == 6
+    assert validate_config({"experiment": "learnability", "trials": 1000})["trials"] == 1000
+    with pytest.raises(ConfigValidation, match="<= 6"):
+        validate_config({"experiment": "power-basis", "n": 7})
+
+
+def test_ipc_report_spectral_equals_probability_trace(tmp_path):
+    # at n = 6 some states are so rare that G1 whitening would drop them
+    run_experiment({"experiment": "ipc", "n": 6, "timesteps": 300, "washout": 20,
+                    "out_dir": str(tmp_path)})
+    report = json.loads((tmp_path / "ipc_report.json").read_text())
+    assert abs(report["spectral"]["ipc"] - report["probability_trace"]["ipc"]) <= 1e-12
+    assert report["retained_rank"] == report["spectral"]["retained_rank"] <= 64
+
+
 def test_remaining_runners_produce_artifacts(tmp_path):
     runs = [
         ({"experiment": "tails", "draws": 40, "out_dir": str(tmp_path / "t")},
