@@ -240,7 +240,9 @@ class EigentaskDecomposition:
     the columns of ``V``, these weights satisfy ``V.T @ G1 @ V = I`` and
     ``V.T @ G2 @ V = diag(1 + sigma_sq)``. The one-hot route returns the
     readout weights themselves as ``whitener`` and the identity as
-    ``eigentasks``. ``dropped_count`` is ``signal_dim - retained_rank``.
+    ``eigentasks``, both computed on first read and then kept, since the
+    spectrum alone needs no eigenvectors. ``dropped_count`` is
+    ``signal_dim - retained_rank``.
     """
 
     sigma_sq: np.ndarray
@@ -287,15 +289,20 @@ def eigentask_decomposition(source, g2: Optional[np.ndarray] = None,
     one-hot readout has the diagonal G2 = diag(m) of the weighted column
     means m. Columns with m = 0 are dropped; the rest form
     ``Y = sqrt(w) X diag(m)^-1/2``. The squared singular values b of Y are
-    the eigenvalues of G1 relative to G2, b = 1/(1 + sigma_sq); one ``eigh``
-    of the smaller of ``Y Y^T`` (rows x rows) and ``Y^T Y`` gives them, and
-    neither G1 nor G2 is formed. Values b >= ``rank_tolerance`` * max(b) are
-    retained and sigma_sq = 1/b - 1. The b sum to the trace of ``Y Y^T``,
-    which is the probability-trace capacity, so :func:`ipc_spectral` and
+    the eigenvalues of G1 relative to G2, b = 1/(1 + sigma_sq); one
+    ``eigvalsh`` of the smaller of ``Y Y^T`` (rows x rows) and ``Y^T Y``
+    gives them, without eigenvectors, and neither G1 nor G2 is formed.
+    Values b >= ``rank_tolerance`` * max(b) are retained and sigma_sq =
+    1/b - 1. The b sum to the trace of ``Y Y^T``, which is the
+    probability-trace capacity, so :func:`ipc_spectral` and
     :func:`ipc_probability_rep` agree by construction. The readout weights
-    ``diag(m)^-1/2 Y^T u / b`` of each left singular vector u are returned
-    as ``whitener`` (zero on dropped columns). A non-finite signal or row
-    weight raises NumericCheckFailure.
+    ``diag(m)^-1/2 Y^T u / b`` of the left singular vectors u of the
+    ``retained_rank`` largest b are computed from ``source`` with one
+    ``eigh`` when ``whitener`` or ``eigentasks`` is first read, so
+    ``source`` must not change before then; they are returned as
+    ``whitener`` (zero on dropped columns), largest b first, which is the
+    order of ``sigma_sq``. A non-finite signal or row weight raises
+    NumericCheckFailure.
 
     ``eigentask_decomposition(g1, g2)`` takes any pair, such as a G2 from
     :func:`shot_averaged_second_moment`. G1 is spectrally decomposed;
@@ -354,9 +361,10 @@ def eigentask_decomposition(source, g2: Optional[np.ndarray] = None,
     )
 
 
-def _one_hot_decomposition(signals: SignalMatrix,
-                           rank_tolerance: float) -> EigentaskDecomposition:
-    """The one-hot route of :func:`eigentask_decomposition`."""
+def _scaled_one_hot(signals: SignalMatrix):
+    """``Y = sqrt(w) X diag(m)^-1/2`` over the columns of mean m > 0, the
+    mask of those columns, their ``m^-1/2``, and the Gram matrix of Y on
+    its smaller side: ``Y Y^T`` (rows x rows) or ``Y^T Y``."""
     w, x = _one_hot_readout(signals)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
         raise NumericCheckFailure("signals have non-finite entries")
@@ -368,28 +376,60 @@ def _one_hot_decomposition(signals: SignalMatrix,
     y = x[:, keep]  # a copy, scaled in place
     y *= np.sqrt(w)[:, None]
     y *= scale
-    few_rows = y.shape[0] < y.shape[1]
-    beta, vecs = np.linalg.eigh(y @ y.T if few_rows else y.T @ y)
-    retained = beta >= rank_tolerance * beta[-1]
-    beta = beta[retained]
-    if few_rows:
-        # V / sqrt(b), with the right singular vectors V = Y^T u / sqrt(b)
-        weights = (y.T @ vecs[:, retained]) / beta
-    else:
-        weights = vecs[:, retained] / np.sqrt(beta)
-    sigma_sq, clipped, order = _sorted_ratios(1.0 / beta - 1.0)
-    whitener = np.zeros((x.shape[1], beta.size))
-    whitener[keep] = scale[:, None] * weights[:, order]
-    return EigentaskDecomposition(
+    gram = y @ y.T if y.shape[0] < y.shape[1] else y.T @ y
+    return y, keep, scale, gram
+
+
+def _one_hot_decomposition(signals: SignalMatrix,
+                           rank_tolerance: float) -> EigentaskDecomposition:
+    """The one-hot route of :func:`eigentask_decomposition`."""
+    _, keep, _, gram = _scaled_one_hot(signals)
+    beta = np.linalg.eigvalsh(gram)
+    beta = beta[beta >= rank_tolerance * beta[-1]]
+    sigma_sq, clipped, _ = _sorted_ratios(1.0 / beta - 1.0)
+    return _OneHotEigentasks(
         sigma_sq=sigma_sq,
-        eigentasks=np.eye(beta.size),
         retained_rank=beta.size,
-        dropped_count=x.shape[1] - beta.size,
+        dropped_count=keep.size - beta.size,
         rank_tolerance=rank_tolerance,
-        signal_dim=x.shape[1],
-        whitener=whitener,
+        signal_dim=keep.size,
         clipped_negatives=clipped,
+        signals=signals,
     )
+
+
+class _OneHotEigentasks(EigentaskDecomposition):
+    """A one-hot :class:`EigentaskDecomposition` whose readout weights are
+    computed from ``signals`` on first read of ``whitener`` or
+    ``eigentasks``, and kept."""
+
+    def __init__(self, signals: SignalMatrix, **spectrum):
+        self.__dict__.update(spectrum)
+        self._signals = signals
+
+    def __getattr__(self, name):
+        # reached only while the attribute is unset
+        if name not in ("whitener", "eigentasks"):
+            raise AttributeError(name)
+        self.whitener = self._weights()
+        self.eigentasks = np.eye(self.retained_rank)
+        return getattr(self, name)
+
+    def _weights(self) -> np.ndarray:
+        """``diag(m)^-1/2 Y^T u / b`` for the ``retained_rank`` largest b,
+        largest first, from one ``eigh`` of the Gram matrix of Y."""
+        y, keep, scale, gram = _scaled_one_hot(self._signals)
+        beta, vecs = np.linalg.eigh(gram)
+        top = slice(-1, -self.retained_rank - 1, -1)
+        beta, vecs = beta[top], vecs[:, top]
+        if gram.shape[0] < y.shape[1]:
+            # V / sqrt(b), with the right singular vectors V = Y^T u / sqrt(b)
+            weights = (y.T @ vecs) / beta
+        else:
+            weights = vecs / np.sqrt(beta)
+        whitener = np.zeros((keep.size, beta.size))
+        whitener[keep] = scale[:, None] * weights
+        return whitener
 
 
 # ---------------------------------------------------------------------------

@@ -223,9 +223,14 @@ def sweep_exponential_sharpness(count: int, domain=(0.0, 1.0),
                                 target_min_peak: float = 0.99,
                                 grid_points: int = 2001,
                                 iterations: int = 60) -> float:
-    """Smallest exponential sharpness whose worst signal peak reaches the target."""
+    """Smallest exponential sharpness whose worst signal peak reaches the target.
+
+    Raises ValueError when no sharpness up to 1e7 reaches it, including
+    when the bumps underflow to a NaN peak first.
+    """
     lo_b, hi_b = 1e-3, 4.0
-    while switching_family("exponential", count, domain, hi_b, grid_points).peaks.min() < target_min_peak:
+    while not switching_family("exponential", count, domain, hi_b,
+                               grid_points).peaks.min() >= target_min_peak:
         hi_b *= 2.0
         if hi_b > 1e7:
             raise ValueError("target peak unreachable")

@@ -52,8 +52,9 @@ EXACT_DRIVE_CHUNK = 256
 # shots simulated together, and uniforms per gate drawn at once for them
 SAMPLE_BLOCK = 1024
 SAMPLE_DRAW_CHUNK = 256 * 512
-# a run of static plan ops folds into one dense step matrix when the matrix
-# has at most this many entries per op it replaces (see _fold_static_runs)
+# a run of static plan ops folds into one kernel product when the product
+# takes at most this many multiplications per op it replaces (see
+# _fold_static_runs)
 DENSE_ENTRIES_PER_OP = 8192
 # largest |sum - 1| of the exact state before renormalization; a gate's
 # kernel rows may be off by ROW_SUM_TOL
@@ -530,7 +531,7 @@ def _cdf_columns(kernel: np.ndarray) -> np.ndarray:
 
 def _cdf_tables(kernels) -> list:
     """The :func:`_cdf_columns` of each plan op's kernel; None (a gather or
-    dense op, which has no kernel) stays None."""
+    folded op, which has no kernel of its own) stays None."""
     return [None if k is None else _cdf_columns(k) for k in kernels]
 
 
@@ -550,6 +551,7 @@ class _GatherOp:
     """
 
     def __init__(self, gates, n: int):
+        self.gates = gates
         dim = 2 ** n
         fwd = np.arange(dim, dtype=np.int64)
         for gate in gates:
@@ -587,16 +589,22 @@ class _KernelOp:
     def __init__(self, index: int, gate: StochasticGate, n: int):
         self.index = index  # the gate's column in the sampler's uniforms
         self.gate = gate
-        self.shifts = _bit_shifts(gate.support, n)
+        self.gates = (gate,)
+        self._set_axes(gate.support, n)
+        self.varies = not gate.is_static
+        self.static = None if self.varies else gate.kernel(0.0)
+
+    def _set_axes(self, support, n: int) -> None:
+        self.shifts = _bit_shifts(support, n)
         # axis label: the support bit, or None for a merged run of other bits
         runs = [(label, len(list(bits))) for label, bits in itertools.groupby(
-            range(n), lambda b: b if b in gate.support else None)]
+            range(n), lambda b: b if b in support else None)]
         labels = [label for label, _ in runs]
         dims = [2 ** size for _, size in runs]
-        axes = [labels.index(b) for b in gate.support]
+        axes = [labels.index(b) for b in support]
         axes += [i for i, label in enumerate(labels) if label is None]
         moved = [dims[a] for a in axes]
-        k = gate.arity
+        k = len(support)
         batch_axes = [a + 1 for a in axes[:k]] + [0] + [a + 1 for a in axes[k:]]
         batch_moved = moved[:k] + [-1] + moved[k:]
         self.rows = 2 ** k
@@ -607,8 +615,6 @@ class _KernelOp:
             ((-1, *dims), tuple(batch_axes), tuple(batch_moved),
              tuple(np.argsort(batch_axes).tolist()), (-1, 2 ** n)),
         )
-        self.varies = not gate.is_static
-        self.static = None if self.varies else gate.kernel(0.0)
 
     def kernel(self, u) -> np.ndarray:
         return self.gate.kernel(u) if self.varies else self.static
@@ -628,33 +634,45 @@ class _KernelOp:
         return states
 
 
-class _DenseOp:
-    """A run of static ops folded into one ``2**n x 2**n`` transition matrix.
+def _op_bits(op) -> set:
+    """The bits that a gather or kernel op reads and writes."""
+    return {b for gate in op.gates for b in gate.support}
 
-    ``matrix[k]`` is the distribution after the run from bitstring ``k``, so
-    an exact state advances by one product ``vec @ matrix``. The matrix is
-    the parts run over the identity, one row per start state; its sums
-    group the parts' products differently, so an exact step moves in the
-    last bits. Sampling runs the parts themselves, each on its own uniforms
-    and with the CDF table of its own kernel, so every stream and sample is
+
+class _BlockOp(_KernelOp):
+    """A run of static ops on the bits ``bits`` folded into one kernel op.
+
+    ``matrix`` is the run's kernel on the ``len(bits)``-bit sub-register of
+    those bits, the first one most significant: row ``s`` is the
+    distribution after the run from the register whose ``bits`` read ``s``
+    and whose other bits are zero, which the run leaves alone. An exact
+    state advances by one kernel op with this matrix. Its sums group the
+    parts' products differently, so an exact step moves in the last bits.
+    Sampling runs the parts themselves, each on its own uniforms and with
+    the CDF table of its own kernel, so every stream and sample is
     unchanged.
     """
 
     varies = False  # with the drive
 
-    def __init__(self, parts, n: int):
+    def __init__(self, parts, bits, n: int):
         self.parts = parts
-        rows = np.eye(2 ** n)
+        self._set_axes(sorted(bits), n)
+        sub = np.arange(self.rows, dtype=np.int64)
+        start = np.zeros_like(sub)  # the full-register index of each sub-register state
+        _flip_bits(start, sub, self.shifts)
+        rows = np.zeros((self.rows, 2 ** n))
+        rows[sub, start] = 1.0
         for part in parts:
             rows = part.exact(rows, part.kernel(0.0))
-        self.matrix = np.ascontiguousarray(rows)
+        self.matrix = np.ascontiguousarray(rows[:, start])
         self.part_cdfs = _cdf_tables(part.kernel(0.0) for part in parts)
 
     def kernel(self, u):
         return None
 
     def exact(self, vec: np.ndarray, kernel) -> np.ndarray:
-        return vec @ self.matrix
+        return super().exact(vec, self.matrix)
 
     def sample(self, states: np.ndarray, cdf, draws: np.ndarray) -> np.ndarray:
         for part, part_cdf in zip(self.parts, self.part_cdfs):
@@ -662,22 +680,70 @@ class _DenseOp:
         return states
 
 
-def _fold_static_runs(ops, n: int) -> list:
-    """Replace each maximal run of static ops by a :class:`_DenseOp` when it pays.
+class _DenseOp(_BlockOp):
+    """A run of static ops folded into one ``2**n x 2**n`` transition matrix:
+    the :class:`_BlockOp` of the whole register.
 
-    A run folds when it has two or more ops, at least one of them a kernel
-    op, and one product with its ``4**n`` entries costs no more than its
-    ops: ``4**n <= len(run) * DENSE_ENTRIES_PER_OP``.
+    ``matrix[k]`` is the distribution after the run from bitstring ``k``, so
+    an exact state advances by one product ``vec @ matrix``.
+    """
+
+    def __init__(self, parts, n: int):
+        super().__init__(parts, range(n), n)
+
+    def exact(self, vec: np.ndarray, kernel) -> np.ndarray:
+        return vec @ self.matrix
+
+
+def _pays(bits: int, ops: int, n: int) -> bool:
+    """Whether one kernel product on ``bits`` of the ``n``-bit register,
+    with its ``2**(bits + n)`` multiplications, costs no more than ``ops``
+    plan ops: ``2**(bits + n) <= ops * DENSE_ENTRIES_PER_OP``."""
+    return 2 ** (bits + n) <= ops * DENSE_ENTRIES_PER_OP
+
+
+def _fold_static_runs(ops, n: int) -> list:
+    """Fold each maximal run of static ops into fewer kernel products where it pays.
+
+    Only groups of two or more ops, at least one of them a kernel op, fold.
+    A whole run folds into one :class:`_DenseOp` when one product with its
+    ``4**n`` entries costs no more than its ops (:func:`_pays` with all
+    ``n`` bits). A run that does not is cut, first op to last, into groups
+    that each grow while one kernel product on the bits ``U`` they touch
+    still pays for them, ``2**(len(U) + n) <= len(group) *
+    DENSE_ENTRIES_PER_OP``; each group folds into one :class:`_BlockOp` on
+    ``U``. At n = 9, 10 and 11 the noise flips of one bit each fold into
+    blocks of 6 + 3, 5 + 5 and 4 + 4 + 3 bits.
     """
     out = []
     for static, group in itertools.groupby(ops, lambda op: not op.varies):
         run = list(group)
-        if (static and len(run) >= 2 and 4 ** n <= len(run) * DENSE_ENTRIES_PER_OP
-                and any(isinstance(op, _KernelOp) for op in run)):
-            out.append(_DenseOp(run, n))
-        else:
+        if not static:
             out += run
+        elif _pays(n, len(run), n):
+            out += _folded(run, range(n), n)
+        else:
+            start, bits = 0, set()
+            for i, op in enumerate(run):
+                grown = bits | _op_bits(op)
+                if _pays(len(grown), i + 1 - start, n):
+                    bits = grown
+                else:
+                    out += _folded(run[start:i], bits, n)
+                    start, bits = i, _op_bits(op)
+            out += _folded(run[start:], bits, n)
     return out
+
+
+def _folded(group, bits, n: int) -> list:
+    """``group`` as one :class:`_BlockOp` on ``bits`` (a :class:`_DenseOp`
+    when they are the whole register), or as it is when it has fewer than
+    two ops or no kernel op."""
+    if len(group) < 2 or not any(isinstance(op, _KernelOp) for op in group):
+        return group
+    if len(bits) == n:
+        return [_DenseOp(group, n)]
+    return [_BlockOp(group, bits, n)]
 
 
 class StepPlan:
@@ -688,12 +754,14 @@ class StepPlan:
     transpose axes worked out here instead of at every step. Fusion needs
     tables of ``2**n`` indices, so above the exact-mode cap every gate stays
     a kernel op (a permutation's one-hot kernel samples exactly). Up to the
-    cap, each run of static ops that holds a kernel op folds into one dense
-    op (see :func:`_fold_static_runs`) on registers small enough that one
-    matrix-vector product is cheaper than the ops it replaces. Exact steps
-    through a folded run agree with gate-by-gate ones within 1e-13 per
-    entry (about 1e-16 in practice), not bit for bit; sampling is gate by
-    gate either way, with unchanged output.
+    cap, runs of static ops that hold a kernel op fold into fewer products
+    (see :func:`_fold_static_runs`): a whole run into one dense op on
+    registers small enough that one matrix-vector product is cheaper than
+    the ops it replaces (through n = 8 for the scan family), and otherwise
+    into block ops, each one kernel op on the few bits its group touches.
+    Exact steps through a folded run agree with gate-by-gate ones within
+    1e-13 per entry (about 1e-16 in practice), not bit for bit; sampling is
+    gate by gate either way, with unchanged output.
     """
 
     def __init__(self, gates, n: int):
@@ -710,11 +778,11 @@ class StepPlan:
             ops.append(_KernelOp(index, gate, n))
         if run:
             ops.append(_GatherOp(run, n))
-        # above the cap exact steps are refused, so a dense matrix is never used
+        # above the cap exact steps are refused, so a folded kernel is never used
         self.ops = _fold_static_runs(ops, n) if fuse else ops
 
     def kernels(self, u) -> list:
-        """Per-op kernels at drive ``u`` (None for gathers and dense ops; static ones shared).
+        """Per-op kernels at drive ``u`` (None for gathers and folded ops; static ones shared).
 
         For a 1-D array of drives, a drive-dependent op gives a stack of
         kernels, one per drive; see :meth:`per_value`.
@@ -724,8 +792,8 @@ class StepPlan:
     def cdfs(self, u) -> list:
         """The sampler's tables: :func:`_cdf_columns` of :meth:`kernels` at ``u``.
 
-        None for gathers, and for dense ops, which hold their parts' tables
-        themselves.
+        None for gathers, and for folded (block and dense) ops, which hold
+        their parts' tables themselves.
         """
         return _cdf_tables(self.kernels(u))
 
@@ -846,8 +914,9 @@ def step_exact(reservoir: Reservoir, state, u: float, kernels=None) -> np.ndarra
     """One exact time step: run the reservoir's compiled plan at drive ``u``.
 
     Gather ops permute the probability vector; kernel ops apply their gate
-    kernel along the gate's bits; dense ops multiply it by their folded
-    step matrix. ``state`` may be a
+    kernel along the gate's bits; block ops apply their folded kernel along
+    their bits; dense ops multiply it by their folded step matrix. ``state``
+    may be a
     :class:`BitstringDistribution` or a raw probability vector; the result is
     a probability vector. ``kernels`` is ``reservoir.plan.kernels(u)``, for
     callers that step many times at the same drive value.
@@ -957,7 +1026,7 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
     is accepted but unused. Shots advance through the reservoir's compiled
     plan: a gather op maps states through its index table, a kernel op
     draws each shot's new sub-register from its gate's kernel row, and a
-    dense op runs the gather and kernel ops it was folded from. Per
+    block or dense op runs the gather and kernel ops it was folded from. Per
     step, each gate owns exactly one uniform per shot, so fusing gates
     leaves every stream, and the output, unchanged. Kernel rows are built
     once for all of the run's distinct drive values.

@@ -347,17 +347,23 @@ EXPERIMENTS: dict = {
 }
 
 # allowed values of each experiment's config keys: a set of values, an int
-# as the least allowed value, or an inclusive (least, greatest) pair;
-# scan-n also needs n_min <= n_max
+# as the least allowed value, or an inclusive (least, greatest) pair. Tails
+# fits two parameters per law, so it needs a third point to tell them
+# apart; learnability's growth q = n^2 / 2^n is below 1 from n = 5 on;
+# fat-shatter's dimension >= 2 needs two signals. Switching's grid_points
+# is checked against its count, in validate_config.
 _ALLOWED = {
     "ipc": {"mode": {"exact", "sampled"}, "n": 1, "shots": 1, "timesteps": 1, "washout": 0},
     "scan-n": {"n_min": 1, "timesteps": 1, "repeats": 1, "washout": 0},
     "switching": {"count": 1},
-    "tails": {"draws": 1},
+    "tails": {"draws": 1, "points": 3},
     "power-basis": {"n": (1, 6), "samples": 1},
-    "learnability": {"trials": 1000},
-    "fat-shatter": {"count": 1},
+    "learnability": {"trials": 1000, "growth_n_min": 5},
+    "fat-shatter": {"count": 2},
 }
+
+# (least, greatest) key pairs of a range, which must not be empty
+_RANGES = (("n_min", "n_max"), ("growth_n_min", "growth_n_max"))
 
 _COMMON_KEYS = {"experiment", "seed", "out_dir", "threads"}
 
@@ -418,9 +424,17 @@ def validate_config(config: dict) -> dict:
             raise ConfigValidation(f"config key {key!r} must be >= {lo}, got {value!r}")
         if hi is not None and value > hi:
             raise ConfigValidation(f"config key {key!r} must be <= {hi}, got {value!r}")
-    if "n_min" in merged and merged["n_min"] > merged["n_max"]:
+    if name == "switching" and merged["grid_points"] < merged["count"] + 2:
+        # a grid step below the center spacing puts a grid point nearer to
+        # each center than to any other; coarser grids leave a signal with
+        # no peak, and the sharpness sweep then ends on NaN
         raise ConfigValidation(
-            f"config key 'n_min' ({merged['n_min']}) exceeds 'n_max' ({merged['n_max']})")
+            f"config key 'grid_points' must be >= count + 2 = {merged['count'] + 2}, "
+            f"got {merged['grid_points']}")
+    for lo, hi in _RANGES:
+        if lo in merged and merged[lo] > merged[hi]:
+            raise ConfigValidation(
+                f"config key {lo!r} ({merged[lo]}) exceeds {hi!r} ({merged[hi]})")
     effective.update(merged)
     return effective
 

@@ -414,6 +414,21 @@ def test_one_hot_route_needs_one_hot_signals():
         sr.eigentask_decomposition(np.eye(2))
 
 
+def test_one_hot_weights_take_one_eigh_on_first_read(monkeypatch):
+    sm = _physical_signals(5, 3, 40, 0)
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    dec = sr.eigentask_decomposition(sm)
+    assert calls == []
+    whitener = dec.whitener
+    assert whitener.shape == (dec.signal_dim, dec.retained_rank)
+    assert dec.whitener is whitener
+    assert dec.eigentasks is dec.eigentasks
+    assert np.array_equal(dec.eigentasks, np.eye(dec.retained_rank))
+    assert calls == [(8, 8)]
+
+
 # --- aggregate capacity --------------------------------------------------------
 
 def test_spectral_capacity_of_clean_rank():

@@ -248,6 +248,16 @@ def test_config_range_limits_are_inclusive():
     ("switching", '{"count": 0}', "count"),
     ("fat-shatter", '{"count": 0}', "count"),
     ("learnability", '{"trials": 999}', "trials"),
+    ("tails", '{"points": 0}', "points"),
+    ("tails", '{"points": 1}', "points"),
+    ("tails", '{"points": 2}', "points"),
+    ("switching", '{"grid_points": 0}', "grid_points"),
+    ("switching", '{"grid_points": 5}', "grid_points"),
+    ("switching", '{"count": 8, "grid_points": 9}', "grid_points"),
+    ("learnability", '{"growth_n_min": 0}', "growth_n_min"),
+    ("learnability", '{"growth_n_min": 4}', "growth_n_min"),
+    ("learnability", '{"growth_n_min": 12, "growth_n_max": 9}', "growth_n_min"),
+    ("fat-shatter", '{"count": 1}', "count"),
 ])
 def test_cli_rejects_other_experiments_out_of_range_values(experiment, text, key,
                                                            tmp_path, capsys):
@@ -256,6 +266,20 @@ def test_cli_rejects_other_experiments_out_of_range_values(experiment, text, key
     assert main([experiment, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
     assert f"config key {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, text", [
+    ("tails", '{"points": 3, "draws": 20}'),
+    ("switching", '{"grid_points": 6}'),
+    ("switching", '{"count": 1, "grid_points": 3}'),
+    ("learnability", '{"growth_n_min": 5, "growth_n_max": 5, "trials": 1000}'),
+    ("fat-shatter", '{"count": 2}'),
+])
+def test_cli_runs_other_experiments_at_their_least_values(experiment, text, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main([experiment, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_shared_config_keys_have_per_experiment_limits():
@@ -274,6 +298,18 @@ def test_ipc_report_spectral_equals_probability_trace(tmp_path):
     report = json.loads((tmp_path / "ipc_report.json").read_text())
     assert abs(report["spectral"]["ipc"] - report["probability_trace"]["ipc"]) <= 1e-12
     assert report["retained_rank"] == report["spectral"]["retained_rank"] <= 64
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_ipc_run_takes_no_eigenvectors(mode, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    run_experiment({"experiment": "ipc", "n": 4, "mode": mode, "timesteps": 300,
+                    "washout": 20, "shots": 200, "out_dir": str(tmp_path)})
+    report = json.loads((tmp_path / "ipc_report.json").read_text())
+    assert report["retained_rank"] > 0
 
 
 def test_remaining_runners_produce_artifacts(tmp_path):

@@ -92,6 +92,15 @@ def test_swept_exponential_family_reaches_target_peak():
     assert below.peaks.min() < 0.99
 
 
+@pytest.mark.parametrize("grid_points", [1, 3, 5])
+def test_sweep_raises_when_the_grid_cannot_separate_the_centers(grid_points):
+    # 4 centers: fewer grid points leave a signal without a grid point of its
+    # own, and 5 put the interior points halfway between two centers; the
+    # bumps underflow to NaN peaks before the sharpness cap
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unreachable"):
+        sweep_exponential_sharpness(4, (0.0, 1.0), 0.99, grid_points)
+
+
 def test_matched_polynomial_family_confuses_more():
     beta = sweep_exponential_sharpness(4, (0.0, 1.0), 0.99)
     fam_exp = sr.switching_family("exponential", 4, (0.0, 1.0), beta)

@@ -27,6 +27,7 @@ from stochres.reservoir import (
     InputSequence,
     ReservoirSpec,
     SAMPLE_BLOCK,
+    _BlockOp,
     _DenseOp,
     _KernelOp,
     asymmetric_flip_gate,
@@ -244,6 +245,38 @@ def test_folded_step_matches_dense_oracle(seed, n):
         assert np.max(np.abs(sr.step_exact(res, state, u) - expected)) < 1e-13
 
 
+@pytest.mark.parametrize("n, blocks", [(9, [6, 3]), (10, [5, 5]), (11, [4, 4, 3])])
+def test_scan_family_flips_fold_into_bit_blocks_above_n8(n, blocks):
+    res = sr.build_reservoir(sr.shift_register_flip_family(n, 0.05))
+    kinds = [type(op).__name__ for op in res.plan.ops]
+    assert kinds == ["_GatherOp", "_KernelOp"] + ["_BlockOp"] * len(blocks)
+    ends = np.cumsum(blocks).tolist()
+    for op, start, end in zip(res.plan.ops[2:], [0] + ends, ends):
+        assert [(part.index, part.gate) for part in op.parts] == \
+            list(enumerate(res.gates))[n + start:n + end]
+        assert op.matrix.shape == (2 ** (end - start),) * 2
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(9, 10))
+def test_block_folded_step_matches_dense_oracle(seed, n):
+    # a trailing run of static gates too short to fold into one dense op
+    gen = np.random.default_rng(seed)
+    spec = random_mixed_reservoir(n, gen)
+    for _ in range(int(gen.integers(2, 9))):
+        bits = gen.choice(n, size=int(gen.integers(1, 3)), replace=False)
+        spec.gates.append(constant_gate(tuple(int(b) for b in bits),
+                                        gen.dirichlet(np.ones(2 ** bits.size), size=2 ** bits.size)))
+    spec.depth_bound = len(spec.gates)
+    res = sr.build_reservoir(spec)
+    assert not any(isinstance(op, _DenseOp) for op in res.plan.ops)
+    assert any(isinstance(op, _BlockOp) for op in res.plan.ops)
+    state = gen.dirichlet(np.ones(2 ** n))
+    u = gen.uniform(-1, 1)
+    expected = dense_step_oracle(spec, state, u)
+    assert np.max(np.abs(sr.step_exact(res, state, u) - expected)) < 1e-13
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 5))
 def test_plan_step_matches_dense_oracle(seed, n):
@@ -427,6 +460,19 @@ def test_sampling_through_dense_ops_equals_sampling_their_parts():
     folded = sample_trajectories(res, seq, shots=300, seed=9)
     res.plan.ops = [part for op in res.plan.ops
                     for part in (op.parts if isinstance(op, _DenseOp) else [op])]
+    expanded = sample_trajectories(res, seq, shots=300, seed=9)
+    assert folded.samples.tobytes() == expanded.samples.tobytes()
+
+
+def test_sampling_through_block_ops_equals_sampling_their_parts():
+    gen = np.random.default_rng(4)
+    spec = random_physical_reservoir(10, gen)
+    res = sr.build_reservoir(spec)
+    assert any(type(op) is _BlockOp for op in res.plan.ops)
+    seq = InputSequence(gen.uniform(-1, 1, 40), washout_length=5)
+    folded = sample_trajectories(res, seq, shots=300, seed=9)
+    res.plan.ops = [part for op in res.plan.ops
+                    for part in (op.parts if isinstance(op, _BlockOp) else [op])]
     expanded = sample_trajectories(res, seq, shots=300, seed=9)
     assert folded.samples.tobytes() == expanded.samples.tobytes()
 
