@@ -57,15 +57,25 @@ class UnitaryPair:
     theta: float
 
 
+def _rotations(theta, generator: np.ndarray) -> tuple:
+    """exp(-/+ i*theta*G) = cos(theta) I -/+ i sin(theta) G, for a generator
+    G that squares to the identity."""
+    eye = np.eye(len(generator), dtype=complex)
+    return (np.cos(theta) * eye - 1j * np.sin(theta) * generator,
+            np.cos(theta) * eye + 1j * np.sin(theta) * generator)
+
+
+def _averaged(u1: np.ndarray, u2: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The pair-averaged conjugation (u1 rho u1^dagger + u2 rho u2^dagger) / 2."""
+    return 0.5 * (u1 @ rho @ u1.conj().T + u2 @ rho @ u2.conj().T)
+
+
 def rotation_pair(p: float) -> UnitaryPair:
     """exp(-i*theta*X) and exp(+i*theta*X) with theta = arccos(sqrt(p))."""
     if not 0.0 <= p <= 1.0:
         raise OutOfRange(f"p must be in [0, 1], got {p!r}")
     theta = float(np.arccos(np.sqrt(p)))
-    eye = np.eye(2, dtype=complex)
-    u1 = np.cos(theta) * eye - 1j * np.sin(theta) * PAULI_X
-    u2 = np.cos(theta) * eye + 1j * np.sin(theta) * PAULI_X
-    return UnitaryPair(u1, u2, float(p), theta)
+    return UnitaryPair(*_rotations(theta, PAULI_X), float(p), theta)
 
 
 def channel_matrix(p: float) -> np.ndarray:
@@ -86,7 +96,7 @@ def bernoulli_channel(p: float, rho: np.ndarray, check_tol: float = 1e-12) -> np
     if rho.shape != (2, 2):
         raise InvalidState("bernoulli_channel expects a single-qubit state")
     pair = rotation_pair(p)
-    direct = 0.5 * (pair.u1 @ rho @ pair.u1.conj().T + pair.u2 @ rho @ pair.u2.conj().T)
+    direct = _averaged(pair.u1, pair.u2, rho)
     vectorized = unvec(channel_matrix(p) @ vec(rho))
     gap = float(np.max(np.abs(direct - vectorized)))
     if gap > check_tol:
@@ -121,13 +131,9 @@ def correlated_flip_check(theta: float) -> dict:
     The channel moves population only between |00> and |11>; the |01> and
     |10> populations must stay at zero.
     """
-    xx = np.kron(PAULI_X, PAULI_X)
-    eye = np.eye(4, dtype=complex)
-    u1 = np.cos(theta) * eye - 1j * np.sin(theta) * xx
-    u2 = np.cos(theta) * eye + 1j * np.sin(theta) * xx
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
-    out = 0.5 * (u1 @ rho0 @ u1.conj().T + u2 @ rho0 @ u2.conj().T)
+    out = _averaged(*_rotations(theta, np.kron(PAULI_X, PAULI_X)), rho0)
     pops = np.real(np.diag(out))
     return {
         "theta": float(theta),
@@ -179,7 +185,7 @@ def verification_report(tolerance: float = 1e-12, cases: int = 100,
         rho = a @ a.conj().T
         rho /= np.trace(rho).real
         pair = rotation_pair(p)
-        direct = 0.5 * (pair.u1 @ rho @ pair.u1.conj().T + pair.u2 @ rho @ pair.u2.conj().T)
+        direct = _averaged(pair.u1, pair.u2, rho)
         vecd = unvec(channel_matrix(p) @ vec(rho))
         roth_res = max(roth_res, float(np.max(np.abs(direct - vecd))))
     report["checks"]["vectorization"] = {"residual": roth_res, "passed": roth_res < tolerance}

@@ -19,7 +19,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -644,34 +644,39 @@ class _BlockOp(_KernelOp):
 
     ``matrix`` is the run's kernel on the ``len(bits)``-bit sub-register of
     those bits, the first one most significant: row ``s`` is the
-    distribution after the run from the register whose ``bits`` read ``s``
-    and whose other bits are zero, which the run leaves alone. An exact
-    state advances by one kernel op with this matrix. Its sums group the
-    parts' products differently, so an exact step moves in the last bits.
-    Sampling runs the parts themselves, each on its own uniforms and with
-    the CDF table of its own kernel, so every stream and sample is
-    unchanged.
+    distribution after the run from sub-register state ``s``. It is built
+    on that sub-register alone, by running the parts, their bits moved into
+    it, over its identity. An exact state advances by one kernel op with
+    this matrix, or by one product ``vec @ matrix`` when the bits are the
+    whole register. Its sums group the parts' products differently, so an
+    exact step moves in the last bits. Sampling runs the parts themselves,
+    each on its own uniforms and with the CDF table of its own kernel, so
+    every stream and sample is unchanged.
     """
 
     varies = False  # with the drive
 
     def __init__(self, parts, bits, n: int):
         self.parts = parts
-        self._set_axes(sorted(bits), n)
-        sub = np.arange(self.rows, dtype=np.int64)
-        start = np.zeros_like(sub)  # the full-register index of each sub-register state
-        _flip_bits(start, sub, self.shifts)
-        rows = np.zeros((self.rows, 2 ** n))
-        rows[sub, start] = 1.0
+        bits = sorted(bits)
+        self._set_axes(bits, n)
+        self.spans = len(bits) == n
+        at = {b: i for i, b in enumerate(bits)}
+        rows = np.eye(self.rows)
         for part in parts:
-            rows = part.exact(rows, part.kernel(0.0))
-        self.matrix = np.ascontiguousarray(rows[:, start])
+            moved = [replace(g, support=tuple(at[b] for b in g.support)) for g in part.gates]
+            local = (_GatherOp(moved, len(bits)) if isinstance(part, _GatherOp)
+                     else _KernelOp(part.index, moved[0], len(bits)))
+            rows = local.exact(rows, part.kernel(0.0))
+        self.matrix = np.ascontiguousarray(rows)
         self.part_cdfs = _cdf_tables(part.kernel(0.0) for part in parts)
 
     def kernel(self, u):
         return None
 
     def exact(self, vec: np.ndarray, kernel) -> np.ndarray:
+        if self.spans:
+            return vec @ self.matrix
         return super().exact(vec, self.matrix)
 
     def sample(self, states: np.ndarray, cdf, draws: np.ndarray) -> np.ndarray:
@@ -680,69 +685,41 @@ class _BlockOp(_KernelOp):
         return states
 
 
-class _DenseOp(_BlockOp):
-    """A run of static ops folded into one ``2**n x 2**n`` transition matrix:
-    the :class:`_BlockOp` of the whole register.
-
-    ``matrix[k]`` is the distribution after the run from bitstring ``k``, so
-    an exact state advances by one product ``vec @ matrix``.
-    """
-
-    def __init__(self, parts, n: int):
-        super().__init__(parts, range(n), n)
-
-    def exact(self, vec: np.ndarray, kernel) -> np.ndarray:
-        return vec @ self.matrix
-
-
-def _pays(bits: int, ops: int, n: int) -> bool:
-    """Whether one kernel product on ``bits`` of the ``n``-bit register,
-    with its ``2**(bits + n)`` multiplications, costs no more than ``ops``
-    plan ops: ``2**(bits + n) <= ops * DENSE_ENTRIES_PER_OP``."""
-    return 2 ** (bits + n) <= ops * DENSE_ENTRIES_PER_OP
-
-
 def _fold_static_runs(ops, n: int) -> list:
     """Fold each maximal run of static ops into fewer kernel products where it pays.
 
-    Only groups of two or more ops, at least one of them a kernel op, fold.
-    A whole run folds into one :class:`_DenseOp` when one product with its
-    ``4**n`` entries costs no more than its ops (:func:`_pays` with all
-    ``n`` bits). A run that does not is cut, first op to last, into groups
-    that each grow while one kernel product on the bits ``U`` they touch
-    still pays for them, ``2**(len(U) + n) <= len(group) *
-    DENSE_ENTRIES_PER_OP``; each group folds into one :class:`_BlockOp` on
-    ``U``. At n = 9, 10 and 11 the noise flips of one bit each fold into
-    blocks of 6 + 3, 5 + 5 and 4 + 4 + 3 bits.
+    A run is cut, first op to last, into groups that each grow while one
+    kernel product on the bits ``U`` they touch, with its ``2**(len(U) +
+    n)`` multiplications, costs no more than the group's ops:
+    ``2**(len(U) + n) <= len(group) * DENSE_ENTRIES_PER_OP``. Each group
+    of two or more ops, at least one of them a kernel op, folds into one
+    :class:`_BlockOp` on ``U``. The noise flips of the scan family, one
+    bit each, fold into one block of the whole register through n = 8,
+    and into blocks of 6 + 3, 5 + 5 and 4 + 4 + 3 bits at n = 9, 10 and 11.
     """
     out = []
     for static, group in itertools.groupby(ops, lambda op: not op.varies):
         run = list(group)
         if not static:
             out += run
-        elif _pays(n, len(run), n):
-            out += _folded(run, range(n), n)
-        else:
-            start, bits = 0, set()
-            for i, op in enumerate(run):
-                grown = bits | _op_bits(op)
-                if _pays(len(grown), i + 1 - start, n):
-                    bits = grown
-                else:
-                    out += _folded(run[start:i], bits, n)
-                    start, bits = i, _op_bits(op)
-            out += _folded(run[start:], bits, n)
+            continue
+        start, bits = 0, set()
+        for i, op in enumerate(run):
+            grown = bits | _op_bits(op)
+            if 2 ** (len(grown) + n) <= (i + 1 - start) * DENSE_ENTRIES_PER_OP:
+                bits = grown
+            else:
+                out += _folded(run[start:i], bits, n)
+                start, bits = i, _op_bits(op)
+        out += _folded(run[start:], bits, n)
     return out
 
 
 def _folded(group, bits, n: int) -> list:
-    """``group`` as one :class:`_BlockOp` on ``bits`` (a :class:`_DenseOp`
-    when they are the whole register), or as it is when it has fewer than
-    two ops or no kernel op."""
+    """``group`` as one :class:`_BlockOp` on ``bits``, or as it is when it
+    has fewer than two ops or no kernel op."""
     if len(group) < 2 or not any(isinstance(op, _KernelOp) for op in group):
         return group
-    if len(bits) == n:
-        return [_DenseOp(group, n)]
     return [_BlockOp(group, bits, n)]
 
 
@@ -754,14 +731,14 @@ class StepPlan:
     transpose axes worked out here instead of at every step. Fusion needs
     tables of ``2**n`` indices, so above the exact-mode cap every gate stays
     a kernel op (a permutation's one-hot kernel samples exactly). Up to the
-    cap, runs of static ops that hold a kernel op fold into fewer products
-    (see :func:`_fold_static_runs`): a whole run into one dense op on
-    registers small enough that one matrix-vector product is cheaper than
-    the ops it replaces (through n = 8 for the scan family), and otherwise
-    into block ops, each one kernel op on the few bits its group touches.
-    Exact steps through a folded run agree with gate-by-gate ones within
-    1e-13 per entry (about 1e-16 in practice), not bit for bit; sampling is
-    gate by gate either way, with unchanged output.
+    cap, runs of static ops that hold a kernel op fold into block ops, each
+    one kernel op on the bits its group touches, where one product is
+    cheaper than the ops it replaces (see :func:`_fold_static_runs`); on
+    small registers a block spans the whole register (through n = 8 for
+    the scan family) and is one matrix-vector product. Exact steps through
+    a folded run agree with gate-by-gate ones within 1e-13 per entry (about
+    1e-16 in practice), not bit for bit; sampling is gate by gate either
+    way, with unchanged output.
     """
 
     def __init__(self, gates, n: int):
@@ -792,8 +769,8 @@ class StepPlan:
     def cdfs(self, u) -> list:
         """The sampler's tables: :func:`_cdf_columns` of :meth:`kernels` at ``u``.
 
-        None for gathers, and for folded (block and dense) ops, which hold
-        their parts' tables themselves.
+        None for gathers, and for block ops, which hold their parts' tables
+        themselves.
         """
         return _cdf_tables(self.kernels(u))
 
@@ -915,10 +892,9 @@ def step_exact(reservoir: Reservoir, state, u: float, kernels=None) -> np.ndarra
 
     Gather ops permute the probability vector; kernel ops apply their gate
     kernel along the gate's bits; block ops apply their folded kernel along
-    their bits; dense ops multiply it by their folded step matrix. ``state``
-    may be a
-    :class:`BitstringDistribution` or a raw probability vector; the result is
-    a probability vector. ``kernels`` is ``reservoir.plan.kernels(u)``, for
+    their bits, or multiply the state by it when they span the register.
+    ``state`` may be a :class:`BitstringDistribution` or a raw probability
+    vector; the result is a probability vector. ``kernels`` is ``reservoir.plan.kernels(u)``, for
     callers that step many times at the same drive value.
     """
     if not np.isfinite(u):
@@ -1026,7 +1002,7 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
     is accepted but unused. Shots advance through the reservoir's compiled
     plan: a gather op maps states through its index table, a kernel op
     draws each shot's new sub-register from its gate's kernel row, and a
-    block or dense op runs the gather and kernel ops it was folded from. Per
+    block op runs the gather and kernel ops it was folded from. Per
     step, each gate owns exactly one uniform per shot, so fusing gates
     leaves every stream, and the output, unchanged. Kernel rows are built
     once for all of the run's distinct drive values.

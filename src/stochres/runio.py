@@ -41,7 +41,14 @@ from .experiments import (
 )
 from .fileio import csv_text, json_default, json_text, write_atomic
 from .qembed import verification_report
-from .reservoir import InputMeasure, InputSequence, build_reservoir, run_exact, sample_trajectories
+from .reservoir import (
+    EXACT_MODE_MAX_BITS,
+    InputMeasure,
+    InputSequence,
+    build_reservoir,
+    run_exact,
+    sample_trajectories,
+)
 from .signals import empirical_probabilities, probability_signals
 
 
@@ -346,20 +353,25 @@ EXPERIMENTS: dict = {
     "embed-check": (_run_embed_check, {"tolerance": 1e-12, "cases": 100, "dt": 1e-3}),
 }
 
-# allowed values of each experiment's config keys: a set of values, an int
-# as the least allowed value, or an inclusive (least, greatest) pair. Tails
-# fits two parameters per law, so it needs a third point to tell them
-# apart; learnability's growth q = n^2 / 2^n is below 1 from n = 5 on;
+# allowed values of each experiment's config keys: a set of values, a
+# number as the least allowed value, or an inclusive (least, greatest)
+# pair; math.ulp(0.0), the least positive float, makes a float key
+# strictly positive. Both modes of ipc take the full 2^n distribution, so n
+# stops at the exact-mode cap. Tails fits two parameters per law, so it
+# needs a third point to tell them apart; learnability's growth q = n^2 / 2^n
+# is below 1 from n = 5 on, and 1 - q rounds to 1 from n = 67 on;
 # fat-shatter's dimension >= 2 needs two signals. Switching's grid_points
 # is checked against its count, in validate_config.
 _ALLOWED = {
-    "ipc": {"mode": {"exact", "sampled"}, "n": 1, "shots": 1, "timesteps": 1, "washout": 0},
-    "scan-n": {"n_min": 1, "timesteps": 1, "repeats": 1, "washout": 0},
-    "switching": {"count": 1},
-    "tails": {"draws": 1, "points": 3},
+    "ipc": {"mode": {"exact", "sampled"}, "n": (1, EXACT_MODE_MAX_BITS), "lambda": (0.0, 0.5),
+            "shots": 1, "timesteps": 1, "washout": 0},
+    "scan-n": {"n_min": 1, "lambda": (0.0, 0.5), "timesteps": 1, "repeats": 1, "washout": 0},
+    "switching": {"count": 1, "match_rule": {"decay-scale", "half-width"}},
+    "tails": {"draws": 1, "points": 3, "u_min": math.ulp(0.0)},
     "power-basis": {"n": (1, 6), "samples": 1},
-    "learnability": {"trials": 1000, "growth_n_min": 5},
+    "learnability": {"trials": 1000, "growth_n_min": 5, "growth_n_max": (5, 66)},
     "fat-shatter": {"count": 2},
+    "embed-check": {"cases": 1, "dt": math.ulp(0.0)},
 }
 
 # (least, greatest) key pairs of a range, which must not be empty

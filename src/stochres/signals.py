@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import MissingShotMetadata, MixedDimensions
 from .fileio import csv_text, read_raw, write_atomic, write_raw
-from .reservoir import BitstringDistribution, TrajectoryEnsemble
+from .reservoir import EXACT_MODE_MAX_BITS, BitstringDistribution, TrajectoryEnsemble
 
 logger = logging.getLogger(__name__)
 
@@ -117,8 +117,9 @@ def probability_signals(dists) -> SignalMatrix:
 
 def empirical_probabilities(ensemble: TrajectoryEnsemble) -> SignalMatrix:
     """Per-step bitstring frequencies of a trajectory ensemble."""
-    if ensemble.n > 14:
-        raise ValueError("dense frequencies limited to n <= 14; use mask moments")
+    if ensemble.n > EXACT_MODE_MAX_BITS:
+        raise ValueError(
+            f"dense frequencies limited to n <= {EXACT_MODE_MAX_BITS}; use mask moments")
     dim = 2 ** ensemble.n
     counts = np.zeros((ensemble.steps, dim))
     for t in range(ensemble.steps):

@@ -16,9 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NegativeProbability
+from .reservoir import EXACT_MODE_MAX_BITS
 from .signals import MODE_MOMENT, SignalMatrix
-
-DENSE_MAX_BITS = 14
 
 
 def subset_mask(bits, n: int) -> int:
@@ -27,9 +26,9 @@ def subset_mask(bits, n: int) -> int:
 
 
 def _check_dense(n: int) -> None:
-    if n > DENSE_MAX_BITS:
+    if n > EXACT_MODE_MAX_BITS:
         raise ValueError(
-            f"dense transforms limited to n <= {DENSE_MAX_BITS}; "
+            f"dense transforms limited to n <= {EXACT_MODE_MAX_BITS}; "
             "pass an explicit mask list instead"
         )
 

@@ -1,6 +1,7 @@
 """Run configs, artifact writing, manifests, CLI exit codes."""
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -213,6 +214,9 @@ def test_cli_rejects_ambiguous_numbers_with_config_exit_code(text, tmp_path):
     ('{"n": 0}', "n"),
     ('{"mode": "sampled", "shots": 0}', "shots"),
     ('{"timesteps": -5}', "timesteps"),
+    ('{"lambda": 0.7}', "lambda"),
+    ('{"lambda": -0.1}', "lambda"),
+    ('{"n": 15, "mode": "sampled"}', "n"),
 ])
 def test_cli_rejects_out_of_range_values_with_config_exit_code(text, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -239,6 +243,11 @@ def test_config_range_limits_are_inclusive():
                            "timesteps": 1, "washout": 0})
     assert (eff["n_min"], eff["n_max"], eff["washout"]) == (3, 3, 0)
     assert validate_config({"experiment": "ipc", "mode": "sampled", "shots": 1})["shots"] == 1
+    eff = validate_config({"experiment": "ipc", "n": 14, "lambda": 0.5})
+    assert (eff["n"], eff["lambda"]) == (14, 0.5)
+    assert validate_config({"experiment": "scan-n", "lambda": 0.0})["lambda"] == 0.0
+    assert validate_config({"experiment": "tails", "u_min": 5e-324})["u_min"] == 5e-324
+    assert validate_config({"experiment": "embed-check", "cases": 1})["cases"] == 1
 
 
 @pytest.mark.parametrize("experiment, text, key", [
@@ -258,6 +267,13 @@ def test_config_range_limits_are_inclusive():
     ("learnability", '{"growth_n_min": 4}', "growth_n_min"),
     ("learnability", '{"growth_n_min": 12, "growth_n_max": 9}', "growth_n_min"),
     ("fat-shatter", '{"count": 1}', "count"),
+    ("scan-n", '{"lambda": 0.7}', "lambda"),
+    ("scan-n", '{"lambda": -0.1}', "lambda"),
+    ("tails", '{"u_min": 0.0}', "u_min"),
+    ("learnability", '{"growth_n_max": 67}', "growth_n_max"),
+    ("switching", '{"match_rule": "bogus"}', "match_rule"),
+    ("embed-check", '{"dt": 0.0}', "dt"),
+    ("embed-check", '{"cases": 0}', "cases"),
 ])
 def test_cli_rejects_other_experiments_out_of_range_values(experiment, text, key,
                                                            tmp_path, capsys):
@@ -280,6 +296,15 @@ def test_cli_runs_other_experiments_at_their_least_values(experiment, text, tmp_
     cfg.write_text(text)
     assert main([experiment, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_learnability_runs_at_its_greatest_growth_n(tmp_path):
+    # at n = 66, 1 - q with q = n^2 / 2^n is still below 1 in floating point
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"growth_n_min": 66, "growth_n_max": 66, "trials": 1000}')
+    assert main(["learnability", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "learnability_report.json").read_text())
+    assert math.isfinite(report["growth"][0]["m0_needed"])
 
 
 def test_shared_config_keys_have_per_experiment_limits():

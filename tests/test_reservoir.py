@@ -28,7 +28,6 @@ from stochres.reservoir import (
     ReservoirSpec,
     SAMPLE_BLOCK,
     _BlockOp,
-    _DenseOp,
     _KernelOp,
     asymmetric_flip_gate,
     constant_gate,
@@ -208,12 +207,18 @@ def test_step_preserves_simplex(seed, n):
 
 # --- compiled step plan ------------------------------------------------------
 
+def _spans(op, n):
+    """Whether ``op`` is a block op on all ``n`` bits of the register."""
+    return type(op) is _BlockOp and op.matrix.shape == (2 ** n,) * 2
+
+
 def test_plan_fuses_adjacent_permutations_into_one_gather():
     res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.05))
     kinds = [type(op).__name__ for op in res.plan.ops]
     # three swaps fuse; the set gate stays a kernel op; the four static
-    # flips fold into one dense op
-    assert kinds == ["_GatherOp", "_KernelOp", "_DenseOp"]
+    # flips fold into one block op spanning all 4 bits
+    assert kinds == ["_GatherOp", "_KernelOp", "_BlockOp"]
+    assert _spans(res.plan.ops[2], 4)
     parts = res.plan.ops[2].parts
     assert all(type(op) is _KernelOp for op in parts)
     assert [(op.index, op.gate) for op in parts] == list(enumerate(res.gates))[4:]
@@ -222,7 +227,7 @@ def test_plan_fuses_adjacent_permutations_into_one_gather():
 def test_scan_family_folds_through_n8_and_not_at_n9():
     def folds(n):
         res = sr.build_reservoir(sr.shift_register_flip_family(n, 0.05))
-        return any(isinstance(op, _DenseOp) for op in res.plan.ops)
+        return any(_spans(op, n) for op in res.plan.ops)
 
     assert folds(8) and not folds(9)
 
@@ -238,14 +243,15 @@ def test_folded_step_matches_dense_oracle(seed, n):
                    for _ in range(length)]
     spec.depth_bound = len(spec.gates)
     res = sr.build_reservoir(spec)
-    assert isinstance(res.plan.ops[-1], _DenseOp)
+    assert isinstance(res.plan.ops[-1], _BlockOp)
     state = gen.dirichlet(np.ones(2 ** n))
     for u in gen.uniform(-1, 1, 2):
         expected = dense_step_oracle(spec, state, u)
         assert np.max(np.abs(sr.step_exact(res, state, u) - expected)) < 1e-13
 
 
-@pytest.mark.parametrize("n, blocks", [(9, [6, 3]), (10, [5, 5]), (11, [4, 4, 3])])
+@pytest.mark.parametrize("n, blocks", [(9, [6, 3]), (10, [5, 5]), (11, [4, 4, 3])]
+                         + [(n, [n]) for n in range(2, 9)])
 def test_scan_family_flips_fold_into_bit_blocks_above_n8(n, blocks):
     res = sr.build_reservoir(sr.shift_register_flip_family(n, 0.05))
     kinds = [type(op).__name__ for op in res.plan.ops]
@@ -257,10 +263,31 @@ def test_scan_family_flips_fold_into_bit_blocks_above_n8(n, blocks):
         assert op.matrix.shape == (2 ** (end - start),) * 2
 
 
+def test_static_gates_fold_onto_the_bits_they_touch():
+    # two constant gates on bits 0 and 1 of six: one 4 x 4 block, not a
+    # 64 x 64 matrix of the whole register
+    gen = np.random.default_rng(3)
+    spec = ReservoirSpec(n=6, gates=[
+        flip_gate(5, {"type": "poly", "coeffs": [0.3, 0.1]}),
+        constant_gate((0,), gen.dirichlet(np.ones(2), size=2)),
+        constant_gate((1,), gen.dirichlet(np.ones(2), size=2))])
+    res = sr.build_reservoir(spec)
+    assert [type(op).__name__ for op in res.plan.ops] == ["_KernelOp", "_BlockOp"]
+    block = res.plan.ops[1]
+    assert block.matrix.shape == (4, 4)
+    np.testing.assert_array_equal(
+        block.matrix, np.kron(spec.gates[1].kernel(0.0), spec.gates[2].kernel(0.0)))
+    state = gen.dirichlet(np.ones(2 ** 6))
+    for u in (-0.5, 0.7):
+        expected = dense_step_oracle(spec, state, u)
+        assert np.max(np.abs(sr.step_exact(res, state, u) - expected)) < 1e-13
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(9, 10))
 def test_block_folded_step_matches_dense_oracle(seed, n):
-    # a trailing run of static gates too short to fold into one dense op
+    # a trailing run of static gates too short to fold into a block op
+    # spanning all n bits
     gen = np.random.default_rng(seed)
     spec = random_mixed_reservoir(n, gen)
     for _ in range(int(gen.integers(2, 9))):
@@ -269,7 +296,7 @@ def test_block_folded_step_matches_dense_oracle(seed, n):
                                         gen.dirichlet(np.ones(2 ** bits.size), size=2 ** bits.size)))
     spec.depth_bound = len(spec.gates)
     res = sr.build_reservoir(spec)
-    assert not any(isinstance(op, _DenseOp) for op in res.plan.ops)
+    assert not any(_spans(op, n) for op in res.plan.ops)
     assert any(isinstance(op, _BlockOp) for op in res.plan.ops)
     state = gen.dirichlet(np.ones(2 ** n))
     u = gen.uniform(-1, 1)
@@ -384,7 +411,7 @@ def test_plan_stacks_equal_per_drive_kernels_bit_for_bit(seed, n):
 def test_run_on_folded_plan_equals_step_loop_bit_for_bit():
     spec = sr.shift_register_flip_family(6, 0.05)
     res = sr.build_reservoir(spec)
-    assert any(isinstance(op, _DenseOp) for op in res.plan.ops)
+    assert any(_spans(op, 6) for op in res.plan.ops)
     drives = np.random.default_rng(6).integers(0, 2, 300).astype(float)
     out = sr.run_exact(res, InputSequence(drives, washout_length=20))
     state = spec.initial_state.probs.copy()
@@ -455,11 +482,11 @@ def test_sampling_through_dense_ops_equals_sampling_their_parts():
     gen = np.random.default_rng(4)
     spec = random_physical_reservoir(4, gen)
     res = sr.build_reservoir(spec)
-    assert any(isinstance(op, _DenseOp) for op in res.plan.ops)
+    assert any(_spans(op, 4) for op in res.plan.ops)
     seq = InputSequence(gen.uniform(-1, 1, 40), washout_length=5)
     folded = sample_trajectories(res, seq, shots=300, seed=9)
     res.plan.ops = [part for op in res.plan.ops
-                    for part in (op.parts if isinstance(op, _DenseOp) else [op])]
+                    for part in (op.parts if isinstance(op, _BlockOp) else [op])]
     expanded = sample_trajectories(res, seq, shots=300, seed=9)
     assert folded.samples.tobytes() == expanded.samples.tobytes()
 
