@@ -374,13 +374,6 @@ class InputSequence:
             return self.values[:, 0]
         return np.linalg.norm(self.values, axis=1)
 
-    def check_drive_bound(self, bound: float) -> None:
-        mags = np.abs(self.drives)
-        if np.any(mags > bound + 1e-12):
-            raise DriveBoundViolation(
-                f"drive magnitude {mags.max():.6g} exceeds bound {bound:.6g}"
-            )
-
     def post_washout_weights(self) -> Optional[np.ndarray]:
         if self.weights is None:
             return None
@@ -685,12 +678,20 @@ class _BlockOp(_KernelOp):
         return states
 
 
+def _product_pays(bits: int, n: int, ops: int) -> bool:
+    """The fold cost rule: one kernel product on ``bits`` bits of an
+    ``n``-bit register, with its ``2**(bits + n)`` multiplications, costs no
+    more than the ``ops`` plan ops it replaces."""
+    return 2 ** (bits + n) <= ops * DENSE_ENTRIES_PER_OP
+
+
 def _fold_static_runs(ops, n: int) -> list:
     """Fold each maximal run of static ops into fewer kernel products where it pays.
 
     A run is cut, first op to last, into groups that each grow while one
     kernel product on the bits ``U`` they touch, with its ``2**(len(U) +
-    n)`` multiplications, costs no more than the group's ops:
+    n)`` multiplications, costs no more than the group's ops
+    (:func:`_product_pays`):
     ``2**(len(U) + n) <= len(group) * DENSE_ENTRIES_PER_OP``. Each group
     of two or more ops, at least one of them a kernel op, folds into one
     :class:`_BlockOp` on ``U``. The noise flips of the scan family, one
@@ -706,7 +707,7 @@ def _fold_static_runs(ops, n: int) -> list:
         start, bits = 0, set()
         for i, op in enumerate(run):
             grown = bits | _op_bits(op)
-            if 2 ** (len(grown) + n) <= (i + 1 - start) * DENSE_ENTRIES_PER_OP:
+            if _product_pays(len(grown), n, i + 1 - start):
                 bits = grown
             else:
                 out += _folded(run[start:i], bits, n)
@@ -739,6 +740,17 @@ class StepPlan:
     a folded run agree with gate-by-gate ones within 1e-13 per entry (about
     1e-16 in practice), not bit for bit; sampling is gate by gate either
     way, with unchanged output.
+
+    An exact step at drive ``u`` is one product with a whole-step
+    ``2**n`` x ``2**n`` matrix when the plan ``tabulates``, that is when
+    the same cost rule passes for all ``n`` bits and all the step's gates
+    (``4**n <= len(gates) * DENSE_ENTRIES_PER_OP``, through n = 8 for the
+    scan family), and every drive-dependent kernel at ``u`` is 0/1, as a
+    ``set`` gate's is under binary drives. The rule depends on the plan
+    and ``u`` alone, so every exact caller steps alike. ``whole_steps``
+    holds one matrix per distinct tuple of such kernels, keyed by their
+    bytes; each is built on first use by running the ops over the
+    identity, so it sees the ops as they are then.
     """
 
     def __init__(self, gates, n: int):
@@ -757,6 +769,9 @@ class StepPlan:
             ops.append(_GatherOp(run, n))
         # above the cap exact steps are refused, so a folded kernel is never used
         self.ops = _fold_static_runs(ops, n) if fuse else ops
+        self.n = n
+        self.tabulates = fuse and _product_pays(n, n, len(gates))
+        self.whole_steps = {}
 
     def kernels(self, u) -> list:
         """Per-op kernels at drive ``u`` (None for gathers and folded ops; static ones shared).
@@ -778,6 +793,39 @@ class StepPlan:
         """Split ``kernels`` or ``cdfs`` of ``count`` drives into one op list per drive."""
         return [[t[i] if op.varies else t for op, t in zip(self.ops, tables)]
                 for i in range(count)]
+
+    def exact_steps(self, values: np.ndarray) -> list:
+        """How an exact step runs at each drive of the 1-D array ``values``:
+        its whole-step matrix when the plan tabulates that step, else its
+        per-op kernel list. :meth:`advance` applies either."""
+        kernels = self.kernels(values)
+        steps = self.per_value(kernels, len(values))
+        if self.tabulates:
+            deterministic = np.ones(len(values), dtype=bool)
+            for op, k in zip(self.ops, kernels):
+                if op.varies:
+                    deterministic &= ((k == 0.0) | (k == 1.0)).all(axis=(-2, -1))
+            for i in np.flatnonzero(deterministic).tolist():
+                steps[i] = self._whole_step(steps[i])
+        return steps
+
+    def _whole_step(self, kernels: list) -> np.ndarray:
+        key = b"".join(k.tobytes() for op, k in zip(self.ops, kernels) if op.varies)
+        matrix = self.whole_steps.get(key)
+        if matrix is None:
+            matrix = self.advance(np.eye(2 ** self.n), kernels)
+            matrix = self.whole_steps[key] = np.ascontiguousarray(matrix)
+        return matrix
+
+    def advance(self, vec: np.ndarray, step) -> np.ndarray:
+        """``vec`` (one state, or a batch of them as rows) after one exact
+        step from :meth:`exact_steps`: one product with its whole-step
+        matrix, or the ops with its kernels."""
+        if isinstance(step, np.ndarray):
+            return vec @ step
+        for op, kernel in zip(self.ops, step):
+            vec = op.exact(vec, kernel)
+        return vec
 
 
 # ---------------------------------------------------------------------------
@@ -883,59 +931,70 @@ def _checked_drives(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
     drives = inputs.drives
     if not np.all(np.isfinite(drives)):
         raise NonfiniteDrive("drive sequence contains non-finite values")
-    inputs.check_drive_bound(max(map(abs, reservoir.spec.drive_domain)))
+    lo, hi = reservoir.spec.drive_domain
+    outside = (drives < lo - 1e-12) | (drives > hi + 1e-12)
+    if np.any(outside):
+        raise DriveBoundViolation(
+            f"drive {drives[outside][0]:.6g} lies outside the drive domain [{lo:.6g}, {hi:.6g}]"
+        )
     return drives
 
 
-def step_exact(reservoir: Reservoir, state, u: float, kernels=None) -> np.ndarray:
-    """One exact time step: run the reservoir's compiled plan at drive ``u``.
-
-    Gather ops permute the probability vector; kernel ops apply their gate
-    kernel along the gate's bits; block ops apply their folded kernel along
-    their bits, or multiply the state by it when they span the register.
-    ``state`` may be a :class:`BitstringDistribution` or a raw probability
-    vector; the result is a probability vector. ``kernels`` is ``reservoir.plan.kernels(u)``, for
-    callers that step many times at the same drive value.
-    """
-    if not np.isfinite(u):
-        raise NonfiniteDrive(f"drive is {u!r}")
+def _check_exact_mode(reservoir: Reservoir) -> None:
     if reservoir.n > EXACT_MODE_MAX_BITS:
         raise ExactModeOverflow(
             f"exact mode supports up to {EXACT_MODE_MAX_BITS} bits, got {reservoir.n}"
         )
+
+
+def step_exact(reservoir: Reservoir, state, u: float) -> np.ndarray:
+    """One exact time step: run the reservoir's compiled plan at drive ``u``.
+
+    The step is the plan's step at ``u`` (:meth:`StepPlan.exact_steps`):
+    one product with the whole-step matrix where the plan tabulates it,
+    else the ops in turn. Gather ops permute the probability vector; kernel
+    ops apply their gate kernel along the gate's bits; block ops apply
+    their folded kernel along their bits, or multiply the state by it when
+    they span the register. ``state`` may be a
+    :class:`BitstringDistribution` or a raw probability vector; the result
+    is a probability vector.
+    """
+    if not np.isfinite(u):
+        raise NonfiniteDrive(f"drive is {u!r}")
+    _check_exact_mode(reservoir)
     vec = state.probs if isinstance(state, BitstringDistribution) else np.asarray(state, dtype=float)
     if vec.size != reservoir.dim:
         raise MixedDimensions("state size does not match reservoir")
-    if kernels is None:
-        kernels = reservoir.plan.kernels(float(u))
-    for op, kernel in zip(reservoir.plan.ops, kernels):
-        vec = op.exact(vec, kernel)
-    return vec
+    plan = reservoir.plan
+    return plan.advance(vec, plan.exact_steps(np.array([float(u)]))[0])
 
 
 def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
     """Propagate the exact distribution and return post-washout states.
 
     Output row ``t`` is the distribution after processing drive
-    ``washout_length + t``. Every step is one :func:`step_exact` call, so
-    the run equals a loop of them bit for bit. After each step, negative
-    entries are set to zero and the state is divided by its sum; if that
-    sum is ever further than ``RENORM_DRIFT_TOL`` from one, the run raises
+    ``washout_length + t``. Every step is the same per-value step as
+    :func:`step_exact` takes, so the run equals a loop of them bit for
+    bit. After each step, negative entries are set to zero and the state
+    is divided by its sum; if that sum is ever further than
+    ``RENORM_DRIFT_TOL`` from one, the run raises
     :class:`NumericCheckFailure` with the drift instead of hiding it. Steps
-    run in chunks of ``EXACT_DRIVE_CHUNK``; the kernels of a chunk's
-    distinct drive values are built at once, one array-valued drive
-    evaluation per gate.
+    run in chunks of ``EXACT_DRIVE_CHUNK``; the steps of a chunk's distinct
+    drive values are resolved at once, with one array-valued drive
+    evaluation per gate, and a tabulated step is one product with its
+    whole-step matrix.
     """
     drives = _checked_drives(reservoir, inputs)
+    _check_exact_mode(reservoir)
     plan = reservoir.plan
     state = reservoir.spec.initial_state.probs.copy()
     out = np.empty((len(inputs) - inputs.washout_length, reservoir.dim))
     drift = 0.0  # largest |sum - 1| so far
     for t0 in range(0, len(drives), EXACT_DRIVE_CHUNK):
         values, inverse = np.unique(drives[t0:t0 + EXACT_DRIVE_CHUNK], return_inverse=True)
-        kernels = plan.per_value(plan.kernels(values), len(values))
+        steps = plan.exact_steps(values)
         for t, i in enumerate(inverse.tolist(), start=t0):
-            state = step_exact(reservoir, state, drives[t], kernels[i])
+            state = plan.advance(state, steps[i])
             np.maximum(state, 0.0, out=state)
             total = state.sum()
             state /= total

@@ -30,6 +30,7 @@ from stochres.reservoir import (
     _BlockOp,
     _KernelOp,
     asymmetric_flip_gate,
+    cnot_gate,
     constant_gate,
     controlled_flip_gate,
     eval_drive_fn,
@@ -39,6 +40,7 @@ from stochres.reservoir import (
     permutation_gate,
     sample_trajectories,
     set_gate,
+    swap_gate,
 )
 from stochres.rng import stream
 
@@ -423,6 +425,61 @@ def test_run_on_folded_plan_equals_step_loop_bit_for_bit():
             assert np.array_equal(out[t - 20], state)
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_binary_scan_run_tabulates_one_whole_step_per_drive_value_through_n8(n):
+    # 4**n <= 2n * DENSE_ENTRIES_PER_OP holds through n = 8; the tables are
+    # built on first use, one per 0/1 set kernel
+    res = sr.build_reservoir(sr.shift_register_flip_family(n, 0.05))
+    assert res.plan.whole_steps == {}
+    drives = np.random.default_rng(n).integers(0, 2, 40).astype(float)
+    sr.run_exact(res, InputSequence(drives, washout_length=5))
+    assert len(res.plan.whole_steps) == (2 if n <= 8 else 0)
+    for matrix in res.plan.whole_steps.values():
+        assert matrix.shape == (2 ** n, 2 ** n)
+
+
+def test_continuous_drives_tabulate_no_whole_step():
+    # the basis benchmark's reservoir: no drive in [-1, 1] makes its set or
+    # controlled-flip kernel 0/1
+    n = 6
+    gates = [swap_gate(i, i + 1) for i in range(n - 1)]
+    gates.append(set_gate(n - 1, {"type": "poly", "coeffs": [0.5, 0.35, 0.1]}))
+    gates.append(controlled_flip_gate(n - 1, 0, {"type": "logistic", "rate": 3.0,
+                                                 "center": 0.0, "lo": 0.05, "hi": 0.45}))
+    gates += [flip_gate(i, 0.03) for i in range(n)]
+    res = sr.build_reservoir(ReservoirSpec(n=n, gates=gates))
+    assert res.plan.tabulates
+    drives = np.random.default_rng(0).uniform(-1, 1, 300)
+    sr.run_exact(res, InputSequence(drives, washout_length=10))
+    assert res.plan.whole_steps == {}
+
+
+def test_mixed_drives_step_through_tables_and_ops_alike():
+    # the set drive is 0/1 at u in {0, 1} only, so those steps are
+    # tabulated and the others run the ops
+    gen = np.random.default_rng(12)
+    n = 4
+    gates = [swap_gate(i, i + 1) for i in range(n - 1)]
+    gates.append(set_gate(n - 1, {"type": "poly", "coeffs": [0.0, 1.0]}))
+    gates.append(constant_gate((0, 2), (0.9 * np.eye(4) + 0.1 * gen.dirichlet(np.ones(4), size=4))))
+    gates.append(cnot_gate(1, 3))
+    gates += [flip_gate(i, gen.uniform(0.02, 0.08)) for i in range(n)]
+    spec = ReservoirSpec(n=n, gates=gates, drive_domain=(0.0, 1.0))
+    res = sr.build_reservoir(spec)
+    drives = gen.choice(np.concatenate([[0.0, 1.0], gen.uniform(0, 1, 6)]), size=600)
+    out = sr.run_exact(res, InputSequence(drives, washout_length=30))
+    assert len(res.plan.whole_steps) == 2
+    state = spec.initial_state.probs.copy()
+    for t, u in enumerate(drives):
+        expected = dense_step_oracle(spec, state, u)
+        state = sr.step_exact(res, state, u)
+        assert np.max(np.abs(state - expected)) < 1e-13
+        np.clip(state, 0.0, None, out=state)
+        state /= state.sum()
+        if t >= 30:
+            assert np.array_equal(out[t - 30], state)
+
+
 def _scaled_dense_reservoir(factor):
     res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.05))
     res.plan.ops[-1].matrix *= factor
@@ -759,6 +816,13 @@ def test_run_rejects_out_of_domain_drive():
         sr.run_exact(res, seq)
     with pytest.raises(DriveBoundViolation):
         sample_trajectories(res, seq, shots=3, seed=0)
+    # below the domain [0, 1] but within its largest magnitude
+    res = sr.build_reservoir(sr.shift_register_flip_family(3, 0.05))
+    seq = InputSequence(np.array([1.0, -0.5, 0.0]), washout_length=0)
+    with pytest.raises(DriveBoundViolation, match="domain"):
+        sr.run_exact(res, seq)
+    with pytest.raises(DriveBoundViolation, match="domain"):
+        sample_trajectories(res, seq, shots=3, seed=0)
 
 
 def test_exact_mode_register_cap():
@@ -768,6 +832,8 @@ def test_exact_mode_register_cap():
     res = sr.build_reservoir(ReservoirSpec(n=15, gates=gates))
     with pytest.raises(ExactModeOverflow):
         sr.step_exact(res, np.full(2 ** 15, 1.0 / 2 ** 15), 0.0)
+    with pytest.raises(ExactModeOverflow):
+        sr.run_exact(res, InputSequence(np.zeros(3), washout_length=0))
 
 
 def test_step_accepts_distribution_wrapper():
