@@ -19,6 +19,7 @@ import itertools
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -522,12 +523,6 @@ def _cdf_columns(kernel: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(np.cumsum(kernel, axis=-1)[..., :-1], -1, -2))
 
 
-def _cdf_tables(kernels) -> list:
-    """The :func:`_cdf_columns` of each plan op's kernel; None (a gather or
-    folded op, which has no kernel of its own) stays None."""
-    return [None if k is None else _cdf_columns(k) for k in kernels]
-
-
 def _is_bijection(gate: StochasticGate) -> bool:
     return (gate.kind == "permutation"
             and sorted(gate.params["perm"]) == list(range(2 ** gate.arity)))
@@ -562,9 +557,6 @@ class _GatherOp:
 
     def exact(self, vec: np.ndarray, kernel) -> np.ndarray:
         return vec[..., self.src]
-
-    def sample(self, states: np.ndarray, cdf, draws) -> np.ndarray:
-        return self.fwd[states]
 
 
 class _KernelOp:
@@ -617,12 +609,12 @@ class _KernelOp:
         mat = vec.reshape(shape).transpose(axes).reshape(self.rows, -1)
         return (kernel.T @ mat).reshape(moved).transpose(inv).reshape(flat)
 
-    def sample(self, states: np.ndarray, cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    def sample(self, states: np.ndarray, cdf: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Each shot's new sub-register, drawn from its kernel row by its uniform ``r``."""
         sub = _read_bits(states, self.shifts)
         # index = #{j : cdf_j <= r}: half-open buckets, so states of
         # probability zero are never selected
-        below = cdf[:, sub] <= draws[self.index]
-        new_sub = below[0] if len(below) == 1 else below.sum(axis=0)
+        new_sub = (cdf[:, sub] <= r).sum(axis=0, dtype=states.dtype)
         _flip_bits(states, sub ^ new_sub, self.shifts)
         return states
 
@@ -642,9 +634,10 @@ class _BlockOp(_KernelOp):
     it, over its identity. An exact state advances by one kernel op with
     this matrix, or by one product ``vec @ matrix`` when the bits are the
     whole register. Its sums group the parts' products differently, so an
-    exact step moves in the last bits. Sampling runs the parts themselves,
-    each on its own uniforms and with the CDF table of its own kernel, so
-    every stream and sample is unchanged.
+    exact step moves in the last bits. The sampler takes the parts
+    themselves (see :func:`_sampler_steps`), each on its own uniforms and
+    with the CDF table of its own kernel, so every stream and sample is
+    unchanged.
     """
 
     varies = False  # with the drive
@@ -662,7 +655,6 @@ class _BlockOp(_KernelOp):
                      else _KernelOp(part.index, moved[0], len(bits)))
             rows = local.exact(rows, part.kernel(0.0))
         self.matrix = np.ascontiguousarray(rows)
-        self.part_cdfs = _cdf_tables(part.kernel(0.0) for part in parts)
 
     def kernel(self, u):
         return None
@@ -671,11 +663,6 @@ class _BlockOp(_KernelOp):
         if self.spans:
             return vec @ self.matrix
         return super().exact(vec, self.matrix)
-
-    def sample(self, states: np.ndarray, cdf, draws: np.ndarray) -> np.ndarray:
-        for part, part_cdf in zip(self.parts, self.part_cdfs):
-            states = part.sample(states, part_cdf, draws)
-        return states
 
 
 def _product_pays(bits: int, n: int, ops: int) -> bool:
@@ -738,8 +725,10 @@ class StepPlan:
     small registers a block spans the whole register (through n = 8 for
     the scan family) and is one matrix-vector product. Exact steps through
     a folded run agree with gate-by-gate ones within 1e-13 per entry (about
-    1e-16 in practice), not bit for bit; sampling is gate by gate either
-    way, with unchanged output.
+    1e-16 in practice), not bit for bit. The sampler takes block ops by
+    their parts and each run of one-bit kernel ops as one bit-run (see
+    :func:`_sampler_steps`), from the ops as they are at the call, with
+    the same samples as one gate at a time.
 
     An exact step at drive ``u`` is one product with a whole-step
     ``2**n`` x ``2**n`` matrix when the plan ``tabulates``, that is when
@@ -782,12 +771,9 @@ class StepPlan:
         return [op.kernel(u) for op in self.ops]
 
     def cdfs(self, u) -> list:
-        """The sampler's tables: :func:`_cdf_columns` of :meth:`kernels` at ``u``.
-
-        None for gathers, and for block ops, which hold their parts' tables
-        themselves.
-        """
-        return _cdf_tables(self.kernels(u))
+        """:func:`_cdf_columns` of :meth:`kernels` at ``u``, the tables a
+        kernel op samples from; None for gathers and block ops."""
+        return [None if k is None else _cdf_columns(k) for k in self.kernels(u)]
 
     def per_value(self, tables: list, count: int) -> list:
         """Split ``kernels`` or ``cdfs`` of ``count`` drives into one op list per drive."""
@@ -1015,39 +1001,145 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
 # sampled propagation
 # ---------------------------------------------------------------------------
 
-def _sample_block(reservoir: Reservoir, drives, washout, shot_slice, seed,
-                  out, step_tables):
-    """Simulate shots [shot_slice] with per-shot Philox streams."""
-    shot_ids = range(shot_slice.start, shot_slice.stop)
-    gens = [_rng.stream(seed, s) for s in shot_ids]
-    n_gates = len(reservoir.gates)
-    ops = reservoir.plan.ops
-    init = reservoir.spec.initial_state.probs
-    init_cdf = np.cumsum(init)
+class _BitRun:
+    """A maximal run of one-bit kernel ops, sampled as two bit masks per step.
+
+    A one-bit op sets its bit to ``cdf[0, b] <= r`` from the bit's value
+    ``b``, its kernel row's CDF and its uniform ``r``; ops on other bits
+    neither read nor write it. So after the run each bit is a function of
+    its own value before it, and :meth:`load` tabulates both outcomes for a
+    draw chunk with whole-chunk array ops: bit ``b`` of ``m0[i, k]`` is
+    shot ``i``'s bit after the run at step ``k`` from a 0, and of
+    ``m1[i, k]`` from a 1. The bits the run leaves alone are 0 in ``m0``
+    and 1 in ``m1``. The masks held are ``m0`` and ``m0 ^ m1``, the bits
+    whose outcome depends on their value, so a step is ``m0 ^ (states &
+    (m0 ^ m1))``, which is ``(states & m1) | (~states & m0)`` in two array
+    ops. The comparisons are those of one op at a time, and a later op on
+    a bit composes after an earlier one, so every sample is unchanged.
+    """
+
+    def __init__(self, ops, values, dtype):
+        self.dtype = dtype
+        # per bit (as its shift): (uniform column, varies, cdf[..., 0, :])
+        # of each op on it, in plan order
+        self.bits = {}
+        for op in ops:
+            cdf = _cdf_columns(op.kernel(values))[..., 0, :]
+            self.bits.setdefault(op.shifts[0], []).append((op.index, op.varies, cdf))
+        self.keep = dtype.type(~sum(1 << sh for sh in self.bits) & np.iinfo(dtype).max)
+
+    def reserve(self, cells: int) -> None:
+        """Allocate the masks and scratch of up to ``cells`` (shot, step)
+        pairs per chunk, which :meth:`load` fills in place."""
+        self.ints = np.empty(3 * cells, dtype=self.dtype)
+        self.bools = np.empty(4 * cells, dtype=bool)
+
+    def load(self, draws: np.ndarray, index: np.ndarray) -> None:
+        """Tabulate the masks of the chunk's uniforms ``draws[shot, step,
+        gate]``, whose steps take drive value ``index[step]``."""
+        shots, steps = draws.shape[:2]
+        size = shots * steps
+        m0, m1, shifted = self.ints[:3 * size].reshape(3, shots, steps)
+        self.masks = m0, m1
+        zero, one, out0, out1 = self.bools[:4 * size].reshape(4, shots, steps)
+        m0.fill(0)
+        m1.fill(self.keep)
+        for shift, ops in self.bits.items():
+            for j, (column, varies, cdf) in enumerate(ops):
+                c0, c1 = (cdf[index, 0], cdf[index, 1]) if varies else cdf
+                r = draws[:, :, column]
+                if j == 0:
+                    np.less_equal(c0, r, out=zero)
+                    np.less_equal(c1, r, out=one)
+                    continue
+                # the op's outcome is out1 where the bit is 1, else out0:
+                # out0 ^ (bit & (out0 ^ out1))
+                np.less_equal(c0, r, out=out0)
+                np.less_equal(c1, r, out=out1)
+                out1 ^= out0
+                for bit in (zero, one):
+                    bit &= out1
+                    bit ^= out0
+            for mask, bit in ((m0, zero), (m1, one)):
+                np.left_shift(bit.view(np.uint8), shift, out=shifted, dtype=self.dtype)
+                mask |= shifted
+        m1 ^= m0
+
+    def sample(self, states: np.ndarray, k: int) -> np.ndarray:
+        m0, differ = self.masks
+        return m0[:, k] ^ (states & differ[:, k])
+
+
+class _OpStep:
+    """A gather or multi-bit kernel op, sampled one step at a time."""
+
+    def __init__(self, op, values, dtype):
+        self.op = op
+        self.fwd = op.fwd.astype(dtype) if isinstance(op, _GatherOp) else None
+        self.cdf = None if self.fwd is not None else _cdf_columns(op.kernel(values))
+
+    def reserve(self, cells: int) -> None:
+        pass
+
+    def load(self, draws: np.ndarray, index: np.ndarray) -> None:
+        self.draws, self.index = draws, index
+
+    def sample(self, states: np.ndarray, k: int) -> np.ndarray:
+        if self.fwd is not None:
+            return self.fwd.take(states)
+        op = self.op
+        cdf = self.cdf[self.index[k]] if op.varies else self.cdf
+        return op.sample(states, cdf, self.draws[:, k, op.index])
+
+
+def _sampler_steps(plan: StepPlan, values: np.ndarray, dtype) -> list:
+    """The plan's ops as the sampler runs them at the drive ``values``.
+
+    A block op gives its parts back; each maximal run of one-bit kernel ops
+    among them becomes one :class:`_BitRun`, and every other op one
+    :class:`_OpStep`.
+    """
+    parts = [part for op in plan.ops
+             for part in (op.parts if isinstance(op, _BlockOp) else [op])]
+    steps = []
+    for one_bit, run in itertools.groupby(
+            parts, lambda op: isinstance(op, _KernelOp) and op.rows == 2):
+        if one_bit:
+            steps.append(_BitRun(list(run), values, dtype))
+        else:
+            steps += [_OpStep(op, values, dtype) for op in run]
+    return steps
+
+
+def _sample_block(reservoir: Reservoir, steps, index, washout, shot_slice, seed, out,
+                  draws, dtype):
+    """Simulate shots [shot_slice] with per-shot Philox streams, their
+    states held as ``dtype``; step ``t`` takes drive value ``index[t]``.
+    ``draws[i, k, gi]`` takes shot i's uniform for gate gi at step t0 + k of
+    each draw chunk."""
+    gens = [_rng.stream(seed, s) for s in range(shot_slice.start, shot_slice.stop)]
+    init_cdf = np.cumsum(reservoir.spec.initial_state.probs)
     init_cdf[-1] = 1.0
 
     # one uniform for the initial state, then one per (step, gate); a fused
     # gather leaves its gates' uniforms unread
     r0 = np.array([g.random() for g in gens])
-    states = np.searchsorted(init_cdf, r0, side="right").astype(np.int64)
+    states = np.searchsorted(init_cdf, r0, side="right")
     np.clip(states, 0, reservoir.dim - 1, out=states)
+    states = states.astype(dtype)
 
-    # steps whose uniforms are drawn at once: SAMPLE_DRAW_CHUNK per gate
-    chunk = max(1, SAMPLE_DRAW_CHUNK // len(gens))
-    t0 = 0
-    while t0 < len(drives):
-        t1 = min(t0 + chunk, len(drives))
-        # draws[i, t - t0, gi] is shot i's uniform for gate gi at step t
-        draws = np.empty((len(gens), t1 - t0, n_gates))
+    chunk = draws.shape[1]
+    for t0 in range(0, len(index), chunk):
+        chunk_draws = draws[:, :len(index) - t0]
         for i, g in enumerate(gens):
-            g.random(out=draws[i])
-        for t in range(t0, t1):
-            step_draws = np.ascontiguousarray(draws[:, t - t0].T)
-            for op, cdf in zip(ops, step_tables[t]):
-                states = op.sample(states, cdf, step_draws)
+            g.random(out=chunk_draws[i])
+        for step in steps:
+            step.load(chunk_draws, index[t0:t0 + chunk])
+        for k, t in enumerate(range(t0, t0 + chunk_draws.shape[1])):
+            for step in steps:
+                states = step.sample(states, k)
             if t >= washout:
                 out[shot_slice, t - washout] = states
-        t0 = t1
 
 
 def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
@@ -1056,28 +1148,48 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
 
     Every shot has its own counter-based stream keyed by (seed, shot index),
     so the result is bit-identical for any block schedule. Shots run in
-    blocks of ``SAMPLE_BLOCK`` on one thread: the loop over plan ops holds
-    the GIL, so worker threads would add only scheduling, and ``threads``
-    is accepted but unused. Shots advance through the reservoir's compiled
-    plan: a gather op maps states through its index table, a kernel op
-    draws each shot's new sub-register from its gate's kernel row, and a
-    block op runs the gather and kernel ops it was folded from. Per
-    step, each gate owns exactly one uniform per shot, so fusing gates
-    leaves every stream, and the output, unchanged. Kernel rows are built
-    once for all of the run's distinct drive values.
+    blocks of ``SAMPLE_BLOCK`` on one thread: the loop over steps holds the
+    GIL, so worker threads would add only scheduling, and ``threads`` (at
+    least 1) is accepted but unused. Per step, each gate owns exactly one
+    uniform per shot, drawn ``SAMPLE_DRAW_CHUNK`` per gate at a time, and a
+    state of a one-hot kernel row takes its column whatever the uniform.
+    Shots advance through the reservoir's compiled plan, block ops through
+    their parts (see :func:`_sampler_steps`): a gather maps states through
+    its index table, a multi-bit kernel op draws each shot's new
+    sub-register from its kernel row, and each run of one-bit kernel ops
+    (the ``set`` drive and flip noise of every experiment's reservoir) is
+    one :class:`_BitRun`, two masks per step tabulated for each draw chunk
+    with the same comparisons. So fusing or folding gates leaves every
+    stream, and the output, unchanged. Kernel rows are built once for all
+    of the run's distinct drive values.
     """
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
     drives = _checked_drives(reservoir, inputs)
 
-    steps_out = len(inputs) - inputs.washout_length
-    out = np.empty((shots, steps_out), dtype=np.int64)
-    values, inverse = np.unique(drives, return_inverse=True)
-    tables = reservoir.plan.per_value(reservoir.plan.cdfs(values), len(values))
-    step_tables = [tables[i] for i in inverse]
-    for s in range(0, shots, SAMPLE_BLOCK):
-        _sample_block(reservoir, drives, inputs.washout_length,
-                      slice(s, min(s + SAMPLE_BLOCK, shots)), seed, out, step_tables)
+    out = np.empty((shots, len(inputs) - inputs.washout_length), dtype=np.int64)
+    values, index = np.unique(drives, return_inverse=True)
+    # the smallest unsigned type that holds n bits
+    dtype = np.min_scalar_type(reservoir.dim - 1)
+    steps = _sampler_steps(reservoir.plan, values, dtype)
+    blocks = [slice(s, min(s + SAMPLE_BLOCK, shots)) for s in range(0, shots, SAMPLE_BLOCK)]
+    # steps whose uniforms are drawn at once: SAMPLE_DRAW_CHUNK per gate
+    chunks = [min(max(1, SAMPLE_DRAW_CHUNK // (b.stop - b.start)), len(index)) for b in blocks]
+    # one buffer of uniforms, masks and scratch for every block
+    gates = len(reservoir.gates)
+    cells = max((b.stop - b.start) * chunk for b, chunk in zip(blocks, chunks))
+    buffer = np.empty(cells * gates)
+    for step in steps:
+        step.reserve(cells)
+    for block, chunk in zip(blocks, chunks):
+        block_shots = block.stop - block.start
+        draws = buffer[:block_shots * chunk * gates].reshape(block_shots, chunk, gates)
+        _sample_block(reservoir, steps, index, inputs.washout_length, block, seed, out,
+                      draws, dtype)
     return TrajectoryEnsemble(out, reservoir.n, seed, inputs.washout_length)
 
 

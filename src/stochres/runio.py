@@ -356,26 +356,34 @@ EXPERIMENTS: dict = {
 # allowed values of each experiment's config keys: a set of values, a
 # number as the least allowed value, or an inclusive (least, greatest)
 # pair; math.ulp(0.0), the least positive float, makes a float key
-# strictly positive. Both modes of ipc take the full 2^n distribution, so n
+# strictly positive, and a list holding one limit sets it for every entry
+# of a list key. Both modes of ipc take the full 2^n distribution, so n
 # stops at the exact-mode cap. Tails fits two parameters per law, so it
-# needs a third point to tell them apart; learnability's growth q = n^2 / 2^n
-# is below 1 from n = 5 on, and 1 - q rounds to 1 from n = 67 on;
-# fat-shatter's dimension >= 2 needs two signals. Switching's grid_points
-# is checked against its count, in validate_config.
+# needs a third point to tell them apart; learnability's q is a
+# probability, its growth q = n^2 / 2^n is below 1 from n = 5 on, and 1 - q
+# rounds to 1 from n = 67 on; fat-shatter's dimension >= 2 needs two
+# signals. A signal peak of the switching family is at most 1, so no
+# sharpness reaches a target_min_peak above 1. Switching's grid_points is
+# checked against its count, in validate_config.
 _ALLOWED = {
     "ipc": {"mode": {"exact", "sampled"}, "n": (1, EXACT_MODE_MAX_BITS), "lambda": (0.0, 0.5),
             "shots": 1, "timesteps": 1, "washout": 0},
     "scan-n": {"n_min": 1, "lambda": (0.0, 0.5), "timesteps": 1, "repeats": 1, "washout": 0},
-    "switching": {"count": 1, "match_rule": {"decay-scale", "half-width"}},
+    "switching": {"count": 1, "match_rule": {"decay-scale", "half-width"},
+                  "target_min_peak": (math.ulp(0.0), 1.0)},
     "tails": {"draws": 1, "points": 3, "u_min": math.ulp(0.0)},
     "power-basis": {"n": (1, 6), "samples": 1},
-    "learnability": {"trials": 1000, "growth_n_min": 5, "growth_n_max": (5, 66)},
-    "fat-shatter": {"count": 2},
+    "learnability": {"q_values": [(0.0, 1.0)], "trials": 1000, "growth_n_min": 5,
+                     "growth_n_max": (5, 66)},
+    "fat-shatter": {"count": 2, "target_min_peak": (math.ulp(0.0), 1.0)},
     "embed-check": {"cases": 1, "dt": math.ulp(0.0)},
 }
 
-# (least, greatest) key pairs of a range, which must not be empty
-_RANGES = (("n_min", "n_max"), ("growth_n_min", "growth_n_max"))
+# (least, greatest, strict) key triples of a range, which must not be
+# empty; a strict range must not be a single point either (tails fits laws
+# in u over [u_min, u_max])
+_RANGES = (("n_min", "n_max", False), ("growth_n_min", "growth_n_max", False),
+           ("u_min", "u_max", True))
 
 _COMMON_KEYS = {"experiment", "seed", "out_dir", "threads"}
 
@@ -394,6 +402,21 @@ def _number(key, value, want):
     raise ConfigValidation(f"config key {key!r} expects {kind}, got {value!r}")
 
 
+def _check_limit(key, value, allowed) -> None:
+    """Raise ConfigValidation, naming ``key``, unless ``value`` is within
+    ``allowed``, one limit of the forms of ``_ALLOWED``."""
+    if isinstance(allowed, set):
+        if value not in allowed:
+            raise ConfigValidation(
+                f"config key {key!r} must be one of {sorted(allowed)}, got {value!r}")
+        return
+    lo, hi = allowed if isinstance(allowed, tuple) else (allowed, None)
+    if value < lo:
+        raise ConfigValidation(f"config key {key!r} must be >= {lo}, got {value!r}")
+    if hi is not None and value > hi:
+        raise ConfigValidation(f"config key {key!r} must be <= {hi}, got {value!r}")
+
+
 def validate_config(config: dict) -> dict:
     """Merge defaults, reject unknown keys, wrong types and values outside
     ``_ALLOWED``, and return the effective config."""
@@ -409,6 +432,7 @@ def validate_config(config: dict) -> dict:
             raise ConfigValidation(f"unknown config key: {key!r}")
     effective = {"experiment": name, "seed": _number("seed", config.get("seed", 0), int),
                  "threads": _number("threads", config.get("threads", 1), int)}
+    _check_limit("threads", effective["threads"], 1)
     if "out_dir" in config:
         effective["out_dir"] = str(config["out_dir"])
     merged = copy.deepcopy(defaults)
@@ -425,17 +449,12 @@ def validate_config(config: dict) -> dict:
                 f"config key {key!r} expects {want.__name__}, got {type(value).__name__}"
             )
     for key, allowed in _ALLOWED.get(name, {}).items():
-        value = merged[key]
-        if isinstance(allowed, set):
-            if value not in allowed:
-                raise ConfigValidation(
-                    f"config key {key!r} must be one of {sorted(allowed)}, got {value!r}")
-            continue
-        lo, hi = allowed if isinstance(allowed, tuple) else (allowed, None)
-        if value < lo:
-            raise ConfigValidation(f"config key {key!r} must be >= {lo}, got {value!r}")
-        if hi is not None and value > hi:
-            raise ConfigValidation(f"config key {key!r} must be <= {hi}, got {value!r}")
+        if isinstance(allowed, list):
+            for i, entry in enumerate(merged[key]):
+                entry_key = f"{key}[{i}]"
+                _check_limit(entry_key, _number(entry_key, entry, float), allowed[0])
+        else:
+            _check_limit(key, merged[key], allowed)
     if name == "switching" and merged["grid_points"] < merged["count"] + 2:
         # a grid step below the center spacing puts a grid point nearer to
         # each center than to any other; coarser grids leave a signal with
@@ -443,10 +462,15 @@ def validate_config(config: dict) -> dict:
         raise ConfigValidation(
             f"config key 'grid_points' must be >= count + 2 = {merged['count'] + 2}, "
             f"got {merged['grid_points']}")
-    for lo, hi in _RANGES:
-        if lo in merged and merged[lo] > merged[hi]:
+    for lo, hi, strict in _RANGES:
+        if lo not in merged:
+            continue
+        if merged[lo] > merged[hi]:
             raise ConfigValidation(
                 f"config key {lo!r} ({merged[lo]}) exceeds {hi!r} ({merged[hi]})")
+        if strict and merged[lo] == merged[hi]:
+            raise ConfigValidation(
+                f"config key {lo!r} ({merged[lo]}) must be below {hi!r} ({merged[hi]})")
     effective.update(merged)
     return effective
 

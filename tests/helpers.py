@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from stochres.rng import stream
 from stochres.reservoir import (
     ReservoirSpec,
     cnot_gate,
@@ -128,6 +129,37 @@ def dense_step_oracle(spec, state, u):
         t = dense_gate_matrix(spec.n, gate.support, gate.kernel(u))
         vec = t.T @ vec
     return vec
+
+
+def reference_sample_shot(spec, drives, washout, seed, shot):
+    """Shot ``shot`` of ``sample_trajectories``, drawn one gate at a time.
+
+    Draws one uniform for the initial state from ``stream(seed, shot)``,
+    then one per gate and step, in gate order. Each gate moves its
+    sub-register to the number of entries of its kernel row's CDF, at the
+    step's drive, that are at or below its uniform; bits are read and
+    written one at a time, by integer arithmetic. Returns the states after
+    the post-washout steps.
+    """
+    gen = stream(seed, shot)
+    n = spec.n
+    init_cdf = np.cumsum(spec.initial_state.probs)
+    init_cdf[-1] = 1.0
+    state = min(int(np.searchsorted(init_cdf, gen.random(), side="right")), 2 ** n - 1)
+    states = []
+    for t, u in enumerate(drives):
+        for gate, r in zip(spec.gates, gen.random(len(spec.gates))):
+            shifts = [n - 1 - b for b in gate.support]
+            sub = 0
+            for sh in shifts:
+                sub = (sub << 1) | ((state >> sh) & 1)
+            new_sub = int(np.sum(np.cumsum(gate.kernel(u)[sub])[:-1] <= r))
+            for pos, sh in enumerate(shifts):
+                bit = (new_sub >> (len(shifts) - 1 - pos)) & 1
+                state = (state & ~(1 << sh)) | (bit << sh)
+        if t >= washout:
+            states.append(state)
+    return np.array(states, dtype=np.int64)
 
 
 def brute_force_moments(probs, n):

@@ -217,6 +217,8 @@ def test_cli_rejects_ambiguous_numbers_with_config_exit_code(text, tmp_path):
     ('{"lambda": 0.7}', "lambda"),
     ('{"lambda": -0.1}', "lambda"),
     ('{"n": 15, "mode": "sampled"}', "n"),
+    ('{"threads": 0}', "threads"),
+    ('{"threads": -3, "mode": "sampled"}', "threads"),
 ])
 def test_cli_rejects_out_of_range_values_with_config_exit_code(text, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -232,6 +234,8 @@ def test_cli_rejects_out_of_range_values_with_config_exit_code(text, key, tmp_pa
     ("scan-n", {"n_min": 0}, "n_min"),
     ("scan-n", {"n_min": 5, "n_max": 4}, "n_min"),
     ("power-basis", {"n": 0}, "n"),
+    ("switching", {"threads": 0}, "threads"),
+    ("tails", {"u_min": 50.0, "u_max": 50.0}, "u_min"),
 ])
 def test_config_ranges_are_checked(experiment, overrides, key):
     with pytest.raises(ConfigValidation, match=key):
@@ -248,6 +252,16 @@ def test_config_range_limits_are_inclusive():
     assert validate_config({"experiment": "scan-n", "lambda": 0.0})["lambda"] == 0.0
     assert validate_config({"experiment": "tails", "u_min": 5e-324})["u_min"] == 5e-324
     assert validate_config({"experiment": "embed-check", "cases": 1})["cases"] == 1
+    assert validate_config({"experiment": "ipc", "threads": 1})["threads"] == 1
+    assert validate_config({"experiment": "learnability",
+                            "q_values": [0.0, 1, 1.0]})["q_values"] == [0.0, 1, 1.0]
+    for name in ("switching", "fat-shatter"):
+        eff = validate_config({"experiment": name, "target_min_peak": 1.0})
+        assert eff["target_min_peak"] == 1.0
+        eff = validate_config({"experiment": name, "target_min_peak": 5e-324})
+        assert eff["target_min_peak"] == 5e-324
+    eff = validate_config({"experiment": "tails", "u_min": 49.0, "u_max": 50.0})
+    assert (eff["u_min"], eff["u_max"]) == (49.0, 50.0)
 
 
 @pytest.mark.parametrize("experiment, text, key", [
@@ -274,6 +288,17 @@ def test_config_range_limits_are_inclusive():
     ("switching", '{"match_rule": "bogus"}', "match_rule"),
     ("embed-check", '{"dt": 0.0}', "dt"),
     ("embed-check", '{"cases": 0}', "cases"),
+    ("tails", '{"u_min": 50.0}', "u_min"),
+    ("tails", '{"u_min": 60.0}', "u_min"),
+    ("learnability", '{"q_values": [1.5]}', "q_values[0]"),
+    ("learnability", '{"q_values": [0.1, -0.2]}', "q_values[1]"),
+    ("learnability", '{"q_values": [0.1, true]}', "q_values[1]"),
+    ("learnability", '{"q_values": ["a"]}', "q_values[0]"),
+    ("switching", '{"target_min_peak": 1.5}', "target_min_peak"),
+    ("switching", '{"target_min_peak": 0.0}', "target_min_peak"),
+    ("fat-shatter", '{"target_min_peak": 1.5}', "target_min_peak"),
+    ("fat-shatter", '{"target_min_peak": -0.5}', "target_min_peak"),
+    ("embed-check", '{"threads": 0}', "threads"),
 ])
 def test_cli_rejects_other_experiments_out_of_range_values(experiment, text, key,
                                                            tmp_path, capsys):

@@ -1,10 +1,11 @@
 """Reservoir construction, exact propagation, sampling, and fading memory."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stochres as sr
@@ -27,8 +28,12 @@ from stochres.reservoir import (
     InputSequence,
     ReservoirSpec,
     SAMPLE_BLOCK,
+    SAMPLE_DRAW_CHUNK,
+    _BitRun,
     _BlockOp,
     _KernelOp,
+    _OpStep,
+    _sampler_steps,
     asymmetric_flip_gate,
     cnot_gate,
     constant_gate,
@@ -49,6 +54,7 @@ from helpers import (
     dense_step_oracle,
     random_mixed_reservoir,
     random_physical_reservoir,
+    reference_sample_shot,
 )
 
 
@@ -559,6 +565,68 @@ def test_sampling_through_block_ops_equals_sampling_their_parts():
                     for part in (op.parts if isinstance(op, _BlockOp) else [op])]
     expanded = sample_trajectories(res, seq, shots=300, seed=9)
     assert folded.samples.tobytes() == expanded.samples.tobytes()
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4))
+@example(seed=11, n=9)   # states held as uint16
+@example(seed=12, n=15)  # above the exact-mode cap: no gathers and no blocks
+def test_sampler_equals_gate_by_gate_reference_across_blocks_and_chunks(seed, n):
+    # a set gate and a flip layer behind random mixed gates, so that runs
+    # of one-bit ops hold two ops on bit n - 1; more shots than one block
+    # and more steps than one draw chunk, with repeated drive values
+    gen = np.random.default_rng(seed)
+    gates = random_mixed_reservoir(n, gen).gates
+    gates += [set_gate(n - 1, {"type": "poly", "coeffs": [0.5, 0.3]})]
+    gates += [flip_gate(b, gen.uniform(0.05, 0.3)) for b in range(n)]
+    spec = ReservoirSpec(n=n, gates=gates, depth_bound=len(gates))
+    res = sr.build_reservoir(spec)
+    assert any(isinstance(step, _BitRun) for step in _sampler_steps(res.plan, np.zeros(1),
+                                                                    np.dtype(np.uint16)))
+    drives = gen.choice(gen.uniform(-1, 1, 5), SAMPLE_DRAW_CHUNK // SAMPLE_BLOCK + 22)
+    seq = InputSequence(drives, washout_length=7)
+    shots = SAMPLE_BLOCK + 9
+    ens = sample_trajectories(res, seq, shots=shots, seed=seed)
+    for shot in (0, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, shots - 1):
+        ref = reference_sample_shot(spec, drives, 7, seed, shot)
+        assert ens.samples[shot].tobytes() == ref.tobytes(), shot
+
+
+def test_sampled_shift_register_digest_is_unchanged():
+    # digest recorded with the gate-by-gate sampler, before runs of one-bit
+    # gates were sampled through bit masks; two blocks, and steps in two
+    # draw chunks in the first of them
+    res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.1))
+    bits = np.unpackbits(np.frombuffer(hashlib.sha256(b"stochres binary drives").digest(),
+                                       np.uint8))
+    seq = InputSequence(bits.astype(float), washout_length=16)
+    ens = sample_trajectories(res, seq, shots=SAMPLE_BLOCK + 76, seed=2024)
+    digest = hashlib.sha256(np.ascontiguousarray(ens.samples, dtype="<i8").tobytes())
+    assert digest.hexdigest() == \
+        "ba844f38d74e19c09cb256c70117215e9d97e10e0b4299ba3b77a14d85833ffe"
+
+
+@pytest.mark.parametrize("n", [2, 4, 9, 12])
+def test_shift_register_samples_its_set_gate_and_noise_as_one_bit_run(n):
+    # the swaps fuse into one gather; the set gate and every flip, folded
+    # into blocks or not, are one run of one-bit ops
+    res = sr.build_reservoir(sr.shift_register_flip_family(n, 0.1))
+    steps = _sampler_steps(res.plan, np.array([0.0, 1.0]), np.dtype(np.uint16))
+    assert [type(step) for step in steps] == [_OpStep, _BitRun]
+    assert sorted(steps[1].bits) == list(range(n))
+    assert [len(ops) for _, ops in sorted(steps[1].bits.items())] == [2] + [1] * (n - 1)
+
+
+def test_sampling_rejects_shots_and_threads_that_are_not_counts():
+    res = sr.build_reservoir(ReservoirSpec(n=1, gates=[flip_gate(0, 0.2)]))
+    seq = InputSequence(np.zeros(4), washout_length=0)
+    for shots in (2.5, True, 3.0, "3", 0, -1):
+        with pytest.raises(ValueError, match="shots"):
+            sample_trajectories(res, seq, shots=shots, seed=0)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            sample_trajectories(res, seq, shots=3, seed=0, threads=threads)
+    assert sample_trajectories(res, seq, shots=np.int64(3), seed=0).shots == 3
 
 
 def test_sampling_binomial_concentration():
