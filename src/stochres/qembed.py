@@ -21,6 +21,10 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
+# the rate relation is checked on t in [RATE_GRID[0], RATE_GRID[1]) in steps of
+# dt; its central differences need three points, so dt stays below RATE_DT_MAX
+RATE_GRID = (0.1, 1.4)
+RATE_DT_MAX = (RATE_GRID[1] - RATE_GRID[0]) / 2
 
 
 def assert_density(rho: np.ndarray) -> np.ndarray:
@@ -190,9 +194,9 @@ def verification_report(tolerance: float = 1e-12, cases: int = 100,
         roth_res = max(roth_res, float(np.max(np.abs(direct - vecd))))
     report["checks"]["vectorization"] = {"residual": roth_res, "passed": roth_res < tolerance}
 
-    t = np.arange(0.1, 1.4, dt)
+    t = np.arange(*RATE_GRID, dt)
     dev1 = verify_rate_relation(np.cos(t) ** 2, dt)
-    t2 = np.arange(0.1, 1.4, dt / 2)
+    t2 = np.arange(*RATE_GRID, dt / 2)
     dev2 = verify_rate_relation(np.cos(t2) ** 2, dt / 2)
     order = float(np.log2(dev1 / dev2)) if dev2 > 0 else float("inf")
     report["checks"]["rate_relation"] = {

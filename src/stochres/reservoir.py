@@ -770,13 +770,8 @@ class StepPlan:
         """
         return [op.kernel(u) for op in self.ops]
 
-    def cdfs(self, u) -> list:
-        """:func:`_cdf_columns` of :meth:`kernels` at ``u``, the tables a
-        kernel op samples from; None for gathers and block ops."""
-        return [None if k is None else _cdf_columns(k) for k in self.kernels(u)]
-
     def per_value(self, tables: list, count: int) -> list:
-        """Split ``kernels`` or ``cdfs`` of ``count`` drives into one op list per drive."""
+        """Split :meth:`kernels` of ``count`` drives into one op list per drive."""
         return [[t[i] if op.varies else t for op, t in zip(self.ops, tables)]
                 for i in range(count)]
 

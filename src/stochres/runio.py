@@ -40,7 +40,7 @@ from .experiments import (
     verify_shatter_witness,
 )
 from .fileio import csv_text, json_default, json_text, write_atomic
-from .qembed import verification_report
+from .qembed import RATE_DT_MAX, verification_report
 from .reservoir import (
     EXACT_MODE_MAX_BITS,
     InputMeasure,
@@ -57,12 +57,8 @@ def canonical_json(obj) -> str:
 
 
 def config_hash(config: dict) -> str:
-    """Hash of the science-relevant config, stable under key reordering.
-
-    Execution-only keys (output directory, thread count) are excluded so
-    the same experiment run elsewhere hashes identically.
-    """
-    scrubbed = {k: v for k, v in config.items() if k not in ("out_dir", "threads")}
+    """Hash of the config without its ``_EXECUTION_KEYS``, stable under key reordering."""
+    scrubbed = {k: v for k, v in config.items() if k not in _EXECUTION_KEYS}
     return hashlib.sha256(canonical_json(scrubbed).encode()).hexdigest()
 
 
@@ -333,59 +329,151 @@ def _run_embed_check(params, seed):
     return [Artifact("embed_check.json", "json", report)], bool(report["passed"])
 
 
+class OneOf(frozenset):
+    """Limit: one of the given values."""
+
+    def check(self, key, value, default) -> None:
+        if value not in self:
+            raise ConfigValidation(
+                f"config key {key!r} must be one of {sorted(self)}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Limit: ``lo`` to ``hi``, each end closed unless marked open, or unbounded if None."""
+
+    lo: float = None
+    hi: float = None
+    open_lo: bool = False
+    open_hi: bool = False
+
+    def check(self, key, value, default) -> None:
+        if self.lo is not None and (value <= self.lo if self.open_lo else value < self.lo):
+            bound = f"{'>' if self.open_lo else '>='} {self.lo}"
+        elif self.hi is not None and (value >= self.hi if self.open_hi else value > self.hi):
+            bound = f"{'<' if self.open_hi else '<='} {self.hi}"
+        else:
+            return
+        raise ConfigValidation(f"config key {key!r} must be {bound}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Each:
+    """Limit of a list key: non-empty, each entry typed like the default's and within ``entry``."""
+
+    entry: object
+
+    def check(self, key, values, default) -> None:
+        if not values:
+            raise ConfigValidation(f"config key {key!r} must be a non-empty list")
+        for i, value in enumerate(values):  # checked, not rewritten
+            self.entry.check(f"{key}[{i}]", _typed(f"{key}[{i}]", value, default[0]), default[0])
+
+
+_AT_LEAST_1 = Interval(1)
+_AT_LEAST_0 = Interval(0)
+_POSITIVE = Interval(0.0, open_lo=True)
+_ANY = Interval()
+# shift_register_flip_family takes noise rates in [0, 0.5]; at 0.5 the state
+# is uniform after every step
+_NOISE_RATE = Interval(0.0, 0.5)
+# a signal peak of the normalized switching family is at most 1, so no
+# sharpness reaches a target_min_peak above it
+_PEAK = Interval(0.0, 1.0, open_lo=True)
+
+# keys that say only where and on how many threads a run executes; config_hash
+# leaves them out, so the same experiment run elsewhere hashes identically
+_EXECUTION_KEYS = {"threads": (1, _AT_LEAST_1), "out_dir": (".", _ANY)}
+# keys every experiment takes; rng.stream masks seeds to 64 bits, so a seed
+# outside [0, 2^64 - 1] would alias one inside it under another config_hash
+COMMON_KEYS = {"seed": (0, Interval(0, 2 ** 64 - 1)), **_EXECUTION_KEYS}
+
+# experiment name -> (runner, {key: (default, limit)})
 EXPERIMENTS: dict = {
-    "ipc": (_run_ipc, {"n": 3, "lambda": 0.1, "timesteps": 1500, "washout": 100,
-                       "mode": "exact", "shots": 2000}),
-    "scan-n": (_run_scan, {"n_min": 2, "n_max": 8, "lambda": 0.05,
-                           "timesteps": 2000, "washout": 100, "repeats": 3}),
-    "switching": (_run_switching, {"count": 4, "domain_lo": 0.0, "domain_hi": 1.0,
-                                   "target_min_peak": 0.99, "grid_points": 2001,
-                                   "match_rule": "decay-scale"}),
-    "tails": (_run_tails, {"draws": 100, "u_min": 5.0, "u_max": 50.0,
-                           "points": 200, "noise": 0.01}),
-    "power-basis": (_run_power_basis, {"n": 3, "samples": 100_000}),
-    "learnability": (_run_learnability, {"q_values": [0.01, 0.1],
-                                         "m0_grid": [1, 10, 100],
-                                         "trials": 10_000,
-                                         "growth_n_min": 8, "growth_n_max": 16}),
-    "fat-shatter": (_run_fat_shatter, {"count": 4, "gamma": 0.3, "threshold": 0.5,
-                                       "target_min_peak": 0.99}),
-    "embed-check": (_run_embed_check, {"tolerance": 1e-12, "cases": 100, "dt": 1e-3}),
+    "ipc": (_run_ipc, {
+        # both modes take the full 2^n distribution, so n stops at the exact-mode cap
+        "n": (3, Interval(1, EXACT_MODE_MAX_BITS)),
+        "lambda": (0.1, _NOISE_RATE),
+        "timesteps": (1500, _AT_LEAST_1),
+        "washout": (100, _AT_LEAST_0),
+        "mode": ("exact", OneOf({"exact", "sampled"})),
+        "shots": (2000, _AT_LEAST_1),
+    }),
+    "scan-n": (_run_scan, {
+        # every n of the scan runs in exact mode
+        "n_min": (2, Interval(1, EXACT_MODE_MAX_BITS)),
+        "n_max": (8, Interval(1, EXACT_MODE_MAX_BITS)),
+        "lambda": (0.05, _NOISE_RATE),
+        "timesteps": (2000, _AT_LEAST_1),
+        "washout": (100, _AT_LEAST_0),
+        "repeats": (3, _AT_LEAST_1),
+    }),
+    "switching": (_run_switching, {
+        "count": (4, _AT_LEAST_1),
+        "domain_lo": (0.0, _ANY),
+        "domain_hi": (1.0, _ANY),
+        "target_min_peak": (0.99, _PEAK),
+        "grid_points": (2001, _AT_LEAST_1),
+        "match_rule": ("decay-scale", OneOf({"decay-scale", "half-width"})),
+    }),
+    "tails": (_run_tails, {
+        "draws": (100, _AT_LEAST_1),
+        # the polynomial law u^(-a) needs u > 0
+        "u_min": (5.0, _POSITIVE),
+        "u_max": (50.0, _POSITIVE),
+        # each law has two parameters, so a third point tells the laws apart
+        "points": (200, Interval(3)),
+        # the spread of the log-normal noise on p; a negative one mirrors the draws
+        "noise": (0.01, Interval(0.0)),
+    }),
+    "power-basis": (_run_power_basis, {
+        # power_basis_demo supports 1 <= n <= 6
+        "n": (3, Interval(1, 6)),
+        "samples": (100_000, _AT_LEAST_1),
+    }),
+    "learnability": (_run_learnability, {
+        # each q is a probability
+        "q_values": ([0.01, 0.1], Each(Interval(0.0, 1.0))),
+        # each m0 is a sample count
+        "m0_grid": ([1, 10, 100], Each(_AT_LEAST_1)),
+        # sample_complexity_curve needs at least 1000 trials
+        "trials": (10_000, Interval(1000)),
+        # the growth q = n^2 / 2^n is below 1 from n = 5 on, and 1 - q rounds
+        # to 1 from n = 67 on
+        "growth_n_min": (8, Interval(5)),
+        "growth_n_max": (16, Interval(5, 66)),
+    }),
+    "fat-shatter": (_run_fat_shatter, {
+        # dimension >= 2 needs two signals, and the exhaustive search takes
+        # at most 2^16 functions, the subset sums of 16 signals
+        "count": (4, Interval(2, 16)),
+        # values lie in [0, 1], so a margin 2 gamma of at most 1 can be met
+        "gamma": (0.3, Interval(0.0, 0.5, open_lo=True)),
+        # a threshold between values in [0, 1]
+        "threshold": (0.5, Interval(0.0, 1.0)),
+        "target_min_peak": (0.99, _PEAK),
+    }),
+    "embed-check": (_run_embed_check, {
+        # a bound on residuals, which are >= 0; 0 fails the check on purpose
+        "tolerance": (1e-12, Interval(0.0)),
+        "cases": (100, _AT_LEAST_1),
+        # the rate-relation grid needs three points; see qembed.RATE_DT_MAX
+        "dt": (1e-3, Interval(0.0, RATE_DT_MAX, open_lo=True, open_hi=True)),
+    }),
 }
 
-# allowed values of each experiment's config keys: a set of values, a
-# number as the least allowed value, or an inclusive (least, greatest)
-# pair; math.ulp(0.0), the least positive float, makes a float key
-# strictly positive, and a list holding one limit sets it for every entry
-# of a list key. Both modes of ipc take the full 2^n distribution, so n
-# stops at the exact-mode cap. Tails fits two parameters per law, so it
-# needs a third point to tell them apart; learnability's q is a
-# probability, its growth q = n^2 / 2^n is below 1 from n = 5 on, and 1 - q
-# rounds to 1 from n = 67 on; fat-shatter's dimension >= 2 needs two
-# signals. A signal peak of the switching family is at most 1, so no
-# sharpness reaches a target_min_peak above 1. Switching's grid_points is
-# checked against its count, in validate_config.
-_ALLOWED = {
-    "ipc": {"mode": {"exact", "sampled"}, "n": (1, EXACT_MODE_MAX_BITS), "lambda": (0.0, 0.5),
-            "shots": 1, "timesteps": 1, "washout": 0},
-    "scan-n": {"n_min": 1, "lambda": (0.0, 0.5), "timesteps": 1, "repeats": 1, "washout": 0},
-    "switching": {"count": 1, "match_rule": {"decay-scale", "half-width"},
-                  "target_min_peak": (math.ulp(0.0), 1.0)},
-    "tails": {"draws": 1, "points": 3, "u_min": math.ulp(0.0)},
-    "power-basis": {"n": (1, 6), "samples": 1},
-    "learnability": {"q_values": [(0.0, 1.0)], "trials": 1000, "growth_n_min": 5,
-                     "growth_n_max": (5, 66)},
-    "fat-shatter": {"count": 2, "target_min_peak": (math.ulp(0.0), 1.0)},
-    "embed-check": {"cases": 1, "dt": math.ulp(0.0)},
-}
-
-# (least, greatest, strict) key triples of a range, which must not be
-# empty; a strict range must not be a single point either (tails fits laws
-# in u over [u_min, u_max])
-_RANGES = (("n_min", "n_max", False), ("growth_n_min", "growth_n_max", False),
-           ("u_min", "u_max", True))
-
-_COMMON_KEYS = {"experiment", "seed", "out_dir", "threads"}
+# cross-key rules: (key, other key, holds(value, other value), what key must be)
+_RULES = (
+    ("n_min", "n_max", lambda a, b: a <= b, "<= n_max"),
+    ("growth_n_min", "growth_n_max", lambda a, b: a <= b, "<= growth_n_max"),
+    # tails fits laws in u over [u_min, u_max]
+    ("u_min", "u_max", lambda a, b: a < b, "< u_max"),
+    ("domain_lo", "domain_hi", lambda a, b: a < b, "< domain_hi"),
+    # a grid step below the center spacing puts a grid point nearer to each
+    # center than to any other; coarser grids leave a signal with no peak,
+    # and the sharpness sweep then ends on NaN
+    ("grid_points", "count", lambda a, b: a >= b + 2, ">= count + 2"),
+)
 
 
 def _number(key, value, want):
@@ -402,76 +490,38 @@ def _number(key, value, want):
     raise ConfigValidation(f"config key {key!r} expects {kind}, got {value!r}")
 
 
-def _check_limit(key, value, allowed) -> None:
-    """Raise ConfigValidation, naming ``key``, unless ``value`` is within
-    ``allowed``, one limit of the forms of ``_ALLOWED``."""
-    if isinstance(allowed, set):
-        if value not in allowed:
-            raise ConfigValidation(
-                f"config key {key!r} must be one of {sorted(allowed)}, got {value!r}")
-        return
-    lo, hi = allowed if isinstance(allowed, tuple) else (allowed, None)
-    if value < lo:
-        raise ConfigValidation(f"config key {key!r} must be >= {lo}, got {value!r}")
-    if hi is not None and value > hi:
-        raise ConfigValidation(f"config key {key!r} must be <= {hi}, got {value!r}")
+def _typed(key, value, default):
+    """``value`` as the type of ``default``, numbers through :func:`_number`."""
+    want = type(default)
+    if want in (int, float):
+        return _number(key, value, want)
+    if not isinstance(value, want):
+        raise ConfigValidation(
+            f"config key {key!r} expects {want.__name__}, got {type(value).__name__}")
+    return value
 
 
 def validate_config(config: dict) -> dict:
-    """Merge defaults, reject unknown keys, wrong types and values outside
-    ``_ALLOWED``, and return the effective config."""
+    """Merge defaults, reject unknown keys, wrong types, values outside their
+    limits and broken cross-key rules, and return the effective config."""
     if "experiment" not in config:
         raise ConfigValidation("config is missing the 'experiment' key")
     name = config["experiment"]
     if name not in EXPERIMENTS:
         raise UnknownExperiment(f"unknown experiment: {name!r}")
-    _, defaults = EXPERIMENTS[name]
-    allowed = _COMMON_KEYS | set(defaults)
+    table = {**COMMON_KEYS, **EXPERIMENTS[name][1]}
     for key in config:
-        if key not in allowed:
+        if key != "experiment" and key not in table:
             raise ConfigValidation(f"unknown config key: {key!r}")
-    effective = {"experiment": name, "seed": _number("seed", config.get("seed", 0), int),
-                 "threads": _number("threads", config.get("threads", 1), int)}
-    _check_limit("threads", effective["threads"], 1)
-    if "out_dir" in config:
-        effective["out_dir"] = str(config["out_dir"])
-    merged = copy.deepcopy(defaults)
-    for key, value in config.items():
-        if key not in defaults:
-            continue
-        want = type(defaults[key])
-        if want in (int, float):
-            merged[key] = _number(key, value, want)
-        elif isinstance(value, want):
-            merged[key] = value
-        else:
-            raise ConfigValidation(
-                f"config key {key!r} expects {want.__name__}, got {type(value).__name__}"
-            )
-    for key, allowed in _ALLOWED.get(name, {}).items():
-        if isinstance(allowed, list):
-            for i, entry in enumerate(merged[key]):
-                entry_key = f"{key}[{i}]"
-                _check_limit(entry_key, _number(entry_key, entry, float), allowed[0])
-        else:
-            _check_limit(key, merged[key], allowed)
-    if name == "switching" and merged["grid_points"] < merged["count"] + 2:
-        # a grid step below the center spacing puts a grid point nearer to
-        # each center than to any other; coarser grids leave a signal with
-        # no peak, and the sharpness sweep then ends on NaN
-        raise ConfigValidation(
-            f"config key 'grid_points' must be >= count + 2 = {merged['count'] + 2}, "
-            f"got {merged['grid_points']}")
-    for lo, hi, strict in _RANGES:
-        if lo not in merged:
-            continue
-        if merged[lo] > merged[hi]:
-            raise ConfigValidation(
-                f"config key {lo!r} ({merged[lo]}) exceeds {hi!r} ({merged[hi]})")
-        if strict and merged[lo] == merged[hi]:
-            raise ConfigValidation(
-                f"config key {lo!r} ({merged[lo]}) must be below {hi!r} ({merged[hi]})")
-    effective.update(merged)
+    effective = {"experiment": name}
+    for key, (default, limit) in table.items():
+        value = _typed(key, copy.copy(config.get(key, default)), default)
+        limit.check(key, value, default)
+        effective[key] = value
+    for key, other, holds, rule in _RULES:
+        if key in effective and not holds(effective[key], effective[other]):
+            raise ConfigValidation(f"config key {key!r} must be {rule}, got "
+                                   f"{key} = {effective[key]}, {other} = {effective[other]}")
     return effective
 
 
@@ -486,9 +536,9 @@ def run_experiment(config: dict) -> RunManifest:
     """
     effective = validate_config(config)
     name = effective["experiment"]
-    runner, defaults = EXPERIMENTS[name]
-    params = {k: effective[k] for k in defaults}
-    out_dir = Path(effective.get("out_dir", "."))
+    runner, table = EXPERIMENTS[name]
+    params = {k: effective[k] for k in table}
+    out_dir = Path(effective["out_dir"])
     seed = effective["seed"]
 
     started = datetime.datetime.now(datetime.timezone.utc)

@@ -11,12 +11,20 @@ import pytest
 from stochres.cli import main
 from stochres.errors import ConfigValidation, IOFailure, NumericCheckFailure, UnknownExperiment
 from stochres.runio import (
+    _RULES,
+    COMMON_KEYS,
+    EXPERIMENTS,
     Artifact,
+    Each,
+    Interval,
+    OneOf,
     config_hash,
     run_experiment,
     validate_config,
     write_results,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 # --- config validation --------------------------------------------------------
@@ -41,6 +49,23 @@ def test_config_hash_ignores_execution_keys():
     a = validate_config({"experiment": "switching", "out_dir": "x", "threads": 1})
     b = validate_config({"experiment": "switching", "out_dir": "y", "threads": 8})
     assert config_hash(a) == config_hash(b)
+
+
+@pytest.mark.parametrize("config, digest", [
+    # recorded at an earlier commit: a change to validation must not move them
+    ({"experiment": "learnability", "q_values": [0.0, 1, 1.0]},
+     "dee792d20fcc7bfc7bbf4bcf1efe69e764b167833551eb8717fd83451492fe9c"),
+    ({"experiment": "scan-n", "lambda": 0, "threads": 4, "out_dir": "x"},
+     "ba30796231581d815708843a417e9a4c5a18c24df3516e9a2247a7214ef86d1d"),
+    ({"experiment": "ipc", "seed": 5, "n": 4.0},
+     "74eb0f9af0b7ae36b601000b045acbc65ce47d4a63500ebc2390d7f10d50ea64"),
+    ({"experiment": "switching", "seed": 5},
+     "15e755c1f30d4121271c2a91922d2b8abe59e826d50a1d0f106f53bea08e55aa"),
+    ({"experiment": "embed-check", "seed": 5},
+     "e45919307e9ef59126db1797c2792b38c01d43e7bacd502a57fe5df879f5a4d7"),
+])
+def test_config_hash_values_are_pinned(config, digest):
+    assert config_hash(validate_config(config)) == digest
 
 
 def test_defaults_are_merged():
@@ -236,6 +261,7 @@ def test_cli_rejects_out_of_range_values_with_config_exit_code(text, key, tmp_pa
     ("power-basis", {"n": 0}, "n"),
     ("switching", {"threads": 0}, "threads"),
     ("tails", {"u_min": 50.0, "u_max": 50.0}, "u_min"),
+    ("scan-n", {"n_max": 15}, "n_max"),
 ])
 def test_config_ranges_are_checked(experiment, overrides, key):
     with pytest.raises(ConfigValidation, match=key):
@@ -299,6 +325,21 @@ def test_config_range_limits_are_inclusive():
     ("fat-shatter", '{"target_min_peak": 1.5}', "target_min_peak"),
     ("fat-shatter", '{"target_min_peak": -0.5}', "target_min_peak"),
     ("embed-check", '{"threads": 0}', "threads"),
+    ("switching", '{"domain_lo": 1.0, "domain_hi": 0.0}', "domain_lo"),
+    ("learnability", '{"m0_grid": []}', "m0_grid"),
+    ("learnability", '{"m0_grid": [0]}', "m0_grid[0]"),
+    ("learnability", '{"q_values": []}', "q_values"),
+    ("learnability", '{"m0_grid": [1.5]}', "m0_grid[0]"),
+    ("fat-shatter", '{"gamma": -0.3}', "gamma"),
+    ("tails", '{"noise": -1.0}', "noise"),
+    ("fat-shatter", '{"threshold": 2.0}', "threshold"),
+    ("embed-check", '{"tolerance": -1.0}', "tolerance"),
+    ("learnability", '{"m0_grid": [-5]}', "m0_grid[0]"),
+    ("switching", '{"domain_lo": 0.0, "domain_hi": 0.0}', "domain_lo"),
+    ("embed-check", '{"dt": 5.0}', "dt"),
+    ("fat-shatter", '{"count": 17}', "count"),
+    ("ipc", '{"seed": -1}', "seed"),
+    ("ipc", '{"seed": 18446744073709551616}', "seed"),
 ])
 def test_cli_rejects_other_experiments_out_of_range_values(experiment, text, key,
                                                            tmp_path, capsys):
@@ -321,6 +362,75 @@ def test_cli_runs_other_experiments_at_their_least_values(experiment, text, tmp_
     cfg.write_text(text)
     assert main([experiment, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("experiment, overrides", [
+    ("ipc", {"seed": 0}),
+    ("ipc", {"seed": 2 ** 64 - 1}),
+    ("scan-n", {"n_min": 14, "n_max": 14}),
+    ("tails", {"noise": 0.0}),
+    ("fat-shatter", {"gamma": 0.5, "threshold": 0.0, "count": 16}),
+    ("fat-shatter", {"gamma": 5e-324, "threshold": 1.0}),
+    ("embed-check", {"tolerance": 0.0, "dt": 0.6499999999999998}),
+    ("learnability", {"m0_grid": [1], "q_values": [0.5]}),
+    ("switching", {"domain_lo": -1.0, "domain_hi": -0.5}),
+])
+def test_limits_admit_their_ends(experiment, overrides):
+    eff = validate_config({"experiment": experiment, **overrides})
+    assert all(eff[key] == value for key, value in overrides.items())
+
+
+def test_embed_check_runs_at_its_largest_dt(tmp_path):
+    # the rate-relation grid still has three points one step below RATE_DT_MAX
+    assert run_experiment({"experiment": "embed-check", "dt": 0.6499999999999998, "cases": 1,
+                           "out_dir": str(tmp_path)}).artifacts
+
+
+def test_every_key_has_a_limit_that_admits_its_default():
+    tables = [COMMON_KEYS] + [table for _, table in EXPERIMENTS.values()]
+    for table in tables:
+        for key, (default, limit) in table.items():
+            assert isinstance(limit, (OneOf, Interval, Each)), key
+            limit.check(key, default, default)
+            if isinstance(limit, Each):
+                assert default and all(type(v) is type(default[0]) for v in default), key
+    keys = {key for table in tables for key in table}
+    for key, other, _, _ in _RULES:
+        assert {key, other} <= keys
+    for name, (_, table) in EXPERIMENTS.items():
+        assert not set(table) & set(COMMON_KEYS), name
+        validate_config({"experiment": name})
+
+
+def _limit_text(limit) -> str:
+    if isinstance(limit, OneOf):
+        return "one of " + ", ".join(f"`{v}`" for v in sorted(limit))
+    if isinstance(limit, Each):
+        return "non-empty; each entry in " + _limit_text(limit.entry)
+    if limit.lo is None and limit.hi is None:
+        return "any"
+    lo = "(-∞" if limit.lo is None else f"{'(' if limit.open_lo else '['}{limit.lo}"
+    hi = "∞)" if limit.hi is None else f"{limit.hi}{')' if limit.open_hi else ']'}"
+    return f"{lo}, {hi}"
+
+
+def schema_readme_lines() -> list:
+    """The README's config table and cross-key rule line, as the schema gives them."""
+    rows = [("all", COMMON_KEYS)]
+    rows += [(f"`{name}`", table) for name, (_, table) in EXPERIMENTS.items()]
+    lines = ["| experiment | key | default | limit |", "| --- | --- | --- | --- |"]
+    lines += [f"| {name} | `{key}` | `{json.dumps(default)}` | {_limit_text(limit)} |"
+              for name, table in rows for key, (default, limit) in table.items()]
+    rules = ", ".join(f"`{key} {rule}`" for key, _, _, rule in _RULES)
+    return lines + ["", f"Cross-key rules: {rules}."]
+
+
+def test_readme_config_table_matches_the_schema():
+    want = schema_readme_lines()
+    lines = README.read_text().splitlines()
+    start = lines.index(want[0])
+    assert lines[start:start + len(want)] == want
+    assert not lines[start + len(want)].strip()
 
 
 def test_learnability_runs_at_its_greatest_growth_n(tmp_path):

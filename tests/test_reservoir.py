@@ -33,6 +33,7 @@ from stochres.reservoir import (
     _BlockOp,
     _KernelOp,
     _OpStep,
+    _cdf_columns,
     _sampler_steps,
     asymmetric_flip_gate,
     cnot_gate,
@@ -407,7 +408,12 @@ def test_plan_stacks_equal_per_drive_kernels_bit_for_bit(seed, n):
     gen = np.random.default_rng(seed)
     res = sr.build_reservoir(random_mixed_reservoir(n, gen))
     us = gen.uniform(-1, 1, 7)
-    for build in (res.plan.kernels, res.plan.cdfs):
+
+    def cdfs(u):
+        # the sampler's tables: _cdf_columns of a kernel, or of a stack of them
+        return [None if k is None else _cdf_columns(k) for k in res.plan.kernels(u)]
+
+    for build in (res.plan.kernels, cdfs):
         per_value = res.plan.per_value(build(us), len(us))
         for i, u in enumerate(us):
             for stacked, single in zip(per_value[i], build(float(u))):
