@@ -131,15 +131,15 @@ class ReadoutFit:
         self.span = u[:, rank] * sw[:, None]
         self.back = vt[rank].T / s[rank]
 
-    def score(self, targets, threshold: Optional[float] = None) -> ReadoutScores:
+    def score(self, targets) -> ReadoutScores:
         """Capacities ``1 - SSE/SST``, clipped into [0, 1], of the columns of
         the ``(rows, K)`` matrix ``targets``.
 
         The weighted residual energy SSE is SST minus the energy of the
         projection onto the signal span. A target column with zero weighted
         energy raises ZeroTarget; a clip larger than ``NUMERICAL_SLACK`` is
-        logged as a warning. ``threshold`` defaults to the finite-time
-        threshold of the row count.
+        logged as a warning. The threshold is the finite-time threshold of
+        the row count.
         """
         y = np.asarray(targets, dtype=float)
         if y.ndim != 2 or y.shape[0] != self.rows:
@@ -155,12 +155,11 @@ class ReadoutFit:
             logger.warning("capacity clipped by %.3g", by)
         weights = np.zeros((self.columns, y.shape[1]))
         weights[self.keep] = self.back @ proj
-        thr = finite_time_threshold(self.rows) if threshold is None else threshold
+        thr = finite_time_threshold(self.rows)
         return ReadoutScores(caps, weights, clipped_by, thr, caps < thr)
 
 
-def capacity(signals, target, weights: Optional[np.ndarray] = None,
-             threshold: Optional[float] = None) -> CapacityReport:
+def capacity(signals, target, weights: Optional[np.ndarray] = None) -> CapacityReport:
     """Capacity to reconstruct ``target`` linearly from the signal columns.
 
     Fits a :class:`ReadoutFit` and scores the one target against it: the
@@ -173,7 +172,7 @@ def capacity(signals, target, weights: Optional[np.ndarray] = None,
     fit = ReadoutFit(signals, weights)
     if y.shape != (fit.rows,):
         raise ValueError("target length must match signal rows")
-    scores = fit.score(y[:, None], threshold)
+    scores = fit.score(y[:, None])
     return CapacityReport(
         capacity=float(scores.capacities[0]), weights=scores.weights[:, 0],
         rows=fit.rows, threshold=scores.threshold,
@@ -474,16 +473,16 @@ def ipc_spectral(decomp: EigentaskDecomposition) -> IPCReport:
     )
 
 
-def ipc_probability_rep(signals: SignalMatrix,
-                        weights: Optional[np.ndarray] = None) -> IPCReport:
-    """Trace formula on probability signals: sum_k avg(p_k^2)/avg(p_k).
+def ipc_probability_rep(signals: SignalMatrix) -> IPCReport:
+    """Trace formula on probability signals: sum_k avg(p_k^2)/avg(p_k),
+    averaged under the signals' own row weights.
 
     Columns whose mean is exactly zero are skipped (and counted); nothing
     else is thresholded or zeroed.
     """
     if signals.mode != MODE_EXACT:
         raise ValueError("probability-trace needs exact-probability signals")
-    data, w = _resolve_signals(signals, weights)
+    data, w = _resolve_signals(signals, None)
     means = w @ data
     seconds = w @ (data * data)
     keep = means > 0.0
@@ -521,7 +520,7 @@ class TargetBasis:
     t is the product over delays d of the degree-``g_d`` orthonormal
     polynomial evaluated at u(t - d). Indices are ordered graded
     lexicographically and truncated at ``max_delay`` and total degree
-    ``max_degree``.
+    ``max_degree``, and set at construction as ``indices``.
     """
 
     max_delay: int
@@ -529,11 +528,10 @@ class TargetBasis:
     measure_kind: str
     lo: float = -1.0
     hi: float = 1.0
-    indices: list = field(default_factory=list)
+    indices: list = field(init=False)
 
     def __post_init__(self):
-        if not self.indices:
-            self.indices = self._enumerate_indices()
+        self.indices = self._enumerate_indices()
         if self.measure_kind == "iid-uniform-binary" and self.max_degree > 1:
             raise ValueError("binary drive supports polynomial degree <= 1 only")
 
@@ -620,15 +618,14 @@ def build_target_basis(measure, max_delay: int, max_degree: int) -> TargetBasis:
 
 
 def total_capacity(signals, basis: TargetBasis, drives: np.ndarray,
-                   start: int, threshold: Optional[float] = None,
-                   orthonormality_tol: float = 1e-6) -> IPCReport:
+                   start: int, orthonormality_tol: float = 1e-6) -> IPCReport:
     """Sum of capacities over the truncated orthonormal target basis.
 
     ``drives`` is the full drive sequence; ``start`` is the absolute time of
     the first signal row (the washout length), which must be at least
     ``basis.max_delay``. All targets are scored against one
     :class:`ReadoutFit` of the signals. Capacities below the finite-time
-    threshold are reported but excluded from the total.
+    threshold 4/sqrt(T) are reported but excluded from the total.
     """
     gram_err = basis.gram_error()
     if gram_err > orthonormality_tol:
@@ -644,7 +641,7 @@ def total_capacity(signals, basis: TargetBasis, drives: np.ndarray,
     if targets.shape[0] != fit.rows:
         raise ValueError("drive sequence does not cover the signal rows")
 
-    return _basis_sum_report(fit.score(targets, threshold), basis, fit.columns)
+    return _basis_sum_report(fit.score(targets), basis, fit.columns)
 
 
 def _basis_sum_report(scores: ReadoutScores, basis: TargetBasis,

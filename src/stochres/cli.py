@@ -35,8 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", type=Path, default=Path("."),
                        help="artifact output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="at least 1; accepted for compatibility (overrides the "
-                            "config); sampling runs on one thread")
+                       help="at least 1; accepted for existing scripts and configs "
+                            "(overrides the config), but has no effect")
     return parser
 
 

@@ -13,12 +13,19 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import rng as _rng
-from .capacity import IPCReport, ReadoutFit, TargetBasis, _basis_sum_report, ipc_probability_rep
+from .capacity import (
+    DEFAULT_RANK_TOLERANCE,
+    IPCReport,
+    ReadoutFit,
+    TargetBasis,
+    _basis_sum_report,
+    ipc_probability_rep,
+)
 from .errors import (
     ConditioningFailure,
     ExactModeOverflow,
@@ -221,9 +228,9 @@ def switching_family(kind: str, count: int, domain=(0.0, 1.0),
 
 def sweep_exponential_sharpness(count: int, domain=(0.0, 1.0),
                                 target_min_peak: float = 0.99,
-                                grid_points: int = 2001,
-                                iterations: int = 60) -> float:
-    """Smallest exponential sharpness whose worst signal peak reaches the target.
+                                grid_points: int = 2001) -> float:
+    """Smallest exponential sharpness whose worst signal peak reaches the target,
+    bracketed and then bisected 60 times.
 
     Raises ValueError when no sharpness up to 1e7 reaches it, including
     when the bumps underflow to a NaN peak first.
@@ -234,7 +241,7 @@ def sweep_exponential_sharpness(count: int, domain=(0.0, 1.0),
         hi_b *= 2.0
         if hi_b > 1e7:
             raise ValueError("target peak unreachable")
-    for _ in range(iterations):
+    for _ in range(60):
         mid = 0.5 * (lo_b + hi_b)
         fam = switching_family("exponential", count, domain, mid, grid_points)
         if fam.peaks.min() >= target_min_peak:
@@ -280,20 +287,17 @@ def _fit_residual(x: np.ndarray, y: np.ndarray):
     return slope, float(np.mean(resid * resid))
 
 
-def classify_tails(u: np.ndarray, p: np.ndarray, region=None,
-                   indecision: float = 0.10):
-    """Classify tail decay as polynomial or exponential by competing fits.
+def classify_tails(u: np.ndarray, p: np.ndarray, region=None) -> TailFit:
+    """Classify the tail decay of one signal as polynomial or exponential by
+    competing fits.
 
     Fits log p against log u (polynomial tail, parameter = degree) and log p
     against u (exponential tail, parameter = natural-log rate) over the
-    decay region and keeps the lower-residual law; residuals within
-    ``indecision`` of each other give "inconclusive". ``p`` may be a matrix
-    with one signal per row, in which case a list of fits is returned.
+    decay region and keeps the lower-residual law; residuals within 10 % of
+    the larger one give "inconclusive".
     """
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
-    if p.ndim == 2:
-        return [classify_tails(u, row, region, indecision) for row in p]
     mask = np.ones_like(u, dtype=bool)
     if region is not None:
         mask = (u >= region[0]) & (u <= region[1])
@@ -306,7 +310,7 @@ def classify_tails(u: np.ndarray, p: np.ndarray, region=None,
     slope_poly, r_poly = _fit_residual(np.log(uu), logp)
     slope_exp, r_exp = _fit_residual(uu, logp)
     reg = (float(uu.min()), float(uu.max()))
-    if abs(r_poly - r_exp) <= indecision * max(r_poly, r_exp):
+    if abs(r_poly - r_exp) <= 0.10 * max(r_poly, r_exp):
         return TailFit("inconclusive", float("nan"), r_poly, r_exp, reg)
     if r_poly < r_exp:
         return TailFit("polynomial", -slope_poly, r_poly, r_exp, reg)
@@ -328,43 +332,39 @@ class PowerBasisReport:
     samples: int
 
 
-def power_basis_demo(n: int, samples: int = 100_000,
-                     measure: Optional[InputMeasure] = None, seed: int = 0,
-                     rank_tolerance: float = 1e-10) -> PowerBasisReport:
+def power_basis_demo(n: int, samples: int = 100_000, seed: int = 0) -> PowerBasisReport:
     """Span of the 2**n subset products of {x, x^2, x^4, ..., x^(2^(n-1))}.
 
-    These products are exactly the monomials x^0 .. x^(2^n - 1). The report
-    contains the numeric rank of their Gram matrix under the drive measure
-    and the summed capacity against the orthonormal polynomial targets of
-    the same degrees, all scored against one :class:`ReadoutFit` of the
-    monomials. A rank below 2**n raises ConditioningFailure with
-    diagnostics instead of reporting a silently wrong span.
+    These products are exactly the monomials x^0 .. x^(2^n - 1), taken at
+    ``samples`` drives drawn uniformly from [-1, 1]. The report contains the
+    numeric rank of their Gram matrix, with eigenvalues below
+    ``DEFAULT_RANK_TOLERANCE`` times the largest counted as zero, and the
+    summed capacity against the orthonormal polynomial targets of the same
+    degrees, all scored against one :class:`ReadoutFit` of the monomials. A
+    rank below 2**n raises ConditioningFailure with diagnostics instead of
+    reporting a silently wrong span.
     """
     if not 1 <= n <= 6:
         raise ValueError("power basis demo supports 1 <= n <= 6")
-    if measure is None:
-        measure = InputMeasure("iid-uniform-interval", -1.0, 1.0)
+    lo, hi = -1.0, 1.0
     d = 2 ** n
-    if measure.kind == "quadrature-grid":
-        x, w = measure.quadrature()
-    else:
-        x = measure.draw(samples, _rng.stream(seed, n))
-        w = np.full(x.size, 1.0 / x.size)
+    x = _rng.stream(seed, n).uniform(lo, hi, size=samples)
+    w = np.full(x.size, 1.0 / x.size)
     cols = np.vander(x, N=d, increasing=True)
 
     g1 = (cols * w[:, None]).T @ cols
     g1 = 0.5 * (g1 + g1.T)
     eigs = np.linalg.eigvalsh(g1)
-    rank = int(np.sum(eigs >= rank_tolerance * eigs[-1]))
+    rank = int(np.sum(eigs >= DEFAULT_RANK_TOLERANCE * eigs[-1]))
     if rank < d:
         raise ConditioningFailure(
-            f"Gram rank {rank} < {d} at tolerance {rank_tolerance:.1e} "
+            f"Gram rank {rank} < {d} at tolerance {DEFAULT_RANK_TOLERANCE:.1e} "
             f"(eigenvalue range {eigs[0]:.3e} .. {eigs[-1]:.3e}); "
             "the monomial Gram is numerically singular at this size"
         )
 
     # orthonormal Legendre targets of degrees 0 .. d - 1, scored in one fit
-    basis = TargetBasis(0, d - 1, "iid-uniform-interval", lo=measure.lo, hi=measure.hi)
+    basis = TargetBasis(0, d - 1, "iid-uniform-interval", lo=lo, hi=hi)
     report = _basis_sum_report(ReadoutFit(cols, w).score(basis.evaluate(x)), basis, d)
     return PowerBasisReport(n=n, rank=rank, gram_eigenvalues=eigs,
                             ipc_report=report, samples=int(x.size))

@@ -88,11 +88,11 @@ def channel_matrix(p: float) -> np.ndarray:
     return 0.5 * (np.kron(pair.u1.conj(), pair.u1) + np.kron(pair.u2.conj(), pair.u2))
 
 
-def bernoulli_channel(p: float, rho: np.ndarray, check_tol: float = 1e-12) -> np.ndarray:
+def bernoulli_channel(p: float, rho: np.ndarray) -> np.ndarray:
     """Apply the pair-averaged channel to a single-qubit state.
 
     The result is computed by direct conjugation and cross-checked against
-    the vectorized route; disagreement beyond ``check_tol`` raises. Applied
+    the vectorized route; disagreement beyond 1e-12 raises. Applied
     to a computational basis state, the output diagonal is (p, 1-p) weighted
     and the off-diagonal terms from the two rotations cancel exactly.
     """
@@ -103,7 +103,7 @@ def bernoulli_channel(p: float, rho: np.ndarray, check_tol: float = 1e-12) -> np
     direct = _averaged(pair.u1, pair.u2, rho)
     vectorized = unvec(channel_matrix(p) @ vec(rho))
     gap = float(np.max(np.abs(direct - vectorized)))
-    if gap > check_tol:
+    if gap > 1e-12:
         raise InvalidState(f"vectorized and direct channel differ by {gap:.3g}")
     return direct
 

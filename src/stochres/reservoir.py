@@ -323,9 +323,9 @@ class InputMeasure:
         nodes, weights = self.quadrature()
         return generator.choice(nodes, size=length, p=weights)
 
-    def sequence(self, length: int, washout_length: int = DEFAULT_WASHOUT,
-                 stream_path=()) -> "InputSequence":
-        """Build an :class:`InputSequence` of scalar drives from this measure.
+    def sequence(self, length: int, washout_length: int = DEFAULT_WASHOUT) -> "InputSequence":
+        """Build an :class:`InputSequence` of scalar drives from this measure,
+        drawn from the stream of its ``seed``.
 
         For ``quadrature-grid`` the sequence is the node grid itself (with
         per-row weights); ``length`` is ignored and washout must be 0.
@@ -333,18 +333,18 @@ class InputMeasure:
         if self.kind == "quadrature-grid":
             nodes, weights = self.quadrature()
             return InputSequence(nodes[:, None], washout_length=0, weights=weights)
-        gen = _rng.stream(self.seed, *stream_path)
+        gen = _rng.stream(self.seed)
         values = self.draw(length, gen)[:, None]
         return InputSequence(values, washout_length=washout_length)
 
 
 @dataclass
 class InputSequence:
-    """Ordered drive inputs with a washout length and optional row weights.
+    """Ordered scalar drive inputs with a washout length and optional row weights.
 
-    ``values`` has shape (T, m). The scalar drive per step is the value
-    itself for m == 1 and the Euclidean norm for m > 1. A 1-D array is a
-    sequence of T scalar drives; any other shape is rejected.
+    ``values`` is a 1-D array of T drives or a (T, 1) column of them, and is
+    held as the column; any other shape, such as (T, m) with m > 1, is
+    rejected rather than reduced to a scalar per step.
     """
 
     values: np.ndarray
@@ -355,8 +355,8 @@ class InputSequence:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim == 1:
             self.values = self.values[:, None]
-        if self.values.ndim != 2:
-            raise ValueError(f"values must be 1-D or 2-D (T, m), got shape {self.values.shape}")
+        if self.values.ndim != 2 or self.values.shape[1] != 1:
+            raise ValueError(f"values must be 1-D (T,) or (T, 1), got shape {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise NonfiniteDrive("input values must be finite")
         if self.washout_length < 0:
@@ -371,9 +371,7 @@ class InputSequence:
 
     @property
     def drives(self) -> np.ndarray:
-        if self.values.shape[1] == 1:
-            return self.values[:, 0]
-        return np.linalg.norm(self.values, axis=1)
+        return self.values[:, 0]
 
     def post_washout_weights(self) -> Optional[np.ndarray]:
         if self.weights is None:
@@ -820,12 +818,10 @@ class Reservoir:
     physicality budgets and compiles the gate sequence into ``plan``.
     """
 
-    def __init__(self, spec: ReservoirSpec, k_max: int, depth_bound: int):
+    def __init__(self, spec: ReservoirSpec):
         self.spec = spec
         self.n = spec.n
         self.dim = 2 ** spec.n
-        self.k_max = k_max
-        self.depth_bound = depth_bound
         self.plan = StepPlan(spec.gates, spec.n)
 
     @property
@@ -875,27 +871,25 @@ def _validate_gate(gate: StochasticGate, n: int, k_max: int,
             )
 
 
-def build_reservoir(spec: ReservoirSpec, k_max: Optional[int] = None,
-                    depth_bound: Optional[int] = None) -> Reservoir:
-    """Validate ``spec`` against its physicality budgets and return a handle.
+def build_reservoir(spec: ReservoirSpec) -> Reservoir:
+    """Validate ``spec`` against its physicality budgets (``k_max``,
+    ``depth_bound``, ``derivative_bound``) and return a handle.
 
     Raises
     ------
     LocalityViolation, DepthViolation, DriveDerivativeViolation,
     StochasticityViolation
     """
-    k_max = spec.k_max if k_max is None else k_max
-    depth_bound = spec.depth_bound if depth_bound is None else depth_bound
-    if len(spec.gates) > depth_bound:
+    if len(spec.gates) > spec.depth_bound:
         raise DepthViolation(
-            f"{len(spec.gates)} gates per step exceeds depth budget {depth_bound}"
+            f"{len(spec.gates)} gates per step exceeds depth budget {spec.depth_bound}"
         )
     for gate in spec.gates:
-        _validate_gate(gate, spec.n, k_max, spec.derivative_bound, spec.drive_domain)
+        _validate_gate(gate, spec.n, spec.k_max, spec.derivative_bound, spec.drive_domain)
     spec.initial_state.validate(tol=1e-12)
     if spec.initial_state.n != spec.n:
         raise MixedDimensions("initial state size does not match n")
-    return Reservoir(spec, k_max, depth_bound)
+    return Reservoir(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -938,16 +932,17 @@ def step_exact(reservoir: Reservoir, state, u: float) -> np.ndarray:
     their folded kernel along their bits, or multiply the state by it when
     they span the register. ``state`` may be a
     :class:`BitstringDistribution` or a raw probability vector; the result
-    is a probability vector.
+    is a probability vector. ``u`` gets the checks of every drive of
+    :func:`run_exact`: a non-finite drive raises :class:`NonfiniteDrive` and
+    one outside the drive domain :class:`DriveBoundViolation`.
     """
-    if not np.isfinite(u):
-        raise NonfiniteDrive(f"drive is {u!r}")
+    values = _checked_drives(reservoir, InputSequence([float(u)], washout_length=0))
     _check_exact_mode(reservoir)
     vec = state.probs if isinstance(state, BitstringDistribution) else np.asarray(state, dtype=float)
     if vec.size != reservoir.dim:
         raise MixedDimensions("state size does not match reservoir")
     plan = reservoir.plan
-    return plan.advance(vec, plan.exact_steps(np.array([float(u)]))[0])
+    return plan.advance(vec, plan.exact_steps(values)[0])
 
 
 def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
@@ -1138,16 +1133,16 @@ def _sample_block(reservoir: Reservoir, steps, index, washout, shot_slice, seed,
 
 
 def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
-                        seed: int, threads: int = 1) -> TrajectoryEnsemble:
+                        seed: int) -> TrajectoryEnsemble:
     """Draw ``shots`` independent trajectories.
 
     Every shot has its own counter-based stream keyed by (seed, shot index),
     so the result is bit-identical for any block schedule. Shots run in
     blocks of ``SAMPLE_BLOCK`` on one thread: the loop over steps holds the
-    GIL, so worker threads would add only scheduling, and ``threads`` (at
-    least 1) is accepted but unused. Per step, each gate owns exactly one
-    uniform per shot, drawn ``SAMPLE_DRAW_CHUNK`` per gate at a time, and a
-    state of a one-hot kernel row takes its column whatever the uniform.
+    GIL, so worker threads would add only scheduling. Per step, each gate
+    owns exactly one uniform per shot, drawn ``SAMPLE_DRAW_CHUNK`` per gate
+    at a time, and a state of a one-hot kernel row takes its column
+    whatever the uniform.
     Shots advance through the reservoir's compiled plan, block ops through
     their parts (see :func:`_sampler_steps`): a gather maps states through
     its index table, a multi-bit kernel op draws each shot's new
@@ -1162,8 +1157,6 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
         raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
     drives = _checked_drives(reservoir, inputs)
 
     out = np.empty((shots, len(inputs) - inputs.washout_length), dtype=np.int64)

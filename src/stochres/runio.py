@@ -2,7 +2,7 @@
 
 A run takes a validated JSON config, dispatches to a registered experiment,
 writes CSV/JSON artifacts through :mod:`stochres.fileio` (so identical
-config and seed produce byte-identical files at any thread count), and
+config and seed produce byte-identical files), and
 records a manifest with the config hash, seed, version, timestamps, and
 per-artifact checksums.
 """
@@ -381,8 +381,8 @@ _NOISE_RATE = Interval(0.0, 0.5)
 # sharpness reaches a target_min_peak above it
 _PEAK = Interval(0.0, 1.0, open_lo=True)
 
-# keys that say only where and on how many threads a run executes; config_hash
-# leaves them out, so the same experiment run elsewhere hashes identically
+# keys that say nothing about what a run computes, so config_hash leaves them
+# out; threads has no effect and stays only because existing configs carry it
 _EXECUTION_KEYS = {"threads": (1, _AT_LEAST_1), "out_dir": (".", _ANY)}
 # keys every experiment takes; rng.stream masks seeds to 64 bits, so a seed
 # outside [0, 2^64 - 1] would alias one inside it under another config_hash
@@ -457,8 +457,10 @@ EXPERIMENTS: dict = {
         # a bound on residuals, which are >= 0; 0 fails the check on purpose
         "tolerance": (1e-12, Interval(0.0)),
         "cases": (100, _AT_LEAST_1),
-        # the rate-relation grid needs three points; see qembed.RATE_DT_MAX
-        "dt": (1e-3, Interval(0.0, RATE_DT_MAX, open_lo=True, open_hi=True)),
+        # the rate-relation grid needs three points; see qembed.RATE_DT_MAX.
+        # Rounding swamps the O(dt^2) deviation from dt = 1e-5 on, so the
+        # order check fails there; 1e-6 stops the grid at 1.3e6 points
+        "dt": (1e-3, Interval(1e-6, RATE_DT_MAX, open_hi=True)),
     }),
 }
 
@@ -473,6 +475,10 @@ _RULES = (
     # center than to any other; coarser grids leave a signal with no peak,
     # and the sharpness sweep then ends on NaN
     ("grid_points", "count", lambda a, b: a >= b + 2, ">= count + 2"),
+    # learnability seeds the i-th q with seed + i, and rng.stream masks seeds
+    # to 64 bits, so a longer list would redraw the streams of seed 0, 1, ...
+    ("q_values", "seed", lambda q, seed: seed + len(q) - 1 <= 2 ** 64 - 1,
+     "of length <= 2^64 - seed"),
 )
 
 

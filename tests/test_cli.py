@@ -340,6 +340,10 @@ def test_config_range_limits_are_inclusive():
     ("fat-shatter", '{"count": 17}', "count"),
     ("ipc", '{"seed": -1}', "seed"),
     ("ipc", '{"seed": 18446744073709551616}', "seed"),
+    # the second q would take seed 2^64, which the stream reads as seed 0
+    ("learnability", '{"q_values": [0.01, 0.1], "seed": 18446744073709551615}', "q_values"),
+    ("embed-check", '{"dt": 1e-9}', "dt"),
+    ("embed-check", '{"dt": 9.9e-7}', "dt"),
 ])
 def test_cli_rejects_other_experiments_out_of_range_values(experiment, text, key,
                                                            tmp_path, capsys):
@@ -374,6 +378,9 @@ def test_cli_runs_other_experiments_at_their_least_values(experiment, text, tmp_
     ("embed-check", {"tolerance": 0.0, "dt": 0.6499999999999998}),
     ("learnability", {"m0_grid": [1], "q_values": [0.5]}),
     ("switching", {"domain_lo": -1.0, "domain_hi": -0.5}),
+    ("embed-check", {"dt": 1e-6}),
+    ("learnability", {"q_values": [0.01], "seed": 2 ** 64 - 1}),
+    ("learnability", {"q_values": [0.01, 0.1, 0.5], "seed": 2 ** 64 - 3}),
 ])
 def test_limits_admit_their_ends(experiment, overrides):
     eff = validate_config({"experiment": experiment, **overrides})
