@@ -48,8 +48,6 @@ DERIVATIVE_PROBE_POINTS = 256
 ROW_SUM_TOL = 1e-12
 DEFAULT_K_MAX = 2
 DEFAULT_WASHOUT = 1000
-# exact steps whose drive-dependent kernels are built together
-EXACT_DRIVE_CHUNK = 256
 # shots simulated together, and uniforms per gate drawn at once for them
 SAMPLE_BLOCK = 1024
 SAMPLE_DRAW_CHUNK = 256 * 512
@@ -373,12 +371,6 @@ class InputSequence:
     def drives(self) -> np.ndarray:
         return self.values[:, 0]
 
-    def post_washout_weights(self) -> Optional[np.ndarray]:
-        if self.weights is None:
-            return None
-        w = self.weights[self.washout_length:]
-        return w / w.sum()
-
 
 @dataclass
 class ReservoirSpec:
@@ -530,8 +522,8 @@ class _GatherOp:
     """A run of adjacent bijective permutation gates, fused into one index map.
 
     ``fwd[k]`` is where bitstring ``k`` lands after the run, so sampled
-    states advance by ``fwd[states]``; ``src`` is its inverse, so an exact
-    distribution advances by ``vec[src]``. Both are exact: a permutation
+    states step to ``fwd[states]``; ``src`` is its inverse, so an exact
+    distribution steps to ``vec[src]``. Both are exact: a permutation
     moves probability without arithmetic, and a one-hot kernel row's CDF
     selects its column for every uniform in [0, 1).
     """
@@ -629,7 +621,7 @@ class _BlockOp(_KernelOp):
     those bits, the first one most significant: row ``s`` is the
     distribution after the run from sub-register state ``s``. It is built
     on that sub-register alone, by running the parts, their bits moved into
-    it, over its identity. An exact state advances by one kernel op with
+    it, over its identity. An exact state steps by one kernel op with
     this matrix, or by one product ``vec @ matrix`` when the bits are the
     whole register. Its sums group the parts' products differently, so an
     exact step moves in the last bits. The sampler takes the parts
@@ -734,10 +726,9 @@ class StepPlan:
     (``4**n <= len(gates) * DENSE_ENTRIES_PER_OP``, through n = 8 for the
     scan family), and every drive-dependent kernel at ``u`` is 0/1, as a
     ``set`` gate's is under binary drives. The rule depends on the plan
-    and ``u`` alone, so every exact caller steps alike. ``whole_steps``
-    holds one matrix per distinct tuple of such kernels, keyed by their
-    bytes; each is built on first use by running the ops over the
-    identity, so it sees the ops as they are then.
+    and ``u`` alone, so every exact caller steps alike. The plan holds no
+    kernels or matrices of any drive: each exact call resolves its own
+    drive values (see :class:`_ExactSteps`).
     """
 
     def __init__(self, gates, n: int):
@@ -758,53 +749,54 @@ class StepPlan:
         self.ops = _fold_static_runs(ops, n) if fuse else ops
         self.n = n
         self.tabulates = fuse and _product_pays(n, n, len(gates))
-        self.whole_steps = {}
 
-    def kernels(self, u) -> list:
-        """Per-op kernels at drive ``u`` (None for gathers and folded ops; static ones shared).
 
-        For a 1-D array of drives, a drive-dependent op gives a stack of
-        kernels, one per drive; see :meth:`per_value`.
-        """
-        return [op.kernel(u) for op in self.ops]
+class _ExactSteps:
+    """The exact steps of one call at its distinct drive ``values``.
 
-    def per_value(self, tables: list, count: int) -> list:
-        """Split :meth:`kernels` of ``count`` drives into one op list per drive."""
-        return [[t[i] if op.varies else t for op, t in zip(self.ops, tables)]
-                for i in range(count)]
+    ``kernels`` holds each op's kernels, built once: for a drive-dependent
+    op the stack of one kernel per value, else its static kernel or None.
+    When the plan tabulates, ``tables`` maps the index of each value whose
+    drive-dependent kernels are all 0/1 to its whole-step matrix, built by
+    running the ops over the identity, one per distinct tuple of such
+    kernels. A step at value ``i`` is one product with its table, else the
+    ops in turn. The object lives for one call, so its tables do too, and
+    they see the ops as they are at the call.
+    """
 
-    def exact_steps(self, values: np.ndarray) -> list:
-        """How an exact step runs at each drive of the 1-D array ``values``:
-        its whole-step matrix when the plan tabulates that step, else its
-        per-op kernel list. :meth:`advance` applies either."""
-        kernels = self.kernels(values)
-        steps = self.per_value(kernels, len(values))
-        if self.tabulates:
-            deterministic = np.ones(len(values), dtype=bool)
-            for op, k in zip(self.ops, kernels):
-                if op.varies:
-                    deterministic &= ((k == 0.0) | (k == 1.0)).all(axis=(-2, -1))
-            for i in np.flatnonzero(deterministic).tolist():
-                steps[i] = self._whole_step(steps[i])
-        return steps
+    def __init__(self, plan: StepPlan, values: np.ndarray):
+        self.ops = plan.ops
+        self.kernels = [op.kernel(values) for op in plan.ops]
+        self.tables = {}
+        if not plan.tabulates:
+            return
+        varying = [k for op, k in zip(self.ops, self.kernels) if op.varies]
+        deterministic = np.ones(len(values), dtype=bool)
+        for k in varying:
+            deterministic &= ((k == 0.0) | (k == 1.0)).all(axis=(-2, -1))
+        rows = np.flatnonzero(deterministic)
+        if not rows.size:  # np.unique by rows is slow even on no rows
+            return
+        # each row's 0/1 kernels side by side; with no drive-dependent op,
+        # every row has the one empty key
+        keys = np.concatenate([np.empty((len(rows), 0))]
+                              + [k.reshape(len(values), -1)[rows] for k in varying], axis=1)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        tables = [np.ascontiguousarray(self.run_ops(np.eye(2 ** plan.n), rows[i]))
+                  for i in first.tolist()]
+        self.tables = {i: tables[j] for i, j in zip(rows.tolist(), inverse.tolist())}
 
-    def _whole_step(self, kernels: list) -> np.ndarray:
-        key = b"".join(k.tobytes() for op, k in zip(self.ops, kernels) if op.varies)
-        matrix = self.whole_steps.get(key)
-        if matrix is None:
-            matrix = self.advance(np.eye(2 ** self.n), kernels)
-            matrix = self.whole_steps[key] = np.ascontiguousarray(matrix)
-        return matrix
-
-    def advance(self, vec: np.ndarray, step) -> np.ndarray:
-        """``vec`` (one state, or a batch of them as rows) after one exact
-        step from :meth:`exact_steps`: one product with its whole-step
-        matrix, or the ops with its kernels."""
-        if isinstance(step, np.ndarray):
-            return vec @ step
-        for op, kernel in zip(self.ops, step):
-            vec = op.exact(vec, kernel)
+    def run_ops(self, vec: np.ndarray, i: int) -> np.ndarray:
+        """``vec`` (one state, or a batch of them as rows) through the ops
+        with their kernels at value ``i``."""
+        for op, kernel in zip(self.ops, self.kernels):
+            vec = op.exact(vec, kernel[i] if op.varies else kernel)
         return vec
+
+    def __call__(self, vec: np.ndarray, i: int) -> np.ndarray:
+        """``vec`` after one exact step at value ``i``."""
+        table = self.tables.get(i)
+        return self.run_ops(vec, i) if table is None else vec @ table
 
 
 # ---------------------------------------------------------------------------
@@ -896,8 +888,9 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
 # exact propagation
 # ---------------------------------------------------------------------------
 
-def _checked_drives(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
-    """The scalar drives of ``inputs``, once a step is left after washout and
+def _checked_drives(reservoir: Reservoir, inputs: InputSequence) -> tuple:
+    """The distinct drive values of ``inputs`` and the index of each step's
+    value among them (``np.unique``), once a step is left after washout and
     every drive is finite and within the reservoir's drive domain."""
     if len(inputs) <= inputs.washout_length:
         raise EmptyAfterWashout(
@@ -912,7 +905,7 @@ def _checked_drives(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
         raise DriveBoundViolation(
             f"drive {drives[outside][0]:.6g} lies outside the drive domain [{lo:.6g}, {hi:.6g}]"
         )
-    return drives
+    return np.unique(drives, return_inverse=True)
 
 
 def _check_exact_mode(reservoir: Reservoir) -> None:
@@ -925,8 +918,9 @@ def _check_exact_mode(reservoir: Reservoir) -> None:
 def step_exact(reservoir: Reservoir, state, u: float) -> np.ndarray:
     """One exact time step: run the reservoir's compiled plan at drive ``u``.
 
-    The step is the plan's step at ``u`` (:meth:`StepPlan.exact_steps`):
-    one product with the whole-step matrix where the plan tabulates it,
+    The step is resolved as every step of :func:`run_exact` is
+    (:class:`_ExactSteps`), here for ``u`` alone: one product with its
+    whole-step matrix where the plan tabulates it, built for this call,
     else the ops in turn. Gather ops permute the probability vector; kernel
     ops apply their gate kernel along the gate's bits; block ops apply
     their folded kernel along their bits, or multiply the state by it when
@@ -936,54 +930,49 @@ def step_exact(reservoir: Reservoir, state, u: float) -> np.ndarray:
     :func:`run_exact`: a non-finite drive raises :class:`NonfiniteDrive` and
     one outside the drive domain :class:`DriveBoundViolation`.
     """
-    values = _checked_drives(reservoir, InputSequence([float(u)], washout_length=0))
+    values, _ = _checked_drives(reservoir, InputSequence([float(u)], washout_length=0))
     _check_exact_mode(reservoir)
     vec = state.probs if isinstance(state, BitstringDistribution) else np.asarray(state, dtype=float)
     if vec.size != reservoir.dim:
         raise MixedDimensions("state size does not match reservoir")
-    plan = reservoir.plan
-    return plan.advance(vec, plan.exact_steps(values)[0])
+    return _ExactSteps(reservoir.plan, values)(vec, 0)
 
 
 def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
     """Propagate the exact distribution and return post-washout states.
 
     Output row ``t`` is the distribution after processing drive
-    ``washout_length + t``. Every step is the same per-value step as
-    :func:`step_exact` takes, so the run equals a loop of them bit for
-    bit. After each step, negative entries are set to zero and the state
-    is divided by its sum; if that sum is ever further than
+    ``washout_length + t``. The run's distinct drive values are resolved
+    once (:class:`_ExactSteps`): one array-valued drive evaluation per gate
+    for all of them, and one whole-step matrix per tabulated kernel tuple,
+    built for this call and dropped when it returns. Each step is the step
+    :func:`step_exact` takes at its value, so the run equals a loop of them
+    bit for bit. After each step, negative entries are set to zero and the
+    state is divided by its sum; if that sum is ever further than
     ``RENORM_DRIFT_TOL`` from one, the run raises
-    :class:`NumericCheckFailure` with the drift instead of hiding it. Steps
-    run in chunks of ``EXACT_DRIVE_CHUNK``; the steps of a chunk's distinct
-    drive values are resolved at once, with one array-valued drive
-    evaluation per gate, and a tabulated step is one product with its
-    whole-step matrix.
+    :class:`NumericCheckFailure` with the drift instead of hiding it.
     """
-    drives = _checked_drives(reservoir, inputs)
+    values, index = _checked_drives(reservoir, inputs)
     _check_exact_mode(reservoir)
-    plan = reservoir.plan
+    step = _ExactSteps(reservoir.plan, values)
     state = reservoir.spec.initial_state.probs.copy()
     out = np.empty((len(inputs) - inputs.washout_length, reservoir.dim))
     drift = 0.0  # largest |sum - 1| so far
-    for t0 in range(0, len(drives), EXACT_DRIVE_CHUNK):
-        values, inverse = np.unique(drives[t0:t0 + EXACT_DRIVE_CHUNK], return_inverse=True)
-        steps = plan.exact_steps(values)
-        for t, i in enumerate(inverse.tolist(), start=t0):
-            state = plan.advance(state, steps[i])
-            np.maximum(state, 0.0, out=state)
-            total = state.sum()
-            state /= total
-            err = abs(float(total) - 1.0)
-            if not err <= drift:  # also true for NaN
-                drift = err
-                if not drift <= RENORM_DRIFT_TOL:
-                    raise NumericCheckFailure(
-                        f"exact state sums to {float(total)!r} at step {t}: renormalization "
-                        f"drift {drift:.3g} exceeds {RENORM_DRIFT_TOL:g}"
-                    )
-            if t >= inputs.washout_length:
-                out[t - inputs.washout_length] = state
+    for t, i in enumerate(index.tolist()):
+        state = step(state, i)
+        np.maximum(state, 0.0, out=state)
+        total = state.sum()
+        state /= total
+        err = abs(float(total) - 1.0)
+        if not err <= drift:  # also true for NaN
+            drift = err
+            if not drift <= RENORM_DRIFT_TOL:
+                raise NumericCheckFailure(
+                    f"exact state sums to {float(total)!r} at step {t}: renormalization "
+                    f"drift {drift:.3g} exceeds {RENORM_DRIFT_TOL:g}"
+                )
+        if t >= inputs.washout_length:
+            out[t - inputs.washout_length] = state
     return out
 
 
@@ -1143,7 +1132,7 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
     owns exactly one uniform per shot, drawn ``SAMPLE_DRAW_CHUNK`` per gate
     at a time, and a state of a one-hot kernel row takes its column
     whatever the uniform.
-    Shots advance through the reservoir's compiled plan, block ops through
+    Shots step through the reservoir's compiled plan, block ops through
     their parts (see :func:`_sampler_steps`): a gather maps states through
     its index table, a multi-bit kernel op draws each shot's new
     sub-register from its kernel row, and each run of one-bit kernel ops
@@ -1157,10 +1146,9 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
         raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    drives = _checked_drives(reservoir, inputs)
+    values, index = _checked_drives(reservoir, inputs)
 
     out = np.empty((shots, len(inputs) - inputs.washout_length), dtype=np.int64)
-    values, index = np.unique(drives, return_inverse=True)
     # the smallest unsigned type that holds n bits
     dtype = np.min_scalar_type(reservoir.dim - 1)
     steps = _sampler_steps(reservoir.plan, values, dtype)

@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -82,15 +82,7 @@ class RunManifest:
     artifacts: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "version": self.version,
-            "started_utc": self.started_utc,
-            "finished_utc": self.finished_utc,
-            "runtime_seconds": self.runtime_seconds,
-            "artifacts": self.artifacts,
-        }
+        return asdict(self)
 
 
 def write_results(artifacts, out_dir) -> list:

@@ -105,7 +105,7 @@ def test_criterion_03_closed_form_anchor():
     res = sr.build_reservoir(spec)
     seq = measure.sequence(64)
     sm = sr.probability_signals(sr.run_exact(res, seq))
-    sm.weights = seq.post_washout_weights()
+    sm.weights = seq.weights
     g1, g2 = sr.gram_matrices(sm)
     gram_err = max(np.max(np.abs(g1 - np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]]))),
                    np.max(np.abs(g2 - np.diag([0.5, 0.5]))))

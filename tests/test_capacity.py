@@ -43,7 +43,7 @@ def linear_drive_signals(order=64):
     seq = measure.sequence(order)
     dists = sr.run_exact(res, seq)
     sm = sr.probability_signals(dists)
-    sm.weights = seq.post_washout_weights()
+    sm.weights = seq.weights
     return sm, seq.drives, sm.weights
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from stochres.reservoir import (
     SAMPLE_DRAW_CHUNK,
     _BitRun,
     _BlockOp,
+    _ExactSteps,
     _KernelOp,
     _OpStep,
     _cdf_columns,
@@ -381,9 +383,8 @@ def test_run_equals_iterated_steps():
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_run_on_continuous_drives_equals_step_loop_bit_for_bit(n):
-    # the run builds each gate's kernels for a chunk's distinct drives in
-    # one array-valued evaluation; a step builds them for its drive alone.
-    # 400 steps span two chunks.
+    # the run builds each gate's kernels for all its distinct drives in
+    # one array-valued evaluation; a step builds them for its drive alone
     gen = np.random.default_rng(30 + n)
     spec = random_physical_reservoir(n, gen)
     spec.gates.append(asymmetric_flip_gate(
@@ -408,18 +409,17 @@ def test_plan_stacks_equal_per_drive_kernels_bit_for_bit(seed, n):
     gen = np.random.default_rng(seed)
     res = sr.build_reservoir(random_mixed_reservoir(n, gen))
     us = gen.uniform(-1, 1, 7)
-
-    def cdfs(u):
-        # the sampler's tables: _cdf_columns of a kernel, or of a stack of them
-        return [None if k is None else _cdf_columns(k) for k in res.plan.kernels(u)]
-
-    for build in (res.plan.kernels, cdfs):
-        per_value = res.plan.per_value(build(us), len(us))
+    steps = _ExactSteps(res.plan, us)
+    for op, stacked in zip(res.plan.ops, steps.kernels):
         for i, u in enumerate(us):
-            for stacked, single in zip(per_value[i], build(float(u))):
-                assert (stacked is None) == (single is None)
-                if single is not None:
-                    assert np.array_equal(stacked, single)
+            single = op.kernel(float(u))
+            assert (stacked is None) == (single is None)
+            if single is None:
+                continue
+            # the kernel, and the sampler's table of it: _cdf_columns of a
+            # kernel, or of a stack of them
+            for table, one in ((stacked, single), (_cdf_columns(stacked), _cdf_columns(single))):
+                assert np.array_equal(table[i] if op.varies else table, one)
 
 
 def test_run_on_folded_plan_equals_step_loop_bit_for_bit():
@@ -439,15 +439,41 @@ def test_run_on_folded_plan_equals_step_loop_bit_for_bit():
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_binary_scan_run_tabulates_one_whole_step_per_drive_value_through_n8(n):
-    # 4**n <= 2n * DENSE_ENTRIES_PER_OP holds through n = 8; the tables are
-    # built on first use, one per 0/1 set kernel
+    # 4**n <= 2n * DENSE_ENTRIES_PER_OP holds through n = 8; a call builds
+    # one table per 0/1 set kernel
     res = sr.build_reservoir(sr.shift_register_flip_family(n, 0.05))
-    assert res.plan.whole_steps == {}
     drives = np.random.default_rng(n).integers(0, 2, 40).astype(float)
-    sr.run_exact(res, InputSequence(drives, washout_length=5))
-    assert len(res.plan.whole_steps) == (2 if n <= 8 else 0)
-    for matrix in res.plan.whole_steps.values():
+    steps = _ExactSteps(res.plan, np.unique(drives))
+    assert len(steps.tables) == (2 if n <= 8 else 0)
+    for matrix in steps.tables.values():
         assert matrix.shape == (2 ** n, 2 ** n)
+
+
+def test_run_exact_holds_no_whole_step_table_once_it_returns():
+    # at n = 8 the run's two tables take 1 MB; they live for the call only
+    res = sr.build_reservoir(sr.shift_register_flip_family(8, 0.05))
+    drives = np.random.default_rng(8).integers(0, 2, 40).astype(float)
+    tracemalloc.start()
+    try:
+        out = sr.run_exact(res, InputSequence(drives, washout_length=5))
+        held = tracemalloc.get_traced_memory()[0] - out.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held < 0.25 * 2 ** 20
+
+
+def test_drive_values_with_equal_01_kernels_share_one_table():
+    # the clipped set drive is 0 for u <= 0 and 1 for u >= 0.5: many
+    # drive values, two kernel tuples, two distinct tables
+    res = sr.build_reservoir(ReservoirSpec(n=4, gates=[
+        set_gate(3, {"type": "poly", "coeffs": [0.0, 2.0]}), swap_gate(0, 3),
+        *[flip_gate(i, 0.05) for i in range(4)]]))
+    values = np.linspace(-1.0, 1.0, 41)
+    steps = _ExactSteps(res.plan, values)
+    assert sorted(steps.tables) == np.flatnonzero((values <= 0.0) | (values >= 0.5)).tolist()
+    assert len({id(table) for table in steps.tables.values()}) == 2
+    for i, table in steps.tables.items():
+        assert np.array_equal(table, steps.run_ops(np.eye(16), i))
 
 
 def test_continuous_drives_tabulate_no_whole_step():
@@ -463,7 +489,7 @@ def test_continuous_drives_tabulate_no_whole_step():
     assert res.plan.tabulates
     drives = np.random.default_rng(0).uniform(-1, 1, 300)
     sr.run_exact(res, InputSequence(drives, washout_length=10))
-    assert res.plan.whole_steps == {}
+    assert _ExactSteps(res.plan, np.unique(drives)).tables == {}
 
 
 def test_mixed_drives_step_through_tables_and_ops_alike():
@@ -480,7 +506,7 @@ def test_mixed_drives_step_through_tables_and_ops_alike():
     res = sr.build_reservoir(spec)
     drives = gen.choice(np.concatenate([[0.0, 1.0], gen.uniform(0, 1, 6)]), size=600)
     out = sr.run_exact(res, InputSequence(drives, washout_length=30))
-    assert len(res.plan.whole_steps) == 2
+    assert len(_ExactSteps(res.plan, np.unique(drives)).tables) == 2
     state = spec.initial_state.probs.copy()
     for t, u in enumerate(drives):
         expected = dense_step_oracle(spec, state, u)
