@@ -34,9 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="root seed (overrides the config)")
         p.add_argument("--out-dir", type=Path, default=Path("."),
                        help="artifact output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="at least 1; accepted for existing scripts and configs "
-                            "(overrides the config), but has no effect")
     return parser
 
 
@@ -57,8 +54,6 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config["seed"] = args.seed
         config["out_dir"] = str(args.out_dir)
-        if args.threads is not None:
-            config["threads"] = args.threads
         manifest = run_experiment(config)
     except (ConfigValidation, UnknownExperiment) as exc:
         print(f"config error: {exc}", file=sys.stderr)

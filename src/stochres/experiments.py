@@ -294,7 +294,8 @@ def classify_tails(u: np.ndarray, p: np.ndarray, region=None) -> TailFit:
     Fits log p against log u (polynomial tail, parameter = degree) and log p
     against u (exponential tail, parameter = natural-log rate) over the
     decay region and keeps the lower-residual law; residuals within 10 % of
-    the larger one give "inconclusive".
+    the larger one give "inconclusive". Fewer than 3 samples in the region
+    raise ``ValueError``.
     """
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -302,6 +303,9 @@ def classify_tails(u: np.ndarray, p: np.ndarray, region=None) -> TailFit:
     if region is not None:
         mask = (u >= region[0]) & (u <= region[1])
     uu, pp = u[mask], p[mask]
+    if uu.size < 3:  # two points fit both laws exactly, to rounding
+        raise ValueError(f"tail classification needs at least 3 samples in the region, "
+                         f"got {uu.size}")
     if np.any(pp <= 0.0):
         raise NonpositiveSignal("tail classification needs positive samples")
     if np.any(uu <= 0.0):

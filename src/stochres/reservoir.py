@@ -48,9 +48,10 @@ DERIVATIVE_PROBE_POINTS = 256
 ROW_SUM_TOL = 1e-12
 DEFAULT_K_MAX = 2
 DEFAULT_WASHOUT = 1000
-# shots simulated together, and uniforms per gate drawn at once for them
+# the sampler's tile: shots simulated together, and the steps whose
+# uniforms they draw at once
 SAMPLE_BLOCK = 1024
-SAMPLE_DRAW_CHUNK = 256 * 512
+SAMPLE_STEPS = 128
 # a run of static plan ops folds into one kernel product when the product
 # takes at most this many multiplications per op it replaces (see
 # _fold_static_runs)
@@ -556,9 +557,10 @@ class _KernelOp:
     run of other bits merged into one; the support axes are moved to the
     front, the kernel acts on them as a matrix product, and the inverse
     transpose puts them back. The element order, and so the arithmetic, is
-    that of moving the support axes of the full ``(2,) * n`` tensor. A
-    leading batch axis of states, if any, moves in right behind the support
-    axes, so that a whole batch is one matrix product too.
+    that of moving the support axes of the full ``(2,) * n`` tensor. States
+    are the rows of a ``(batch, 2**n)`` array, whose batch axis moves in
+    right behind the support axes, so that a whole batch is one matrix
+    product.
     """
 
     def __init__(self, index: int, gate: StochasticGate, n: int):
@@ -576,28 +578,21 @@ class _KernelOp:
             range(n), lambda b: b if b in support else None)]
         labels = [label for label, _ in runs]
         dims = [2 ** size for _, size in runs]
-        axes = [labels.index(b) for b in support]
-        axes += [i for i, label in enumerate(labels) if label is None]
-        moved = [dims[a] for a in axes]
-        k = len(support)
-        batch_axes = [a + 1 for a in axes[:k]] + [0] + [a + 1 for a in axes[k:]]
-        batch_moved = moved[:k] + [-1] + moved[k:]
-        self.rows = 2 ** k
-        # (tensor shape, transpose, moved shape, inverse transpose, flat
-        # shape) for one state and for a leading batch axis
-        self.layouts = (
-            (tuple(dims), tuple(axes), tuple(moved), tuple(np.argsort(axes).tolist()), (-1,)),
-            ((-1, *dims), tuple(batch_axes), tuple(batch_moved),
-             tuple(np.argsort(batch_axes).tolist()), (-1, 2 ** n)),
-        )
+        # the batch axis (0) goes right behind the support axes
+        axes = [labels.index(b) + 1 for b in support] + [0]
+        axes += [i + 1 for i, label in enumerate(labels) if label is None]
+        self.rows = 2 ** len(support)
+        self.shape = (-1, *dims)
+        self.axes = tuple(axes)
+        self.moved = tuple(dims[a - 1] if a else -1 for a in axes)
+        self.inverse = tuple(np.argsort(axes).tolist())
 
     def kernel(self, u) -> np.ndarray:
         return self.gate.kernel(u) if self.varies else self.static
 
     def exact(self, vec: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-        shape, axes, moved, inv, flat = self.layouts[vec.ndim - 1]
-        mat = vec.reshape(shape).transpose(axes).reshape(self.rows, -1)
-        return (kernel.T @ mat).reshape(moved).transpose(inv).reshape(flat)
+        mat = vec.reshape(self.shape).transpose(self.axes).reshape(self.rows, -1)
+        return (kernel.T @ mat).reshape(self.moved).transpose(self.inverse).reshape(vec.shape)
 
     def sample(self, states: np.ndarray, cdf: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Each shot's new sub-register, drawn from its kernel row by its uniform ``r``."""
@@ -734,17 +729,12 @@ class StepPlan:
     def __init__(self, gates, n: int):
         fuse = n <= EXACT_MODE_MAX_BITS
         ops = []
-        run = []
-        for index, gate in enumerate(gates):
-            if fuse and _is_bijection(gate):
-                run.append(gate)
-                continue
-            if run:
-                ops.append(_GatherOp(run, n))
-                run = []
-            ops.append(_KernelOp(index, gate, n))
-        if run:
-            ops.append(_GatherOp(run, n))
+        for gather, run in itertools.groupby(
+                enumerate(gates), lambda item: fuse and _is_bijection(item[1])):
+            if gather:
+                ops.append(_GatherOp([gate for _, gate in run], n))
+            else:
+                ops += [_KernelOp(index, gate, n) for index, gate in run]
         # above the cap exact steps are refused, so a folded kernel is never used
         self.ops = _fold_static_runs(ops, n) if fuse else ops
         self.n = n
@@ -787,14 +777,14 @@ class _ExactSteps:
         self.tables = {i: tables[j] for i, j in zip(rows.tolist(), inverse.tolist())}
 
     def run_ops(self, vec: np.ndarray, i: int) -> np.ndarray:
-        """``vec`` (one state, or a batch of them as rows) through the ops
-        with their kernels at value ``i``."""
+        """The rows of ``vec`` (states) through the ops with their kernels
+        at value ``i``."""
         for op, kernel in zip(self.ops, self.kernels):
             vec = op.exact(vec, kernel[i] if op.varies else kernel)
         return vec
 
     def __call__(self, vec: np.ndarray, i: int) -> np.ndarray:
-        """``vec`` after one exact step at value ``i``."""
+        """The rows of ``vec`` after one exact step at value ``i``."""
         table = self.tables.get(i)
         return self.run_ops(vec, i) if table is None else vec @ table
 
@@ -935,7 +925,7 @@ def step_exact(reservoir: Reservoir, state, u: float) -> np.ndarray:
     vec = state.probs if isinstance(state, BitstringDistribution) else np.asarray(state, dtype=float)
     if vec.size != reservoir.dim:
         raise MixedDimensions("state size does not match reservoir")
-    return _ExactSteps(reservoir.plan, values)(vec, 0)
+    return _ExactSteps(reservoir.plan, values)(vec[None], 0)[0]
 
 
 def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
@@ -955,7 +945,7 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
     values, index = _checked_drives(reservoir, inputs)
     _check_exact_mode(reservoir)
     step = _ExactSteps(reservoir.plan, values)
-    state = reservoir.spec.initial_state.probs.copy()
+    state = reservoir.spec.initial_state.probs[None].copy()  # one row
     out = np.empty((len(inputs) - inputs.washout_length, reservoir.dim))
     drift = 0.0  # largest |sum - 1| so far
     for t, i in enumerate(index.tolist()):
@@ -972,7 +962,7 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
                     f"drift {drift:.3g} exceeds {RENORM_DRIFT_TOL:g}"
                 )
         if t >= inputs.washout_length:
-            out[t - inputs.washout_length] = state
+            out[t - inputs.washout_length] = state[0]
     return out
 
 
@@ -987,7 +977,7 @@ class _BitRun:
     ``b``, its kernel row's CDF and its uniform ``r``; ops on other bits
     neither read nor write it. So after the run each bit is a function of
     its own value before it, and :meth:`load` tabulates both outcomes for a
-    draw chunk with whole-chunk array ops: bit ``b`` of ``m0[i, k]`` is
+    tile of draws with whole-tile array ops: bit ``b`` of ``m0[i, k]`` is
     shot ``i``'s bit after the run at step ``k`` from a 0, and of
     ``m1[i, k]`` from a 1. The bits the run leaves alone are 0 in ``m0``
     and 1 in ``m1``. The masks held are ``m0`` and ``m0 ^ m1``, the bits
@@ -995,9 +985,10 @@ class _BitRun:
     (m0 ^ m1))``, which is ``(states & m1) | (~states & m0)`` in two array
     ops. The comparisons are those of one op at a time, and a later op on
     a bit composes after an earlier one, so every sample is unchanged.
+    The masks and scratch hold ``cells`` (shot, step) pairs, a whole tile.
     """
 
-    def __init__(self, ops, values, dtype):
+    def __init__(self, ops, values, dtype, cells: int):
         self.dtype = dtype
         # per bit (as its shift): (uniform column, varies, cdf[..., 0, :])
         # of each op on it, in plan order
@@ -1006,15 +997,11 @@ class _BitRun:
             cdf = _cdf_columns(op.kernel(values))[..., 0, :]
             self.bits.setdefault(op.shifts[0], []).append((op.index, op.varies, cdf))
         self.keep = dtype.type(~sum(1 << sh for sh in self.bits) & np.iinfo(dtype).max)
-
-    def reserve(self, cells: int) -> None:
-        """Allocate the masks and scratch of up to ``cells`` (shot, step)
-        pairs per chunk, which :meth:`load` fills in place."""
-        self.ints = np.empty(3 * cells, dtype=self.dtype)
+        self.ints = np.empty(3 * cells, dtype=dtype)
         self.bools = np.empty(4 * cells, dtype=bool)
 
     def load(self, draws: np.ndarray, index: np.ndarray) -> None:
-        """Tabulate the masks of the chunk's uniforms ``draws[shot, step,
+        """Tabulate the masks of the tile's uniforms ``draws[shot, step,
         gate]``, whose steps take drive value ``index[step]``."""
         shots, steps = draws.shape[:2]
         size = shots * steps
@@ -1057,9 +1044,6 @@ class _OpStep:
         self.fwd = op.fwd.astype(dtype) if isinstance(op, _GatherOp) else None
         self.cdf = None if self.fwd is not None else _cdf_columns(op.kernel(values))
 
-    def reserve(self, cells: int) -> None:
-        pass
-
     def load(self, draws: np.ndarray, index: np.ndarray) -> None:
         self.draws, self.index = draws, index
 
@@ -1071,8 +1055,9 @@ class _OpStep:
         return op.sample(states, cdf, self.draws[:, k, op.index])
 
 
-def _sampler_steps(plan: StepPlan, values: np.ndarray, dtype) -> list:
-    """The plan's ops as the sampler runs them at the drive ``values``.
+def _sampler_steps(plan: StepPlan, values: np.ndarray, dtype, cells: int) -> list:
+    """The plan's ops as the sampler runs them at the drive ``values``, on
+    tiles of up to ``cells`` (shot, step) pairs.
 
     A block op gives its parts back; each maximal run of one-bit kernel ops
     among them becomes one :class:`_BitRun`, and every other op one
@@ -1084,41 +1069,10 @@ def _sampler_steps(plan: StepPlan, values: np.ndarray, dtype) -> list:
     for one_bit, run in itertools.groupby(
             parts, lambda op: isinstance(op, _KernelOp) and op.rows == 2):
         if one_bit:
-            steps.append(_BitRun(list(run), values, dtype))
+            steps.append(_BitRun(list(run), values, dtype, cells))
         else:
             steps += [_OpStep(op, values, dtype) for op in run]
     return steps
-
-
-def _sample_block(reservoir: Reservoir, steps, index, washout, shot_slice, seed, out,
-                  draws, dtype):
-    """Simulate shots [shot_slice] with per-shot Philox streams, their
-    states held as ``dtype``; step ``t`` takes drive value ``index[t]``.
-    ``draws[i, k, gi]`` takes shot i's uniform for gate gi at step t0 + k of
-    each draw chunk."""
-    gens = [_rng.stream(seed, s) for s in range(shot_slice.start, shot_slice.stop)]
-    init_cdf = np.cumsum(reservoir.spec.initial_state.probs)
-    init_cdf[-1] = 1.0
-
-    # one uniform for the initial state, then one per (step, gate); a fused
-    # gather leaves its gates' uniforms unread
-    r0 = np.array([g.random() for g in gens])
-    states = np.searchsorted(init_cdf, r0, side="right")
-    np.clip(states, 0, reservoir.dim - 1, out=states)
-    states = states.astype(dtype)
-
-    chunk = draws.shape[1]
-    for t0 in range(0, len(index), chunk):
-        chunk_draws = draws[:, :len(index) - t0]
-        for i, g in enumerate(gens):
-            g.random(out=chunk_draws[i])
-        for step in steps:
-            step.load(chunk_draws, index[t0:t0 + chunk])
-        for k, t in enumerate(range(t0, t0 + chunk_draws.shape[1])):
-            for step in steps:
-                states = step.sample(states, k)
-            if t >= washout:
-                out[shot_slice, t - washout] = states
 
 
 def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
@@ -1126,47 +1080,58 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
     """Draw ``shots`` independent trajectories.
 
     Every shot has its own counter-based stream keyed by (seed, shot index),
-    so the result is bit-identical for any block schedule. Shots run in
-    blocks of ``SAMPLE_BLOCK`` on one thread: the loop over steps holds the
-    GIL, so worker threads would add only scheduling. Per step, each gate
-    owns exactly one uniform per shot, drawn ``SAMPLE_DRAW_CHUNK`` per gate
-    at a time, and a state of a one-hot kernel row takes its column
-    whatever the uniform.
+    so the result is bit-identical for any tile. Shots run in blocks of
+    ``SAMPLE_BLOCK`` on one thread: the loop over steps holds the GIL, so
+    worker threads would add only scheduling. Per step, each gate owns
+    exactly one uniform per shot, drawn for ``SAMPLE_STEPS`` steps at a
+    time into one tile of ``SAMPLE_BLOCK`` x ``SAMPLE_STEPS`` x gates, and
+    a state of a one-hot kernel row takes its column whatever the uniform.
     Shots step through the reservoir's compiled plan, block ops through
     their parts (see :func:`_sampler_steps`): a gather maps states through
     its index table, a multi-bit kernel op draws each shot's new
     sub-register from its kernel row, and each run of one-bit kernel ops
     (the ``set`` drive and flip noise of every experiment's reservoir) is
-    one :class:`_BitRun`, two masks per step tabulated for each draw chunk
-    with the same comparisons. So fusing or folding gates leaves every
-    stream, and the output, unchanged. Kernel rows are built once for all
-    of the run's distinct drive values.
+    one :class:`_BitRun`, two masks per step tabulated for each tile with
+    the same comparisons. So fusing or folding gates leaves every stream,
+    and the output, unchanged. Kernel rows are built once for all of the
+    run's distinct drive values.
     """
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
         raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     values, index = _checked_drives(reservoir, inputs)
+    washout = inputs.washout_length
 
-    out = np.empty((shots, len(inputs) - inputs.washout_length), dtype=np.int64)
+    out = np.empty((shots, len(inputs) - washout), dtype=np.int64)
     # the smallest unsigned type that holds n bits
     dtype = np.min_scalar_type(reservoir.dim - 1)
-    steps = _sampler_steps(reservoir.plan, values, dtype)
-    blocks = [slice(s, min(s + SAMPLE_BLOCK, shots)) for s in range(0, shots, SAMPLE_BLOCK)]
-    # steps whose uniforms are drawn at once: SAMPLE_DRAW_CHUNK per gate
-    chunks = [min(max(1, SAMPLE_DRAW_CHUNK // (b.stop - b.start)), len(index)) for b in blocks]
-    # one buffer of uniforms, masks and scratch for every block
-    gates = len(reservoir.gates)
-    cells = max((b.stop - b.start) * chunk for b, chunk in zip(blocks, chunks))
-    buffer = np.empty(cells * gates)
-    for step in steps:
-        step.reserve(cells)
-    for block, chunk in zip(blocks, chunks):
-        block_shots = block.stop - block.start
-        draws = buffer[:block_shots * chunk * gates].reshape(block_shots, chunk, gates)
-        _sample_block(reservoir, steps, index, inputs.washout_length, block, seed, out,
-                      draws, dtype)
-    return TrajectoryEnsemble(out, reservoir.n, seed, inputs.washout_length)
+    # uniforms of a tile: tile[i, k, gi] is shot i's for gate gi at step k
+    tile = np.empty((min(shots, SAMPLE_BLOCK), min(len(index), SAMPLE_STEPS),
+                     len(reservoir.gates)))
+    steps = _sampler_steps(reservoir.plan, values, dtype, tile.shape[0] * tile.shape[1])
+    init_cdf = np.cumsum(reservoir.spec.initial_state.probs)
+    init_cdf[-1] = 1.0
+    for s0 in range(0, shots, SAMPLE_BLOCK):
+        gens = [_rng.stream(seed, s) for s in range(s0, min(s0 + SAMPLE_BLOCK, shots))]
+        # one uniform for the initial state, then one per (step, gate); a
+        # fused gather leaves its gates' uniforms unread
+        states = np.searchsorted(init_cdf, np.array([g.random() for g in gens]), side="right")
+        np.clip(states, 0, reservoir.dim - 1, out=states)
+        states = states.astype(dtype)
+        for t0 in range(0, len(index), SAMPLE_STEPS):
+            draws = tile[:len(gens), :len(index) - t0]
+            for i, g in enumerate(gens):
+                g.random(out=draws[i])
+            for step in steps:
+                step.load(draws, index[t0:t0 + SAMPLE_STEPS])
+            for k, t in enumerate(range(t0, t0 + draws.shape[1])):
+                for step in steps:
+                    states = step.sample(states, k)
+                if t >= washout:
+                    out[s0:s0 + len(gens), t - washout] = states
+        del gens, states  # before the next block's streams are built
+    return TrajectoryEnsemble(out, reservoir.n, seed, washout)
 
 
 # ---------------------------------------------------------------------------
@@ -1190,6 +1155,8 @@ def fading_memory_error(reservoir: Reservoir, h: int, measure: InputMeasure,
         raise ValueError("history window must be >= 1")
     if trials < 10:
         raise InsufficientTrials(f"need at least 10 trials, got {trials}")
+    if resamples < 2:  # a sample variance needs two histories
+        raise InsufficientTrials(f"need at least 2 resamples, got {resamples}")
     total = total_window if total_window is not None else max(48, h + 32)
     if total < h:
         raise ValueError("total_window must be >= h")

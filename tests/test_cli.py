@@ -172,6 +172,14 @@ def test_cli_embed_check_succeeds(tmp_path):
     assert (tmp_path / "manifest.json").exists()
 
 
+def test_cli_has_no_threads_flag(tmp_path):
+    # the threads config key stays accepted; the flag is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["ipc", "--threads", "1", "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_unknown_config_key(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"nosie": 0.5}))

@@ -143,6 +143,17 @@ def test_classify_rejects_nonpositive_samples():
         sr.classify_tails(u, np.linspace(1.0, -0.1, 50))
 
 
+@pytest.mark.parametrize("region, size", [((0.1, 0.5), 0), ((2.0, 2.5), 1), ((5.0, 6.0), 2)])
+def test_classify_rejects_regions_of_fewer_than_three_samples(region, size):
+    # two points fit either law exactly, so their residuals are rounding noise
+    u = np.arange(1.0, 11.0)
+    assert np.count_nonzero((u >= region[0]) & (u <= region[1])) == size
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        sr.classify_tails(u, 2.0 ** -u, region=region)
+    # three samples are enough
+    assert sr.classify_tails(u, 2.0 ** -u, region=(5.0, 7.0)).region == (5.0, 7.0)
+
+
 def test_planted_tail_recovery_accuracy():
     gen = np.random.default_rng(123)
     u = np.linspace(5.0, 50.0, 200)

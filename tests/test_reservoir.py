@@ -29,7 +29,7 @@ from stochres.reservoir import (
     InputSequence,
     ReservoirSpec,
     SAMPLE_BLOCK,
-    SAMPLE_DRAW_CHUNK,
+    SAMPLE_STEPS,
     _BitRun,
     _BlockOp,
     _ExactSteps,
@@ -606,7 +606,7 @@ def test_sampling_through_block_ops_equals_sampling_their_parts():
 def test_sampler_equals_gate_by_gate_reference_across_blocks_and_chunks(seed, n):
     # a set gate and a flip layer behind random mixed gates, so that runs
     # of one-bit ops hold two ops on bit n - 1; more shots than one block
-    # and more steps than one draw chunk, with repeated drive values
+    # and more steps than one tile, with repeated drive values
     gen = np.random.default_rng(seed)
     gates = random_mixed_reservoir(n, gen).gates
     gates += [set_gate(n - 1, {"type": "poly", "coeffs": [0.5, 0.3]})]
@@ -614,8 +614,8 @@ def test_sampler_equals_gate_by_gate_reference_across_blocks_and_chunks(seed, n)
     spec = ReservoirSpec(n=n, gates=gates, depth_bound=len(gates))
     res = sr.build_reservoir(spec)
     assert any(isinstance(step, _BitRun) for step in _sampler_steps(res.plan, np.zeros(1),
-                                                                    np.dtype(np.uint16)))
-    drives = gen.choice(gen.uniform(-1, 1, 5), SAMPLE_DRAW_CHUNK // SAMPLE_BLOCK + 22)
+                                                                    np.dtype(np.uint16), 1))
+    drives = gen.choice(gen.uniform(-1, 1, 5), SAMPLE_STEPS + 22)
     seq = InputSequence(drives, washout_length=7)
     shots = SAMPLE_BLOCK + 9
     ens = sample_trajectories(res, seq, shots=shots, seed=seed)
@@ -626,8 +626,8 @@ def test_sampler_equals_gate_by_gate_reference_across_blocks_and_chunks(seed, n)
 
 def test_sampled_shift_register_digest_is_unchanged():
     # digest recorded with the gate-by-gate sampler, before runs of one-bit
-    # gates were sampled through bit masks; two blocks, and steps in two
-    # draw chunks in the first of them
+    # gates were sampled through bit masks; two blocks, the second one
+    # partial, each over two tiles of steps
     res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.1))
     bits = np.unpackbits(np.frombuffer(hashlib.sha256(b"stochres binary drives").digest(),
                                        np.uint8))
@@ -643,10 +643,28 @@ def test_shift_register_samples_its_set_gate_and_noise_as_one_bit_run(n):
     # the swaps fuse into one gather; the set gate and every flip, folded
     # into blocks or not, are one run of one-bit ops
     res = sr.build_reservoir(sr.shift_register_flip_family(n, 0.1))
-    steps = _sampler_steps(res.plan, np.array([0.0, 1.0]), np.dtype(np.uint16))
+    steps = _sampler_steps(res.plan, np.array([0.0, 1.0]), np.dtype(np.uint16), 1)
     assert [type(step) for step in steps] == [_OpStep, _BitRun]
     assert sorted(steps[1].bits) == list(range(n))
     assert [len(ops) for _, ops in sorted(steps[1].bits.items())] == [2] + [1] * (n - 1)
+
+
+def test_samples_do_not_depend_on_the_tile(monkeypatch):
+    # a gather, a 2-bit kernel op and runs of one-bit ops; on a 3 x 5 tile
+    # the 7 shots and 23 steps end in a partial tile both ways
+    gates = [swap_gate(0, 1), controlled_flip_gate(0, 2, {"type": "poly", "coeffs": [0.3, 0.2]}),
+             set_gate(2, {"type": "poly", "coeffs": [0.5, 0.3]})]
+    gates += [flip_gate(b, 0.1 + 0.05 * b) for b in range(3)]
+    res = sr.build_reservoir(ReservoirSpec(n=3, gates=gates))
+    steps = _sampler_steps(res.plan, np.zeros(1), np.dtype(np.uint8), 1)
+    assert [type(step) for step in steps] == [_OpStep, _OpStep, _BitRun]
+    assert steps[0].fwd is not None and steps[1].op.rows == 4
+    seq = InputSequence(np.random.default_rng(8).uniform(-1, 1, 23), washout_length=4)
+    whole = sample_trajectories(res, seq, shots=7, seed=13)
+    monkeypatch.setattr("stochres.reservoir.SAMPLE_BLOCK", 3)
+    monkeypatch.setattr("stochres.reservoir.SAMPLE_STEPS", 5)
+    tiled = sample_trajectories(res, seq, shots=7, seed=13)
+    assert tiled.samples.tobytes() == whole.samples.tobytes()
 
 
 def test_sampling_rejects_shots_that_are_not_counts():
@@ -670,7 +688,8 @@ def test_sampling_binomial_concentration():
 
 
 def test_sampling_shot_is_independent_of_block_size():
-    # the draw chunk shrinks as the block grows; a shot's stream must not care
+    # 5 shots fill part of a tile, SAMPLE_BLOCK shots all of it; a shot's
+    # stream must not care
     gen = np.random.default_rng(2)
     res = sr.build_reservoir(random_physical_reservoir(3, gen))
     seq = InputSequence(gen.uniform(-1, 1, (700, 1)), washout_length=10)
@@ -800,6 +819,14 @@ def test_fading_memory_requires_enough_trials():
     measure = InputMeasure("iid-uniform-interval", seed=0)
     with pytest.raises(InsufficientTrials):
         fading_memory_error(res, 1, measure, trials=5)
+
+
+@pytest.mark.parametrize("resamples", [0, 1])
+def test_fading_memory_requires_two_resamples_for_a_variance(resamples):
+    res = sr.build_reservoir(ReservoirSpec(n=1, gates=[flip_gate(0, 0.2)]))
+    measure = InputMeasure("iid-uniform-interval", seed=0)
+    with pytest.raises(InsufficientTrials, match="resamples"):
+        fading_memory_error(res, 1, measure, trials=10, resamples=resamples)
 
 
 # --- measures, serialization -------------------------------------------------
