@@ -48,10 +48,12 @@ DERIVATIVE_PROBE_POINTS = 256
 ROW_SUM_TOL = 1e-12
 DEFAULT_K_MAX = 2
 DEFAULT_WASHOUT = 1000
-# the sampler's tile: shots simulated together, and the steps whose
-# uniforms they draw at once
+# the sampler's block: shots simulated together, and the steps whose
+# uniforms they draw at once; the draws of one slice of a block's shots
+# are tabulated before the next slice's are drawn, while they are in cache
 SAMPLE_BLOCK = 1024
 SAMPLE_STEPS = 128
+SAMPLE_SLICE = 128
 # a run of static plan ops folds into one kernel product when the product
 # takes at most this many multiplications per op it replaces (see
 # _fold_static_runs)
@@ -327,9 +329,14 @@ class InputMeasure:
         drawn from the stream of its ``seed``.
 
         For ``quadrature-grid`` the sequence is the node grid itself (with
-        per-row weights); ``length`` is ignored and washout must be 0.
+        per-row weights), so ``length`` must be ``order`` and
+        ``washout_length`` 0; anything else raises ``ValueError``.
         """
         if self.kind == "quadrature-grid":
+            if length != self.order or washout_length != 0:
+                raise ValueError(
+                    f"a quadrature-grid sequence is its {self.order} nodes with no washout; "
+                    f"got length {length} and washout_length {washout_length}")
             nodes, weights = self.quadrature()
             return InputSequence(nodes[:, None], washout_length=0, weights=weights)
         gen = _rng.stream(self.seed)
@@ -977,7 +984,7 @@ class _BitRun:
     ``b``, its kernel row's CDF and its uniform ``r``; ops on other bits
     neither read nor write it. So after the run each bit is a function of
     its own value before it, and :meth:`load` tabulates both outcomes for a
-    tile of draws with whole-tile array ops: bit ``b`` of ``m0[i, k]`` is
+    slice of draws with whole-slice array ops: bit ``b`` of ``m0[i, k]`` is
     shot ``i``'s bit after the run at step ``k`` from a 0, and of
     ``m1[i, k]`` from a 1. The bits the run leaves alone are 0 in ``m0``
     and 1 in ``m1``. The masks held are ``m0`` and ``m0 ^ m1``, the bits
@@ -985,7 +992,8 @@ class _BitRun:
     (m0 ^ m1))``, which is ``(states & m1) | (~states & m0)`` in two array
     ops. The comparisons are those of one op at a time, and a later op on
     a bit composes after an earlier one, so every sample is unchanged.
-    The masks and scratch hold ``cells`` (shot, step) pairs, a whole tile.
+    The masks hold ``cells`` (shot, step) pairs, a whole block; each load
+    writes one slice's rows of them, and its working arrays hold one slice.
     """
 
     def __init__(self, ops, values, dtype, cells: int):
@@ -997,23 +1005,30 @@ class _BitRun:
             cdf = _cdf_columns(op.kernel(values))[..., 0, :]
             self.bits.setdefault(op.shifts[0], []).append((op.index, op.varies, cdf))
         self.keep = dtype.type(~sum(1 << sh for sh in self.bits) & np.iinfo(dtype).max)
-        self.ints = np.empty(3 * cells, dtype=dtype)
-        self.bools = np.empty(4 * cells, dtype=bool)
+        self.ints = np.empty(2 * cells, dtype=dtype)
+        # a slice holds at most SAMPLE_SLICE shots and SAMPLE_STEPS steps
+        part = min(cells, SAMPLE_SLICE * SAMPLE_STEPS)
+        self.shifted = np.empty(part, dtype=dtype)
+        self.bools = np.empty(4 * part, dtype=bool)
+        # one op's uniforms, copied out of the tile once for its two compares
+        self.uniforms = np.empty(part)
 
-    def load(self, draws: np.ndarray, index: np.ndarray) -> None:
-        """Tabulate the masks of the tile's uniforms ``draws[shot, step,
-        gate]``, whose steps take drive value ``index[step]``."""
-        shots, steps = draws.shape[:2]
-        size = shots * steps
-        m0, m1, shifted = self.ints[:3 * size].reshape(3, shots, steps)
-        self.masks = m0, m1
-        zero, one, out0, out1 = self.bools[:4 * size].reshape(4, shots, steps)
+    def load(self, draws: np.ndarray, index: np.ndarray, lo: int, shots: int) -> None:
+        """Tabulate the masks of shots ``[lo, lo + len(draws))`` of a block
+        of ``shots`` from their uniforms ``draws[shot, step, gate]``, whose
+        steps take drive value ``index[step]``."""
+        size, steps = draws.shape[:2]
+        self.masks = self.ints[:2 * shots * steps].reshape(2, shots, steps)
+        m0, m1 = self.masks[:, lo:lo + size]
+        shifted = self.shifted[:size * steps].reshape(size, steps)
+        zero, one, out0, out1 = self.bools[:4 * size * steps].reshape(4, size, steps)
+        r = self.uniforms[:size * steps].reshape(size, steps)
         m0.fill(0)
         m1.fill(self.keep)
         for shift, ops in self.bits.items():
             for j, (column, varies, cdf) in enumerate(ops):
                 c0, c1 = (cdf[index, 0], cdf[index, 1]) if varies else cdf
-                r = draws[:, :, column]
+                np.copyto(r, draws[:, :, column])
                 if j == 0:
                     np.less_equal(c0, r, out=zero)
                     np.less_equal(c1, r, out=one)
@@ -1037,27 +1052,37 @@ class _BitRun:
 
 
 class _OpStep:
-    """A gather or multi-bit kernel op, sampled one step at a time."""
+    """A gather or multi-bit kernel op, sampled one step at a time.
 
-    def __init__(self, op, values, dtype):
+    A kernel op copies its own uniforms into a (step, shot) buffer of
+    ``cells`` entries, a whole block, so that a step reads one row.
+    """
+
+    def __init__(self, op, values, dtype, cells: int):
         self.op = op
         self.fwd = op.fwd.astype(dtype) if isinstance(op, _GatherOp) else None
-        self.cdf = None if self.fwd is not None else _cdf_columns(op.kernel(values))
+        if self.fwd is None:
+            self.cdf = _cdf_columns(op.kernel(values))
+            self.block = np.empty(cells)
 
-    def load(self, draws: np.ndarray, index: np.ndarray) -> None:
-        self.draws, self.index = draws, index
+    def load(self, draws: np.ndarray, index: np.ndarray, lo: int, shots: int) -> None:
+        if self.fwd is not None:
+            return
+        self.index = index
+        self.uniforms = self.block[:draws.shape[1] * shots].reshape(-1, shots)
+        self.uniforms[:, lo:lo + len(draws)] = draws[:, :, self.op.index].T
 
     def sample(self, states: np.ndarray, k: int) -> np.ndarray:
         if self.fwd is not None:
             return self.fwd.take(states)
         op = self.op
         cdf = self.cdf[self.index[k]] if op.varies else self.cdf
-        return op.sample(states, cdf, self.draws[:, k, op.index])
+        return op.sample(states, cdf, self.uniforms[k])
 
 
 def _sampler_steps(plan: StepPlan, values: np.ndarray, dtype, cells: int) -> list:
     """The plan's ops as the sampler runs them at the drive ``values``, on
-    tiles of up to ``cells`` (shot, step) pairs.
+    blocks of up to ``cells`` (shot, step) pairs.
 
     A block op gives its parts back; each maximal run of one-bit kernel ops
     among them becomes one :class:`_BitRun`, and every other op one
@@ -1071,7 +1096,7 @@ def _sampler_steps(plan: StepPlan, values: np.ndarray, dtype, cells: int) -> lis
         if one_bit:
             steps.append(_BitRun(list(run), values, dtype, cells))
         else:
-            steps += [_OpStep(op, values, dtype) for op in run]
+            steps += [_OpStep(op, values, dtype, cells) for op in run]
     return steps
 
 
@@ -1084,17 +1109,21 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
     ``SAMPLE_BLOCK`` on one thread: the loop over steps holds the GIL, so
     worker threads would add only scheduling. Per step, each gate owns
     exactly one uniform per shot, drawn for ``SAMPLE_STEPS`` steps at a
-    time into one tile of ``SAMPLE_BLOCK`` x ``SAMPLE_STEPS`` x gates, and
-    a state of a one-hot kernel row takes its column whatever the uniform.
-    Shots step through the reservoir's compiled plan, block ops through
-    their parts (see :func:`_sampler_steps`): a gather maps states through
-    its index table, a multi-bit kernel op draws each shot's new
-    sub-register from its kernel row, and each run of one-bit kernel ops
-    (the ``set`` drive and flip noise of every experiment's reservoir) is
-    one :class:`_BitRun`, two masks per step tabulated for each tile with
-    the same comparisons. So fusing or folding gates leaves every stream,
-    and the output, unchanged. Kernel rows are built once for all of the
-    run's distinct drive values.
+    time, and a state of a one-hot kernel row takes its column whatever
+    the uniform. A block's draws go through one tile of ``SAMPLE_SLICE``
+    x ``SAMPLE_STEPS`` x gates, allocated once per call: each slice of the
+    block's shots draws into it, and every sampler step loads its share
+    of the slice at once, while it is still in cache, into block-wide
+    buffers that the step loop then reads. Shots step through the
+    reservoir's compiled plan, block ops through their parts (see
+    :func:`_sampler_steps`): a gather maps states through its index
+    table, a multi-bit kernel op draws each shot's new sub-register from
+    its kernel row, and each run of one-bit kernel ops (the ``set`` drive
+    and flip noise of every experiment's reservoir) is one
+    :class:`_BitRun`, two masks per step tabulated slice by slice with the
+    same comparisons. So fusing or folding gates leaves every stream, and
+    the output, unchanged. Kernel rows are built once for all of the run's
+    distinct drive values.
     """
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
         raise ValueError(f"shots must be an integer, got {shots!r}")
@@ -1106,10 +1135,11 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
     out = np.empty((shots, len(inputs) - washout), dtype=np.int64)
     # the smallest unsigned type that holds n bits
     dtype = np.min_scalar_type(reservoir.dim - 1)
-    # uniforms of a tile: tile[i, k, gi] is shot i's for gate gi at step k
-    tile = np.empty((min(shots, SAMPLE_BLOCK), min(len(index), SAMPLE_STEPS),
-                     len(reservoir.gates)))
-    steps = _sampler_steps(reservoir.plan, values, dtype, tile.shape[0] * tile.shape[1])
+    block_steps = min(len(index), SAMPLE_STEPS)
+    steps = _sampler_steps(reservoir.plan, values, dtype,
+                           min(shots, SAMPLE_BLOCK) * block_steps)
+    # uniforms of a slice: tile[i, k, gi] is its shot i's for gate gi at step k
+    tile = np.empty((min(shots, SAMPLE_SLICE), block_steps, len(reservoir.gates)))
     init_cdf = np.cumsum(reservoir.spec.initial_state.probs)
     init_cdf[-1] = 1.0
     for s0 in range(0, shots, SAMPLE_BLOCK):
@@ -1120,12 +1150,15 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
         np.clip(states, 0, reservoir.dim - 1, out=states)
         states = states.astype(dtype)
         for t0 in range(0, len(index), SAMPLE_STEPS):
-            draws = tile[:len(gens), :len(index) - t0]
-            for i, g in enumerate(gens):
-                g.random(out=draws[i])
-            for step in steps:
-                step.load(draws, index[t0:t0 + SAMPLE_STEPS])
-            for k, t in enumerate(range(t0, t0 + draws.shape[1])):
+            at = index[t0:t0 + SAMPLE_STEPS]
+            for lo in range(0, len(gens), SAMPLE_SLICE):
+                part = gens[lo:lo + SAMPLE_SLICE]
+                draws = tile[:len(part), :len(at)]
+                for i, g in enumerate(part):
+                    g.random(out=draws[i])
+                for step in steps:
+                    step.load(draws, at, lo, len(gens))
+            for k, t in enumerate(range(t0, t0 + len(at))):
                 for step in steps:
                     states = step.sample(states, k)
                 if t >= washout:

@@ -103,7 +103,7 @@ def test_criterion_03_closed_form_anchor():
     measure = InputMeasure("quadrature-grid", -1.0, 1.0, order=64)
     spec = ReservoirSpec(n=1, gates=[set_gate(0, {"type": "poly", "coeffs": [0.5, 0.5]})])
     res = sr.build_reservoir(spec)
-    seq = measure.sequence(64)
+    seq = measure.sequence(64, washout_length=0)
     sm = sr.probability_signals(sr.run_exact(res, seq))
     sm.weights = seq.weights
     g1, g2 = sr.gram_matrices(sm)

@@ -40,7 +40,7 @@ def linear_drive_signals(order=64):
     measure = InputMeasure("quadrature-grid", -1.0, 1.0, order=order)
     spec = ReservoirSpec(n=1, gates=[set_gate(0, {"type": "poly", "coeffs": [0.5, 0.5]})])
     res = sr.build_reservoir(spec)
-    seq = measure.sequence(order)
+    seq = measure.sequence(order, washout_length=0)
     dists = sr.run_exact(res, seq)
     sm = sr.probability_signals(dists)
     sm.weights = seq.weights

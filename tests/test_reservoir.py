@@ -29,6 +29,7 @@ from stochres.reservoir import (
     InputSequence,
     ReservoirSpec,
     SAMPLE_BLOCK,
+    SAMPLE_SLICE,
     SAMPLE_STEPS,
     _BitRun,
     _BlockOp,
@@ -650,8 +651,10 @@ def test_shift_register_samples_its_set_gate_and_noise_as_one_bit_run(n):
 
 
 def test_samples_do_not_depend_on_the_tile(monkeypatch):
-    # a gather, a 2-bit kernel op and runs of one-bit ops; on a 3 x 5 tile
-    # the 7 shots and 23 steps end in a partial tile both ways
+    # a gather, a 2-bit kernel op and runs of one-bit ops; on 3-shot blocks
+    # of 2-shot slices over 5 steps the 7 shots and 23 steps end in a
+    # partial block, slice and tile, and SAMPLE_SLICE + 5 shots fill one
+    # slice and part of the next in the default block
     gates = [swap_gate(0, 1), controlled_flip_gate(0, 2, {"type": "poly", "coeffs": [0.3, 0.2]}),
              set_gate(2, {"type": "poly", "coeffs": [0.5, 0.3]})]
     gates += [flip_gate(b, 0.1 + 0.05 * b) for b in range(3)]
@@ -660,11 +663,31 @@ def test_samples_do_not_depend_on_the_tile(monkeypatch):
     assert [type(step) for step in steps] == [_OpStep, _OpStep, _BitRun]
     assert steps[0].fwd is not None and steps[1].op.rows == 4
     seq = InputSequence(np.random.default_rng(8).uniform(-1, 1, 23), washout_length=4)
-    whole = sample_trajectories(res, seq, shots=7, seed=13)
+    whole = [sample_trajectories(res, seq, shots=shots, seed=13).samples
+             for shots in (7, SAMPLE_SLICE + 5)]
+    assert whole[1][:7].tobytes() == whole[0].tobytes()
     monkeypatch.setattr("stochres.reservoir.SAMPLE_BLOCK", 3)
     monkeypatch.setattr("stochres.reservoir.SAMPLE_STEPS", 5)
-    tiled = sample_trajectories(res, seq, shots=7, seed=13)
-    assert tiled.samples.tobytes() == whole.samples.tobytes()
+    monkeypatch.setattr("stochres.reservoir.SAMPLE_SLICE", 2)
+    for samples in whole:
+        tiled = sample_trajectories(res, seq, shots=len(samples), seed=13)
+        assert tiled.samples.tobytes() == samples.tobytes()
+
+
+def test_sampler_holds_one_slice_of_draws():
+    # 1100 shots over 300 steps: a whole-block draw tile alone would take
+    # 1024 x 128 x 8 x 8 B = 8 MB at n = 4
+    res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.1))
+    drives = np.random.default_rng(4).integers(0, 2, 320).astype(float)
+    seq = InputSequence(drives, washout_length=20)
+    tracemalloc.start()
+    try:
+        ens = sample_trajectories(res, seq, shots=1100, seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - ens.samples.nbytes
+    finally:
+        tracemalloc.stop()
+    assert ens.samples.shape == (1100, 300)
+    assert peak < 4 * 2 ** 20
 
 
 def test_sampling_rejects_shots_that_are_not_counts():
@@ -945,6 +968,19 @@ def test_step_accepts_distribution_wrapper():
     res = sr.build_reservoir(ReservoirSpec(n=1, gates=[flip_gate(0, 0.3)]))
     out = sr.step_exact(res, BitstringDistribution(np.array([1.0, 0.0])), 0.0)
     np.testing.assert_allclose(out, [0.7, 0.3], atol=1e-15)
+
+
+def test_quadrature_sequence_is_its_nodes_with_no_washout():
+    m = InputMeasure("quadrature-grid", -1.0, 1.0, order=8)
+    nodes, weights = m.quadrature()
+    seq = m.sequence(8, washout_length=0)
+    assert np.array_equal(seq.drives, nodes) and np.array_equal(seq.weights, weights)
+    assert seq.washout_length == 0
+    for length, washout in ((8, 50), (100, 0), (100, 50)):
+        with pytest.raises(ValueError, match="quadrature-grid"):
+            m.sequence(length, washout_length=washout)
+    with pytest.raises(ValueError, match="quadrature-grid"):
+        m.sequence(8)
 
 
 def test_quadrature_measure_draw_samples_nodes():
