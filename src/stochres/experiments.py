@@ -448,30 +448,19 @@ class ShatterWitness:
 
 
 def verify_shatter_witness(values: np.ndarray, witness: ShatterWitness) -> bool:
-    """Independent re-check of a witness by direct comparison."""
+    """Independent re-check of a witness by direct comparison.
+
+    False unless there is one threshold per instance and the assignment maps
+    exactly the dichotomies 0 .. 2^d - 1 to functions that realize them.
+    """
     d = len(witness.instance_indices)
-    if len(witness.assignment) != 2 ** d:
+    if len(witness.thresholds) != d or witness.assignment.keys() != set(range(2 ** d)):
         return False
-    for pattern in range(2 ** d):
-        f = witness.assignment.get(pattern)
-        if f is None:
-            return False
-        for pos, (inst, thr) in enumerate(zip(witness.instance_indices, witness.thresholds)):
-            val = values[f, inst]
-            if (pattern >> pos) & 1:
-                if not val >= thr + witness.gamma:
-                    return False
-            else:
-                if not val <= thr - witness.gamma:
-                    return False
-    return True
-
-
-def _threshold_candidates(column: np.ndarray):
-    vals = np.unique(column)
-    if vals.size < 2:
-        return []
-    return [0.5 * (a + b) for a, b in zip(vals[:-1], vals[1:])]
+    funcs = [witness.assignment[pattern] for pattern in range(2 ** d)]
+    vals = np.asarray(values)[np.ix_(funcs, witness.instance_indices)]
+    thr = np.asarray(witness.thresholds, dtype=float)
+    hi = (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1 == 1
+    return bool(np.where(hi, vals >= thr + witness.gamma, vals <= thr - witness.gamma).all())
 
 
 def fat_shattering_lower_bound(values: np.ndarray, gamma: float,
@@ -483,7 +472,8 @@ def fat_shattering_lower_bound(values: np.ndarray, gamma: float,
     values unless pinned by ``thresholds`` (a scalar or one value per
     instance). Instance subsets and threshold combinations are scanned in
     lexicographic order and the first witness found for the largest feasible
-    d is returned after independent re-verification.
+    d is returned after independent re-verification; each dichotomy is
+    assigned its lowest-index function.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -497,73 +487,50 @@ def fat_shattering_lower_bound(values: np.ndarray, gamma: float,
         raise ValueError("exhaustive search limited to 2^16 functions")
 
     if thresholds is None:
-        cand = [_threshold_candidates(values[:, i]) for i in range(n_inst)]
-    elif np.isscalar(thresholds):
-        cand = [[float(thresholds)] for _ in range(n_inst)]
+        cand = [0.5 * (v[:-1] + v[1:]) for v in map(np.unique, values.T)]
     else:
-        cand = [[float(t)] for t in thresholds]
+        pinned = [thresholds] * n_inst if np.isscalar(thresholds) else list(thresholds)
+        if len(pinned) != n_inst:
+            raise ValueError(f"{len(pinned)} thresholds for {n_inst} instances: "
+                             "give a scalar or one threshold per instance")
+        cand = [np.array([float(t)]) for t in pinned]
 
-    # hi/lo function bitsets per (instance, threshold candidate)
-    hi_sets = []
-    lo_sets = []
-    for i in range(n_inst):
-        hi_i, lo_i = [], []
-        for t in cand[i]:
-            hi = lo = 0
-            for f in range(n_fun):
-                if values[f, i] >= t + gamma:
-                    hi |= 1 << f
-                elif values[f, i] <= t - gamma:
-                    lo |= 1 << f
-            hi_i.append(hi)
-            lo_i.append(lo)
-        hi_sets.append(hi_i)
-        lo_sets.append(lo_i)
+    # per instance, one (lo, hi, threshold) per candidate: lo and hi are the
+    # bitsets of the functions at most t - gamma and at least t + gamma (a
+    # tie at gamma <= 0 counts as hi)
+    columns = []
+    for col, t in zip(values.T, cand):
+        hi = col >= t[:, None] + gamma
+        lo = (col <= t[:, None] - gamma) & ~hi
+        packed = np.packbits(np.stack([lo, hi], axis=1), axis=-1, bitorder="little")
+        columns.append([(int.from_bytes(lo_bytes.tobytes(), "little"),
+                         int.from_bytes(hi_bytes.tobytes(), "little"), thr)
+                        for (lo_bytes, hi_bytes), thr in zip(packed, t.tolist())])
 
+    everyone = (1 << n_fun) - 1
     work = 0
-    d_max = min(n_inst, max(n_fun.bit_length() - 1, 0))
-
-    def search(d: int):
-        nonlocal work
+    for d in range(min(n_inst, max(n_fun.bit_length() - 1, 0)), 0, -1):
         for subset in itertools.combinations(range(n_inst), d):
-            if any(not cand[i] for i in subset):
-                continue
-            for t_choice in itertools.product(*(range(len(cand[i])) for i in subset)):
+            for choice in itertools.product(*(columns[i] for i in subset)):
                 work += 2 ** d
                 if work > budget:
-                    raise SearchBudgetExceeded(
-                        f"shattering search exceeded budget {budget}"
-                    )
+                    raise SearchBudgetExceeded(f"shattering search exceeded budget {budget}")
                 assignment = {}
-                ok = True
                 for pattern in range(2 ** d):
-                    feasible = (1 << n_fun) - 1
-                    for pos, (inst, tc) in enumerate(zip(subset, t_choice)):
-                        if (pattern >> pos) & 1:
-                            feasible &= hi_sets[inst][tc]
-                        else:
-                            feasible &= lo_sets[inst][tc]
+                    feasible = everyone
+                    for pos, sets in enumerate(choice):
+                        feasible &= sets[pattern >> pos & 1]
                         if not feasible:
-                            ok = False
                             break
-                    if not ok:
+                    if not feasible:
                         break
                     assignment[pattern] = (feasible & -feasible).bit_length() - 1
-                if ok:
-                    return ShatterWitness(
-                        instance_indices=subset,
-                        thresholds=tuple(cand[i][tc] for i, tc in zip(subset, t_choice)),
-                        assignment=assignment,
-                        gamma=gamma,
-                    )
-        return None
-
-    for d in range(d_max, 0, -1):
-        witness = search(d)
-        if witness is not None:
-            if not verify_shatter_witness(values, witness):
-                raise AssertionError("internal error: witness failed re-verification")
-            return d, witness
+                else:
+                    witness = ShatterWitness(subset, tuple(c[2] for c in choice),
+                                             assignment, gamma)
+                    if not verify_shatter_witness(values, witness):
+                        raise AssertionError("internal error: witness failed re-verification")
+                    return d, witness
     return 0, ShatterWitness((), (), {}, gamma)
 
 
@@ -571,15 +538,14 @@ def switching_subset_class(family: SwitchingFamily) -> np.ndarray:
     """Linear-combination class over a switching family: all subset sums.
 
     Row S (as a bitmask over signals) holds sum_{i in S} q_i evaluated at
-    the signal centers; row 0 is the identically zero function. Values stay
-    in [0, 1] because the signals sum to one pointwise.
+    the signal centers, added in ascending member order; row 0 is the
+    identically zero function. Values stay in [0, 1] because the signals sum
+    to one pointwise.
     """
     k = family.count
     center_idx = [int(np.argmin(np.abs(family.grid - c))) for c in family.centers]
     at_centers = family.signals[:, center_idx]  # (K signals, K instances)
     out = np.zeros((2 ** k, k))
-    for s in range(2 ** k):
-        members = [i for i in range(k) if (s >> i) & 1]
-        if members:
-            out[s] = at_centers[members].sum(axis=0)
+    for i in range(k):
+        out[2 ** i: 2 ** (i + 1)] = out[:2 ** i] + at_centers[i]
     return np.clip(out, 0.0, 1.0)

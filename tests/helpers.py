@@ -172,6 +172,23 @@ def brute_force_moments(probs, n):
     return out
 
 
+def subset_sum_loop(family):
+    """``switching_subset_class`` one subset at a time: each row sums its members.
+
+    Row S (a bitmask over the family's signals) is the sum of the member
+    signals at the signal centers, clipped into [0, 1].
+    """
+    k = family.count
+    center_idx = [int(np.argmin(np.abs(family.grid - c))) for c in family.centers]
+    at_centers = family.signals[:, center_idx]
+    out = np.zeros((2 ** k, k))
+    for s in range(2 ** k):
+        members = [i for i in range(k) if (s >> i) & 1]
+        if members:
+            out[s] = at_centers[members].sum(axis=0)
+    return np.clip(out, 0.0, 1.0)
+
+
 def lstsq_capacities(data, targets, weights):
     """Capacities of each target column by its own ``np.linalg.lstsq`` solve.
 

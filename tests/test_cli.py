@@ -1,5 +1,6 @@
 """Run configs, artifact writing, manifests, CLI exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -514,6 +515,13 @@ def test_power_basis_runner_reports_conditioning_failure(tmp_path):
 
 def test_fat_shatter_report_contents(tmp_path):
     run_experiment({"experiment": "fat-shatter", "out_dir": str(tmp_path)})
-    doc = json.loads((tmp_path / "fat_shatter.json").read_text())
+    raw = (tmp_path / "fat_shatter.json").read_bytes()
+    doc = json.loads(raw)
     assert doc["dimension"] >= 2 and doc["witness_verified"]
     assert len(doc["witness_assignment"]) == 2 ** doc["dimension"]
+    # the search draws nothing at random, so the default report's bytes are
+    # the same at every seed and are pinned
+    run_experiment({"experiment": "fat-shatter", "seed": 9, "out_dir": str(tmp_path / "seed9")})
+    assert (tmp_path / "seed9" / "fat_shatter.json").read_bytes() == raw
+    assert hashlib.sha256(raw).hexdigest() == (
+        "18b56113b7dd5eb1ee9456e83668643f6d27c126fba612ad352ccfde46a35505")

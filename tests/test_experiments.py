@@ -1,6 +1,7 @@
 """Scaling scans, switching families, tails, power basis, learnability,
 fat-shattering."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from stochres.experiments import (
 )
 from stochres.reservoir import InputMeasure, InputSequence
 
-from helpers import lstsq_capacities
+from helpers import lstsq_capacities, subset_sum_loop
 
 
 BINARY = InputMeasure("iid-uniform-binary", 0.0, 1.0, seed=11)
@@ -295,14 +296,30 @@ def test_two_constants_shatter_one_point():
     assert verify_shatter_witness(values, witness)
 
 
-def test_switching_subset_class_shatters_centers():
-    beta = sweep_exponential_sharpness(4, (0.0, 1.0), 0.99)
-    fam = sr.switching_family("exponential", 4, (0.0, 1.0), beta)
+@pytest.mark.parametrize("count", [4, 12])
+def test_switching_subset_class_shatters_centers(count):
+    beta = sweep_exponential_sharpness(count, (0.0, 1.0), 0.99)
+    fam = sr.switching_family("exponential", count, (0.0, 1.0), beta)
     values = switching_subset_class(fam)
-    assert values.shape == (16, 4)
+    assert values.shape == (2 ** count, count)
     d, witness = sr.fat_shattering_lower_bound(values, 0.3, thresholds=0.5)
-    assert d >= 2
+    assert d == count
+    assert len(witness.assignment) == 2 ** count
     assert verify_shatter_witness(values, witness)
+
+
+@pytest.mark.parametrize("kind", ["exponential", "polynomial", "dirichlet"])
+def test_switching_subset_class_adds_members_in_ascending_order(kind):
+    gen = np.random.default_rng(4)
+    for k in range(1, 13):
+        beta = sweep_exponential_sharpness(k, (0.0, 1.0), 0.99)
+        if kind == "polynomial":
+            fam = sr.switching_family(kind, k, (0.0, 1.0), matched_polynomial_sharpness(beta))
+        else:
+            fam = sr.switching_family("exponential", k, (0.0, 1.0), beta)
+        if kind == "dirichlet":
+            fam = dataclasses.replace(fam, signals=gen.dirichlet(np.ones(k), fam.grid.size).T)
+        assert switching_subset_class(fam).tobytes() == subset_sum_loop(fam).tobytes()
 
 
 def test_witness_verifier_spots_corruption():
@@ -311,6 +328,34 @@ def test_witness_verifier_spots_corruption():
     bad = sr.ShatterWitness(witness.instance_indices, witness.thresholds,
                             dict(witness.assignment), 0.6)
     assert not verify_shatter_witness(values, bad)
+    # one threshold for two instances: instance 1 only ever takes the value 0
+    values = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    short = sr.ShatterWitness((0, 1), (0.5,), {0: 0, 1: 1, 2: 0, 3: 1}, 0.1)
+    assert not verify_shatter_witness(values, short)
+    # one threshold that would fit both instances is still one too few
+    values = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    assert verify_shatter_witness(values, sr.ShatterWitness(
+        (0, 1), (0.5, 0.5), {0: 0, 1: 1, 2: 2, 3: 3}, 0.1))
+    assert not verify_shatter_witness(values, sr.ShatterWitness(
+        (0, 1), (0.5,), {0: 0, 1: 1, 2: 2, 3: 3}, 0.1))
+
+
+def test_each_dichotomy_takes_its_lowest_index_function():
+    values = np.array([[0.9], [0.1], [0.8], [0.0]])
+    d, witness = sr.fat_shattering_lower_bound(values, 0.2, thresholds=0.5)
+    assert (d, witness.assignment) == (1, {0: 1, 1: 0})
+
+
+def test_a_value_on_the_threshold_at_gamma_zero_is_only_above_it():
+    d, _ = sr.fat_shattering_lower_bound(np.array([[0.5], [0.5]]), 0.0, thresholds=0.5)
+    assert d == 0
+
+
+@pytest.mark.parametrize("count", [5, 1])
+def test_pinned_thresholds_need_one_per_instance(count):
+    values = np.random.default_rng(0).uniform(0, 1, size=(4, 3))
+    with pytest.raises(ValueError, match=f"{count} thresholds for 3 instances"):
+        sr.fat_shattering_lower_bound(values, 0.1, thresholds=[0.5] * count)
 
 
 def test_search_respects_budget():
