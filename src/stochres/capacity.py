@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -49,6 +51,14 @@ NUMERICAL_SLACK = 1e-9
 def finite_time_threshold(rows: int) -> float:
     """Capacity floor 4/sqrt(T) below which estimates are treated as noise."""
     return 4.0 / math.sqrt(rows)
+
+
+def _finite(g, name: str) -> np.ndarray:
+    """``g`` as a float array; a non-finite entry raises NumericCheckFailure."""
+    g = np.asarray(g, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise NumericCheckFailure(f"non-finite entries in {name}")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +90,7 @@ def _resolve_signals(signals, weights):
     else:
         weights = np.asarray(weights, dtype=float)
         weights = weights / weights.sum()
-    return data, weights
+    return data, _finite(weights, "row weights")
 
 
 class ReadoutScores(NamedTuple):
@@ -100,9 +110,10 @@ class ReadoutScores(NamedTuple):
 class ReadoutFit:
     """Weighted least-squares readout of the signal columns, factored once.
 
-    Resolves the signals and row weights, drops identically zero columns
-    (logged), and takes one thin SVD of ``sqrt(w) * X``. Singular values at
-    or below ``eps * max(rows, cols) * s_max`` count as zero, the cutoff of
+    Resolves the signals and row weights (a non-finite entry raises
+    NumericCheckFailure), drops identically zero columns (logged), and
+    takes one thin SVD of ``sqrt(w) * X``. Singular values at or below
+    ``eps * max(rows, cols) * s_max`` count as zero, the cutoff of
     ``np.linalg.lstsq(rcond=None)``, so every target gets the minimum-norm
     least-squares readout. :meth:`score` then reconstructs any number of
     targets from this one factorization.
@@ -110,6 +121,7 @@ class ReadoutFit:
 
     def __init__(self, signals, weights: Optional[np.ndarray] = None):
         data, self.w = _resolve_signals(signals, weights)
+        _finite(data, "signals")
         self.rows, self.columns = data.shape
         self.keep = np.max(np.abs(data), axis=0) > 0.0
         self.dropped_columns = int(np.sum(~self.keep))
@@ -137,11 +149,11 @@ class ReadoutFit:
 
         The weighted residual energy SSE is SST minus the energy of the
         projection onto the signal span. A target column with zero weighted
-        energy raises ZeroTarget; a clip larger than ``NUMERICAL_SLACK`` is
-        logged as a warning. The threshold is the finite-time threshold of
-        the row count.
+        energy raises ZeroTarget, and a non-finite target NumericCheckFailure;
+        a clip larger than ``NUMERICAL_SLACK`` is logged as a warning. The
+        threshold is the finite-time threshold of the row count.
         """
-        y = np.asarray(targets, dtype=float)
+        y = _finite(targets, "targets")
         if y.ndim != 2 or y.shape[0] != self.rows:
             raise ValueError("targets must be a (rows, K) matrix matching the signal rows")
         sst = np.einsum("i,ik,ik->k", self.w, y, y)
@@ -187,12 +199,13 @@ def capacity(signals, target, weights: Optional[np.ndarray] = None) -> CapacityR
 
 def _one_hot_readout(signals: SignalMatrix):
     """Row weights and data of signals with one-hot single-shot readout:
-    exact probabilities, or empirical frequencies with their shot count."""
+    exact probabilities, or empirical frequencies with their shot count.
+    A non-finite entry in either raises NumericCheckFailure."""
     if signals.mode not in (MODE_EXACT, MODE_EMPIRICAL):
         raise ValueError("one-hot moments need probability or frequency signals")
     if signals.mode == MODE_EMPIRICAL and signals.shots is None:
         raise MissingShotMetadata("empirical one-hot moments need the shot count")
-    return signals.row_weights(), signals.data
+    return _finite(signals.row_weights(), "row weights"), _finite(signals.data, "signals")
 
 
 def gram_matrices(signals: SignalMatrix):
@@ -220,11 +233,13 @@ def shot_averaged_second_moment(g1: np.ndarray, g2: np.ndarray, shots: int) -> n
     Averaging S one-hot shots divides the Bernoulli variance term by S:
     <f f^T> = G1 + (G2 - G1) / S. With shots = 1 this is G2 itself; as
     S grows the readout becomes noiseless and the pair (G1, result)
-    approaches zero noise-to-signal ratios.
+    approaches zero noise-to-signal ratios. ``shots`` must be an integer
+    >= 1 (ValueError), and G1 and G2 finite (NumericCheckFailure).
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    return np.asarray(g1) + (np.asarray(g2) - np.asarray(g1)) / float(shots)
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    g1, g2 = _finite(g1, "G1"), _finite(g2, "G2")
+    return g1 + (g2 - g1) / float(shots)
 
 
 @dataclass
@@ -238,10 +253,10 @@ class EigentaskDecomposition:
     weights for eigentask k are ``whitener @ eigentasks[:, k]``. Stacked as
     the columns of ``V``, these weights satisfy ``V.T @ G1 @ V = I`` and
     ``V.T @ G2 @ V = diag(1 + sigma_sq)``. The one-hot route returns the
-    readout weights themselves as ``whitener`` and the identity as
-    ``eigentasks``, both computed on first read and then kept, since the
-    spectrum alone needs no eigenvectors. ``dropped_count`` is
-    ``signal_dim - retained_rank``.
+    readout weights themselves as ``whitener``, one ``eigh`` on first read
+    that raises NumericCheckFailure if the signals changed since, and the
+    identity as ``eigentasks``. ``rank_tolerance`` lies in (0, 1], and
+    ``dropped_count`` is ``signal_dim - retained_rank``.
     """
 
     sigma_sq: np.ndarray
@@ -255,15 +270,6 @@ class EigentaskDecomposition:
 
     def readout_weights(self, k: int) -> np.ndarray:
         return self.whitener @ self.eigentasks[:, k]
-
-
-def _symmetrized(a: np.ndarray) -> np.ndarray:
-    """``0.5 * (a + a.T)``, or ``a`` itself when it already equals its
-    transpose bit for bit, where that expression would return it unchanged."""
-    bits = a.view(np.int64)
-    if np.array_equal(bits, bits.T):
-        return a
-    return 0.5 * (a + a.T)
 
 
 def _sorted_ratios(sigma_sq: np.ndarray):
@@ -297,11 +303,12 @@ def eigentask_decomposition(source, g2: Optional[np.ndarray] = None,
     :func:`ipc_probability_rep` agree by construction. The readout weights
     ``diag(m)^-1/2 Y^T u / b`` of the left singular vectors u of the
     ``retained_rank`` largest b are computed from ``source`` with one
-    ``eigh`` when ``whitener`` or ``eigentasks`` is first read, so
-    ``source`` must not change before then; they are returned as
-    ``whitener`` (zero on dropped columns), largest b first, which is the
-    order of ``sigma_sq``. A non-finite signal or row weight raises
-    NumericCheckFailure.
+    ``eigh`` when ``whitener`` is first read, and returned as ``whitener``
+    (zero on dropped columns), largest b first, which is the order of
+    ``sigma_sq``; ``eigentasks`` is the identity. That read raises
+    NumericCheckFailure if ``source`` changed, so that the ``eigh`` finds a
+    b off by more than 1e-9 * max(b). A non-finite signal or row weight
+    raises NumericCheckFailure.
 
     ``eigentask_decomposition(g1, g2)`` takes any pair, such as a G2 from
     :func:`shot_averaged_second_moment`. G1 is spectrally decomposed;
@@ -310,25 +317,23 @@ def eigentask_decomposition(source, g2: Optional[np.ndarray] = None,
     the whitened matrix minus one are the ratios. A non-finite entry in
     either matrix raises NumericCheckFailure.
 
-    Both routes set ratios in [-1e-10, 0) to zero, counting them in
-    ``clipped_negatives``, warn about any ratio still negative, and sort the
-    ratios ascending.
+    Both routes take ``rank_tolerance`` in (0, 1] (else ValueError), set
+    ratios in [-1e-10, 0) to zero, counting them in ``clipped_negatives``,
+    warn about any ratio still negative, and sort the ratios ascending.
     """
+    if not 0.0 < rank_tolerance <= 1.0:
+        raise ValueError(f"rank_tolerance must lie in (0, 1], got {rank_tolerance!r}")
     if isinstance(source, SignalMatrix):
         if g2 is not None:
             raise ValueError("pass a SignalMatrix alone or the pair (G1, G2)")
-        return _one_hot_decomposition(source, rank_tolerance)
+        return _OneHotEigentasks(source, rank_tolerance)
     if g2 is None:
         raise ValueError("G1 needs its G2")
-    g1 = np.asarray(source, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
+    g1, g2 = _finite(source, "G1"), _finite(g2, "G2")
     if g1.shape != g2.shape or g1.shape[0] != g1.shape[1]:
         raise ValueError("G1 and G2 must be square matrices of equal size")
-    for name, g in (("G1", g1), ("G2", g2)):
-        if not np.all(np.isfinite(g)):
-            raise NumericCheckFailure(f"{name} has non-finite entries")
-    g1 = _symmetrized(g1)
-    g2 = _symmetrized(g2)
+    g1 = 0.5 * (g1 + g1.T)
+    g2 = 0.5 * (g2 + g2.T)
 
     evals, vecs = np.linalg.eigh(g1)
     top = float(evals[-1])
@@ -341,12 +346,9 @@ def eigentask_decomposition(source, g2: Optional[np.ndarray] = None,
         raise NotPSD(f"G2 eigenvalue {g2_evals[0]:.3g} below -1e-8 * max")
 
     keep = evals >= rank_tolerance * top
-    if not np.any(keep):
-        raise EmptyRank("no eigenvalue above the rank tolerance")
     whitener = vecs[:, keep] / np.sqrt(evals[keep])
-
-    m = _symmetrized(whitener.T @ g2 @ whitener)
-    mu, tasks = np.linalg.eigh(m)
+    m = whitener.T @ g2 @ whitener
+    mu, tasks = np.linalg.eigh(0.5 * (m + m.T))
     sigma_sq, clipped, order = _sorted_ratios(mu - 1.0)
     return EigentaskDecomposition(
         sigma_sq=sigma_sq,
@@ -365,8 +367,6 @@ def _scaled_one_hot(signals: SignalMatrix):
     mask of those columns, their ``m^-1/2``, and the Gram matrix of Y on
     its smaller side: ``Y Y^T`` (rows x rows) or ``Y^T Y``."""
     w, x = _one_hot_readout(signals)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
-        raise NumericCheckFailure("signals have non-finite entries")
     means = w @ x
     keep = means > 0.0
     if not np.any(keep):
@@ -379,48 +379,37 @@ def _scaled_one_hot(signals: SignalMatrix):
     return y, keep, scale, gram
 
 
-def _one_hot_decomposition(signals: SignalMatrix,
-                           rank_tolerance: float) -> EigentaskDecomposition:
-    """The one-hot route of :func:`eigentask_decomposition`."""
-    _, keep, _, gram = _scaled_one_hot(signals)
-    beta = np.linalg.eigvalsh(gram)
-    beta = beta[beta >= rank_tolerance * beta[-1]]
-    sigma_sq, clipped, _ = _sorted_ratios(1.0 / beta - 1.0)
-    return _OneHotEigentasks(
-        sigma_sq=sigma_sq,
-        retained_rank=beta.size,
-        dropped_count=keep.size - beta.size,
-        rank_tolerance=rank_tolerance,
-        signal_dim=keep.size,
-        clipped_negatives=clipped,
-        signals=signals,
-    )
-
-
 class _OneHotEigentasks(EigentaskDecomposition):
-    """A one-hot :class:`EigentaskDecomposition` whose readout weights are
-    computed from ``signals`` on first read of ``whitener`` or
-    ``eigentasks``, and kept."""
+    """The one-hot route of :func:`eigentask_decomposition`: the spectrum is
+    taken from ``signals`` at construction, the readout weights on first
+    read of ``whitener``."""
 
-    def __init__(self, signals: SignalMatrix, **spectrum):
-        self.__dict__.update(spectrum)
+    def __init__(self, signals: SignalMatrix, rank_tolerance: float):
+        _, keep, _, gram = _scaled_one_hot(signals)
+        beta = np.linalg.eigvalsh(gram)
+        beta = beta[beta >= rank_tolerance * beta[-1]]
+        self.sigma_sq, self.clipped_negatives, _ = _sorted_ratios(1.0 / beta - 1.0)
+        self.retained_rank = beta.size
+        self.dropped_count = keep.size - beta.size
+        self.rank_tolerance = rank_tolerance
+        self.signal_dim = keep.size
         self._signals = signals
 
-    def __getattr__(self, name):
-        # reached only while the attribute is unset
-        if name not in ("whitener", "eigentasks"):
-            raise AttributeError(name)
-        self.whitener = self._weights()
-        self.eigentasks = np.eye(self.retained_rank)
-        return getattr(self, name)
+    @cached_property
+    def eigentasks(self) -> np.ndarray:
+        return np.eye(self.retained_rank)
 
-    def _weights(self) -> np.ndarray:
+    @cached_property
+    def whitener(self) -> np.ndarray:
         """``diag(m)^-1/2 Y^T u / b`` for the ``retained_rank`` largest b,
         largest first, from one ``eigh`` of the Gram matrix of Y."""
         y, keep, scale, gram = _scaled_one_hot(self._signals)
         beta, vecs = np.linalg.eigh(gram)
         top = slice(-1, -self.retained_rank - 1, -1)
         beta, vecs = beta[top], vecs[:, top]
+        spectrum = 1.0 / (1.0 + self.sigma_sq)
+        if beta.shape != spectrum.shape or np.any(np.abs(beta - spectrum) > 1e-9 * spectrum[0]):
+            raise NumericCheckFailure("the signals changed after their spectrum was taken")
         if gram.shape[0] < y.shape[1]:
             # V / sqrt(b), with the right singular vectors V = Y^T u / sqrt(b)
             weights = (y.T @ vecs) / beta
@@ -478,13 +467,15 @@ def ipc_probability_rep(signals: SignalMatrix) -> IPCReport:
     averaged under the signals' own row weights.
 
     Columns whose mean is exactly zero are skipped (and counted); nothing
-    else is thresholded or zeroed.
+    else is thresholded or zeroed. A non-finite signal or row weight raises
+    NumericCheckFailure.
     """
     if signals.mode != MODE_EXACT:
         raise ValueError("probability-trace needs exact-probability signals")
     data, w = _resolve_signals(signals, None)
     means = w @ data
-    seconds = w @ (data * data)
+    # a non-finite signal makes its column's sum non-finite, at no extra pass
+    seconds = _finite(w @ (data * data), "signals")
     keep = means > 0.0
     skipped = int(np.sum(~keep))
     if skipped:

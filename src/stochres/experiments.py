@@ -294,7 +294,8 @@ def classify_tails(u: np.ndarray, p: np.ndarray, region=None) -> TailFit:
     Fits log p against log u (polynomial tail, parameter = degree) and log p
     against u (exponential tail, parameter = natural-log rate) over the
     decay region and keeps the lower-residual law; residuals within 10 % of
-    the larger one give "inconclusive". Fewer than 3 samples in the region
+    the larger one, or both at the rounding level of log p (as for a
+    constant p), give "inconclusive". Fewer than 3 samples in the region
     raise ``ValueError``.
     """
     u = np.asarray(u, dtype=float)
@@ -314,7 +315,8 @@ def classify_tails(u: np.ndarray, p: np.ndarray, region=None) -> TailFit:
     slope_poly, r_poly = _fit_residual(np.log(uu), logp)
     slope_exp, r_exp = _fit_residual(uu, logp)
     reg = (float(uu.min()), float(uu.max()))
-    if abs(r_poly - r_exp) <= 0.10 * max(r_poly, r_exp):
+    floor = (64 * np.finfo(float).eps) ** 2 * float(np.mean(logp * logp))
+    if abs(r_poly - r_exp) <= 0.10 * max(r_poly, r_exp) or max(r_poly, r_exp) <= floor:
         return TailFit("inconclusive", float("nan"), r_poly, r_exp, reg)
     if r_poly < r_exp:
         return TailFit("polynomial", -slope_poly, r_poly, r_exp, reg)
@@ -473,13 +475,16 @@ def fat_shattering_lower_bound(values: np.ndarray, gamma: float,
     instance). Instance subsets and threshold combinations are scanned in
     lexicographic order and the first witness found for the largest feasible
     d is returned after independent re-verification; each dichotomy is
-    assigned its lowest-index function.
+    assigned its lowest-index function. Non-finite input, and gamma < 0,
+    raise ``ValueError``.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError("values must be functions x instances")
-    if np.any(values < -1e-12) or np.any(values > 1 + 1e-12):
-        raise ValueError("function values must lie in [0, 1]")
+    if not np.all((values >= -1e-12) & (values <= 1 + 1e-12)):
+        raise ValueError("function values must be finite and lie in [0, 1]")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
     n_fun, n_inst = values.shape
     if n_inst > 20:
         raise ValueError("exhaustive search limited to 20 instances")
@@ -494,6 +499,8 @@ def fat_shattering_lower_bound(values: np.ndarray, gamma: float,
             raise ValueError(f"{len(pinned)} thresholds for {n_inst} instances: "
                              "give a scalar or one threshold per instance")
         cand = [np.array([float(t)]) for t in pinned]
+        if not np.all(np.isfinite(cand)):
+            raise ValueError(f"thresholds must be finite, got {thresholds!r}")
 
     # per instance, one (lo, hi, threshold) per candidate: lo and hi are the
     # bitsets of the functions at most t - gamma and at least t + gamma (a

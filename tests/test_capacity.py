@@ -1,5 +1,7 @@
 """Capacity, gram matrices, eigentask spectra, and total capacity."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,6 +15,7 @@ from stochres.capacity import (
     _legendre_orthonormal,
     build_target_basis,
     finite_time_threshold,
+    shot_averaged_second_moment,
 )
 from stochres.errors import (
     BasisNotOrthonormal,
@@ -141,6 +144,34 @@ def test_readout_fit_rejects_any_zero_energy_target():
         ReadoutFit(x).score(y)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_capacity_rejects_non_finite_targets(bad):
+    gen = np.random.default_rng(3)
+    x = gen.dirichlet(np.ones(3), size=40)
+    y = gen.normal(size=40)
+    y[7] = bad
+    with pytest.raises(NumericCheckFailure, match="targets"):
+        sr.capacity(x, y)
+    with pytest.raises(NumericCheckFailure, match="targets"):
+        ReadoutFit(x).score(np.column_stack([gen.normal(size=40), y]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["signals", "row weights"])
+def test_capacity_routes_reject_non_finite_signals(where, bad):
+    # a NaN column once read as all-zero and was dropped without a word
+    gen = np.random.default_rng(5)
+    data = gen.dirichlet(np.ones(3), size=40)
+    weights = np.ones(40)
+    (data[3] if where == "signals" else weights)[1] = bad
+    sm = SignalMatrix(data, "exact-probability", 1, weights=weights)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericCheckFailure, match=where):
+            sr.capacity(sm, gen.normal(size=40))
+        with pytest.raises(NumericCheckFailure, match=where):
+            sr.ipc_probability_rep(sm)
+
+
 # --- gram matrices -----------------------------------------------------------
 
 def test_gram_constant_distribution():
@@ -174,8 +205,6 @@ def test_gram_empirical_single_shot_reduces_to_diag():
 
 
 def test_shot_averaging_interpolates_second_moment():
-    from stochres.capacity import shot_averaged_second_moment
-
     sm, _, _ = linear_drive_signals()
     g1, g2 = sr.gram_matrices(sm)
     np.testing.assert_allclose(shot_averaged_second_moment(g1, g2, 1), g2)
@@ -184,6 +213,23 @@ def test_shot_averaging_interpolates_second_moment():
     # averaging 3 shots scales every noise-to-signal ratio by 1/3
     dec = sr.eigentask_decomposition(g1, shot_averaged_second_moment(g1, g2, 3))
     np.testing.assert_allclose(dec.sigma_sq, [0.0, 2.0 / 3.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("shots", [2.5, 2.0, True, "3"])
+def test_shot_averaging_needs_an_integer_shot_count(shots):
+    # 2.5 would give a second moment between those of 2 and 3 shots
+    with pytest.raises(ValueError, match="integer"):
+        shot_averaged_second_moment(np.eye(2), 2.0 * np.eye(2), shots)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["G1", "G2"])
+def test_shot_averaging_rejects_non_finite_moments(name, bad):
+    g1 = np.array([[2.0, 0.5], [0.5, 1.0]])
+    g2 = np.diag([3.0, 2.0])
+    (g1 if name == "G1" else g2)[1, 1] = bad
+    with pytest.raises(NumericCheckFailure, match=name):
+        shot_averaged_second_moment(g1, g2, 3)
 
 
 def test_gram_empirical_converges_to_exact():
@@ -437,6 +483,37 @@ def test_one_hot_weights_take_one_eigh_on_first_read(monkeypatch):
     assert calls == [(8, 8)]
 
 
+def test_one_hot_eigentasks_alone_take_no_eigh(monkeypatch):
+    dec = sr.eigentask_decomposition(_physical_signals(5, 3, 40, 0))
+
+    def refuse(a):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert np.array_equal(dec.eigentasks, np.eye(dec.retained_rank))
+
+
+def test_one_hot_weights_of_changed_signals_raise():
+    res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.1))
+    seq = InputMeasure("iid-uniform-binary", 0.0, 1.0, seed=1).sequence(400, washout_length=50)
+    sm = sr.probability_signals(sr.run_exact(res, seq))
+    dec = sr.eigentask_decomposition(sm)
+    sm.data[...] = np.random.default_rng(3).dirichlet(np.ones(16), size=sm.data.shape[0])
+    with pytest.raises(NumericCheckFailure, match="changed"):
+        dec.whitener
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, 2.0, np.nan])
+@pytest.mark.parametrize("route", ["one-hot", "pair"])
+def test_rank_tolerance_outside_the_unit_interval_is_rejected(route, tolerance):
+    sm = _physical_signals(3, 2, 30, 0)
+    source = (sm,) if route == "one-hot" else sr.gram_matrices(sm)
+    with pytest.raises(ValueError, match="rank_tolerance"):
+        sr.eigentask_decomposition(*source, rank_tolerance=tolerance)
+    # at 1 the top eigenvalue still passes the cut
+    assert sr.eigentask_decomposition(*source, rank_tolerance=1.0).retained_rank >= 1
+
+
 # --- aggregate capacity --------------------------------------------------------
 
 def test_spectral_capacity_of_clean_rank():
@@ -504,6 +581,16 @@ def test_binary_basis_limits_degree():
         TargetBasis(max_delay=1, max_degree=2, measure_kind="iid-uniform-binary")
     basis = TargetBasis(max_delay=2, max_degree=1, measure_kind="iid-uniform-binary")
     assert basis.gram_error() < 1e-12
+
+
+def test_quadrature_grid_measure_gets_an_interval_basis():
+    measure = InputMeasure("quadrature-grid", -0.5, 2.0, order=8)
+    basis = build_target_basis(measure, max_delay=0, max_degree=3)
+    assert (basis.measure_kind, basis.lo, basis.hi) == ("iid-uniform-interval", -0.5, 2.0)
+    # the 8-node rule integrates the degree <= 6 products exactly
+    nodes, weights = measure.quadrature()
+    targets = basis.evaluate(nodes)
+    np.testing.assert_allclose(targets.T @ (weights[:, None] * targets), np.eye(4), atol=1e-12)
 
 
 @pytest.mark.parametrize("kind, max_delay, max_degree", [
@@ -595,3 +682,11 @@ def test_capacity_always_in_unit_interval(seed, rows, cols):
     rep = sr.capacity(x, y)
     assert 0.0 <= rep.capacity <= 1.0
     assert abs(rep.clipped_by) <= 1e-9
+
+
+def test_readme_quick_start_prints_agreeing_capacities(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    trace, spectral = map(float, capsys.readouterr().out.splitlines()[0].split())
+    assert abs(trace - spectral) <= 1e-12

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from stochres.cli import main
-from stochres.errors import ConfigValidation, IOFailure, NumericCheckFailure, UnknownExperiment
+from stochres.errors import (
+    ConfigValidation,
+    IOFailure,
+    NumericCheckFailure,
+    SearchBudgetExceeded,
+    UnknownExperiment,
+)
 from stochres.runio import (
     _RULES,
     COMMON_KEYS,
@@ -202,6 +208,16 @@ def test_cli_unreadable_config_is_io_failure(tmp_path):
     code = main(["switching", "--config", str(tmp_path / "missing.json"),
                  "--out-dir", str(tmp_path)])
     assert code == 4
+
+
+def test_cli_other_library_errors_exit_with_config_code(tmp_path, monkeypatch, capsys):
+    def exhausted(params, seed):
+        raise SearchBudgetExceeded("shattering search exceeded budget 1")
+
+    monkeypatch.setitem(EXPERIMENTS, "fat-shatter", (exhausted, EXPERIMENTS["fat-shatter"][1]))
+    assert main(["fat-shatter", "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: shattering search exceeded budget 1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_numeric_check_failure_raised_in_process(tmp_path):

@@ -155,6 +155,14 @@ def test_classify_rejects_regions_of_fewer_than_three_samples(region, size):
     assert sr.classify_tails(u, 2.0 ** -u, region=(5.0, 7.0)).region == (5.0, 7.0)
 
 
+@pytest.mark.parametrize("level", [1.0, 0.3, 1e-3])
+def test_classify_constant_signal_is_inconclusive(level):
+    # both laws fit a constant exactly; their residuals differ by rounding only
+    u = np.linspace(1.0, 50.0, 100)
+    fit = sr.classify_tails(u, np.full(100, level))
+    assert fit.classification == "inconclusive" and math.isnan(fit.parameter)
+
+
 def test_planted_tail_recovery_accuracy():
     gen = np.random.default_rng(123)
     u = np.linspace(5.0, 50.0, 200)
@@ -356,6 +364,20 @@ def test_pinned_thresholds_need_one_per_instance(count):
     values = np.random.default_rng(0).uniform(0, 1, size=(4, 3))
     with pytest.raises(ValueError, match=f"{count} thresholds for 3 instances"):
         sr.fat_shattering_lower_bound(values, 0.1, thresholds=[0.5] * count)
+
+
+@pytest.mark.parametrize("values, gamma, thresholds", [
+    ([[0.0, np.nan], [1.0, np.nan]], 0.4, None),
+    ([[0.0, 0.0], [1.0, 1.0]], 0.4, np.nan),
+    ([[0.0, 0.0], [1.0, 1.0]], 0.1, [0.5, np.inf]),
+    ([[0.0, 0.0], [1.0, 1.0]], np.nan, None),
+    ([[0.0, 0.0], [1.0, 1.0]], np.inf, None),
+    ([[0.0, 0.0], [1.0, 1.0]], -1.0, None),
+], ids=["nan-value", "nan-threshold", "inf-threshold", "nan-gamma", "inf-gamma",
+        "negative-gamma"])
+def test_search_rejects_non_finite_input_and_negative_gamma(values, gamma, thresholds):
+    with pytest.raises(ValueError, match="finite"):
+        sr.fat_shattering_lower_bound(np.array(values), gamma, thresholds=thresholds)
 
 
 def test_search_respects_budget():

@@ -983,6 +983,14 @@ def test_quadrature_sequence_is_its_nodes_with_no_washout():
         m.sequence(8)
 
 
+@pytest.mark.parametrize("kind", ["iid-uniform-interval", "iid-uniform-binary"])
+def test_iid_sequence_is_the_draw_of_its_seed_stream(kind):
+    m = InputMeasure(kind, -0.5, 2.0, seed=11)
+    seq = m.sequence(300, washout_length=40)
+    assert np.array_equal(seq.drives, m.draw(300, stream(11)))
+    assert seq.washout_length == 40 and seq.weights is None
+
+
 def test_quadrature_measure_draw_samples_nodes():
     m = InputMeasure("quadrature-grid", -1.0, 1.0, order=8, seed=2)
     nodes, _ = m.quadrature()
