@@ -256,16 +256,17 @@ class EigentaskDecomposition:
     readout weights themselves as ``whitener``, one ``eigh`` on first read
     that raises NumericCheckFailure if the signals changed since, and the
     identity as ``eigentasks``. ``rank_tolerance`` lies in (0, 1], and
-    ``dropped_count`` is ``signal_dim - retained_rank``.
+    ``dropped_count`` is ``signal_dim - retained_rank``. ``repr`` leaves out
+    ``eigentasks`` and ``whitener``, so it never runs that ``eigh``.
     """
 
     sigma_sq: np.ndarray
-    eigentasks: np.ndarray
+    eigentasks: np.ndarray = field(repr=False)
     retained_rank: int
     dropped_count: int
     rank_tolerance: float
     signal_dim: int
-    whitener: np.ndarray
+    whitener: np.ndarray = field(repr=False)
     clipped_negatives: int = 0
 
     def readout_weights(self, k: int) -> np.ndarray:

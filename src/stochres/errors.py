@@ -48,6 +48,10 @@ class ExactModeOverflow(StochresError):
     """Exact propagation requested for a state space that is too large."""
 
 
+class InvalidSamples(StochresError, ValueError):
+    """Sampled bitstrings are not a non-empty array of in-range integers."""
+
+
 # --- signal handling --------------------------------------------------------
 
 class MixedDimensions(StochresError):

@@ -33,6 +33,7 @@ from .errors import (
     EmptyAfterWashout,
     ExactModeOverflow,
     InsufficientTrials,
+    InvalidSamples,
     LocalityViolation,
     MixedDimensions,
     NonfiniteDrive,
@@ -447,7 +448,15 @@ class ReservoirSpec:
 @dataclass
 class TrajectoryEnsemble:
     """Sampled bitstring trajectories: ``samples[s, t]`` is the register
-    state of shot ``s`` after post-washout step ``t``."""
+    state of shot ``s`` after post-washout step ``t``.
+
+    ``samples`` must be a 2-D integer array with at least one shot and one
+    step, every entry in [0, 2**n); anything else raises
+    :class:`InvalidSamples`, a ``ValueError``. It is held in the register's
+    own width, ``np.min_scalar_type(2**n - 1)`` (``uint8`` through n = 8,
+    ``uint16`` through n = 16), without a copy when it already has that
+    dtype; :meth:`save` writes ``int64``.
+    """
 
     samples: np.ndarray
     n: int
@@ -455,9 +464,15 @@ class TrajectoryEnsemble:
     washout_length: int = 0
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.int64)
-        if np.any(self.samples < 0) or np.any(self.samples >= 2 ** self.n):
-            raise ValueError("sample indices out of range for n bits")
+        samples = np.asarray(self.samples)
+        if samples.dtype.kind not in "iu":
+            raise InvalidSamples(f"samples must be integers, got dtype {samples.dtype}")
+        if samples.ndim != 2 or samples.size == 0:
+            raise InvalidSamples("samples must be a (shots, steps) array with at least "
+                                 f"one of each, got shape {samples.shape}")
+        if int(samples.min()) < 0 or int(samples.max()) >= 2 ** self.n:
+            raise InvalidSamples("sample indices out of range for n bits")
+        self.samples = samples.astype(np.min_scalar_type(2 ** self.n - 1), copy=False)
 
     @property
     def shots(self) -> int:
@@ -468,7 +483,8 @@ class TrajectoryEnsemble:
         return self.samples.shape[1]
 
     def save(self, path) -> None:
-        """Persist as raw row-major int64 plus a JSON sidecar at ``<path>.json``."""
+        """Persist as raw row-major int64 plus a JSON sidecar at ``<path>.json``;
+        :meth:`load` narrows the samples back to the register's width."""
         write_raw(path, self.samples, "<i8", {
             "n": self.n,
             "S": self.shots,
@@ -1123,7 +1139,9 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
     :class:`_BitRun`, two masks per step tabulated slice by slice with the
     same comparisons. So fusing or folding gates leaves every stream, and
     the output, unchanged. Kernel rows are built once for all of the run's
-    distinct drive values.
+    distinct drive values. States step, and the (shots, steps) samples are
+    held, in the register's own width, ``np.min_scalar_type(2**n - 1)``:
+    ``uint8`` through n = 8 and ``uint16`` through n = 16.
     """
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
         raise ValueError(f"shots must be an integer, got {shots!r}")
@@ -1132,9 +1150,9 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
     values, index = _checked_drives(reservoir, inputs)
     washout = inputs.washout_length
 
-    out = np.empty((shots, len(inputs) - washout), dtype=np.int64)
-    # the smallest unsigned type that holds n bits
+    # the smallest unsigned type that holds n bits, for the states and the output
     dtype = np.min_scalar_type(reservoir.dim - 1)
+    out = np.empty((shots, len(inputs) - washout), dtype=dtype)
     block_steps = min(len(index), SAMPLE_STEPS)
     steps = _sampler_steps(reservoir.plan, values, dtype,
                            min(shots, SAMPLE_BLOCK) * block_steps)

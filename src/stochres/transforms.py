@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NegativeProbability
+from .errors import InvalidSamples, NegativeProbability
 from .reservoir import EXACT_MODE_MAX_BITS
 from .signals import MODE_MOMENT, SignalMatrix
 
@@ -101,14 +101,24 @@ def moments_for_masks(probs: np.ndarray, masks: Sequence[int], n: int) -> np.nda
 def moments_from_samples(samples: np.ndarray, masks: Sequence[int]) -> np.ndarray:
     """Empirical product moments straight from sampled bitstrings.
 
-    ``samples`` is any array of bitstring indices; for each mask the result
-    is the fraction of samples containing that mask.
+    ``samples`` is any integer array of non-negative bitstring indices, read
+    in its own dtype without a copy; for each mask the result is the
+    fraction of samples containing that mask. A mask wider than the dtype
+    is in no sample and gives 0. Non-integer or negative samples and
+    negative masks raise :class:`InvalidSamples`, a ``ValueError``.
     """
-    samples = np.asarray(samples, dtype=np.int64)
+    samples = np.asarray(samples)
+    if samples.dtype.kind not in "iu":
+        raise InvalidSamples(f"samples must be integers, got dtype {samples.dtype}")
+    if samples.dtype.kind == "i" and samples.size and samples.min() < 0:
+        raise InvalidSamples("samples must be non-negative bitstring indices")
+    widest = np.iinfo(samples.dtype).max
     out = np.empty(len(masks))
     for j, m in enumerate(masks):
         m = int(m)
-        out[j] = np.mean((samples & m) == m)
+        if m < 0:
+            raise InvalidSamples(f"masks must be non-negative, got {m}")
+        out[j] = np.mean((samples & m) == m) if m <= widest else 0.0
     return out
 
 

@@ -503,6 +503,27 @@ def test_one_hot_weights_of_changed_signals_raise():
         dec.whitener
 
 
+def test_one_hot_repr_takes_no_eigh(monkeypatch):
+    dec = sr.eigentask_decomposition(_physical_signals(5, 3, 40, 0))
+
+    def refuse(a):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    text = repr(dec)
+    assert "sigma_sq" in text and "whitener" not in text and "eigentasks" not in text
+    assert "whitener" not in vars(dec)
+
+
+def test_one_hot_repr_of_changed_signals_does_not_raise():
+    res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.1))
+    seq = InputMeasure("iid-uniform-binary", 0.0, 1.0, seed=1).sequence(400, washout_length=50)
+    sm = sr.probability_signals(sr.run_exact(res, seq))
+    dec = sr.eigentask_decomposition(sm)
+    sm.data[...] = np.random.default_rng(3).dirichlet(np.ones(16), size=sm.data.shape[0])
+    assert f"retained_rank={dec.retained_rank}" in repr(dec)
+
+
 @pytest.mark.parametrize("tolerance", [0.0, -1.0, 2.0, np.nan])
 @pytest.mark.parametrize("route", ["one-hot", "pair"])
 def test_rank_tolerance_outside_the_unit_interval_is_rejected(route, tolerance):

@@ -16,6 +16,7 @@ from stochres.errors import (
     DriveDerivativeViolation,
     EmptyAfterWashout,
     InsufficientTrials,
+    InvalidSamples,
     LocalityViolation,
     NonfiniteDrive,
     NumericCheckFailure,
@@ -620,9 +621,10 @@ def test_sampler_equals_gate_by_gate_reference_across_blocks_and_chunks(seed, n)
     seq = InputSequence(drives, washout_length=7)
     shots = SAMPLE_BLOCK + 9
     ens = sample_trajectories(res, seq, shots=shots, seed=seed)
+    assert ens.samples.dtype == np.min_scalar_type(2 ** n - 1)
     for shot in (0, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, shots - 1):
         ref = reference_sample_shot(spec, drives, 7, seed, shot)
-        assert ens.samples[shot].tobytes() == ref.tobytes(), shot
+        assert np.array_equal(ens.samples[shot], ref), shot
 
 
 def test_sampled_shift_register_digest_is_unchanged():
@@ -676,17 +678,18 @@ def test_samples_do_not_depend_on_the_tile(monkeypatch):
 
 def test_sampler_holds_one_slice_of_draws():
     # 1100 shots over 300 steps: a whole-block draw tile alone would take
-    # 1024 x 128 x 8 x 8 B = 8 MB at n = 4
+    # 1024 x 128 x 8 x 8 B = 8 MB at n = 4. The peak of the whole call
+    # counts the samples too, which take 0.3 MiB as uint8 (2.5 as int64)
     res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.1))
     drives = np.random.default_rng(4).integers(0, 2, 320).astype(float)
     seq = InputSequence(drives, washout_length=20)
     tracemalloc.start()
     try:
         ens = sample_trajectories(res, seq, shots=1100, seed=3)
-        peak = tracemalloc.get_traced_memory()[1] - ens.samples.nbytes
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ens.samples.shape == (1100, 300)
+    assert ens.samples.dtype == np.uint8 and ens.samples.shape == (1100, 300)
     assert peak < 4 * 2 ** 20
 
 
@@ -898,6 +901,39 @@ def test_trajectory_ensemble_roundtrip(tmp_path):
     back = sr.TrajectoryEnsemble.load(path)
     assert np.array_equal(back.samples, ens.samples)
     assert back.n == 3 and back.seed_root == 11
+
+
+@pytest.mark.parametrize("n, dtype", [(1, np.uint8), (8, np.uint8), (9, np.uint16),
+                                      (16, np.uint16), (17, np.uint32)])
+def test_ensemble_holds_samples_in_the_register_width_and_saves_int64(n, dtype, tmp_path):
+    samples = np.array([[0, 2 ** n - 1, 1], [2 ** n - 2, 0, 1]])
+    ens = sr.TrajectoryEnsemble(samples, n, seed_root=4, washout_length=2)
+    assert ens.samples.dtype == dtype and np.array_equal(ens.samples, samples)
+    assert sr.TrajectoryEnsemble(ens.samples, n, seed_root=4).samples is ens.samples
+    ens.save(tmp_path / "shots.bin")
+    assert (tmp_path / "shots.bin").read_bytes() == samples.astype("<i8").tobytes()
+    back = sr.TrajectoryEnsemble.load(tmp_path / "shots.bin")
+    assert back.samples.dtype == dtype and np.array_equal(back.samples, samples)
+
+
+@pytest.mark.parametrize("samples, n, match", [
+    # truncated to [[0, 1]] before
+    pytest.param(np.array([[0.5, 1.9]]), 1, "integers", id="fractional"),
+    pytest.param(np.array([[True, False]]), 1, "integers", id="bool"),
+    # .steps raised IndexError before
+    pytest.param(np.array([0, 1, 1]), 1, "shape", id="one-dimensional"),
+    # empirical_probabilities raised "object too deep" before
+    pytest.param(np.zeros((2, 3, 1), dtype=int), 1, "shape", id="three-dimensional"),
+    # all-NaN frequencies and a RuntimeWarning before
+    pytest.param(np.zeros((0, 3), dtype=int), 1, "shape", id="zero-shots"),
+    pytest.param(np.zeros((3, 0), dtype=int), 1, "shape", id="zero-steps"),
+    pytest.param(np.array([[0, -1]]), 3, "out of range", id="negative"),
+    pytest.param(np.array([[0, 8]]), 3, "out of range", id="too-wide"),
+])
+def test_ensemble_rejects_bad_samples(samples, n, match):
+    with pytest.raises(ValueError, match=match) as info:
+        sr.TrajectoryEnsemble(samples, n, seed_root=0)
+    assert isinstance(info.value, InvalidSamples)
 
 
 def test_stream_reproducibility_and_independence():

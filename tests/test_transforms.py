@@ -1,12 +1,19 @@
 """Subset transforms and signal-matrix handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stochres as sr
-from stochres.errors import MissingShotMetadata, MixedDimensions, NegativeProbability
+from stochres.errors import (
+    InvalidSamples,
+    MissingShotMetadata,
+    MixedDimensions,
+    NegativeProbability,
+)
 from stochres.reservoir import (
     BitstringDistribution,
     InputSequence,
@@ -137,6 +144,43 @@ def test_moments_from_samples_on_known_counts():
     samples = np.array([3, 3, 1, 0])  # n = 2: bits (1,1), (1,1), (0,1), (0,0)
     m = moments_from_samples(samples, [0, 1, 2, 3])
     np.testing.assert_allclose(m, [1.0, 0.75, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.uint16, np.int64])
+def test_moments_from_samples_in_any_integer_width(dtype):
+    # a mask wider than the dtype is in no sample; on uint8, 256 would
+    # raise OverflowError in `samples & m`
+    samples = np.array([3, 3, 1, 0], dtype=dtype)
+    wide = int(np.iinfo(dtype).max) + 1
+    m = moments_from_samples(samples, [0, 1, 2, 3, wide, 2 ** 70])
+    np.testing.assert_array_equal(m, [1.0, 0.75, 0.5, 0.5, 0.0, 0.0])
+
+
+def test_moments_from_samples_reads_narrow_samples_without_a_copy():
+    # an int64 copy of 2**20 uint8 samples would take 8 MiB
+    samples = np.random.default_rng(2).integers(0, 256, 2 ** 20).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        m = moments_from_samples(samples, [0, 1, 6, 255])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+    np.testing.assert_array_equal(m, moments_from_samples(samples.astype(np.int64), [0, 1, 6, 255]))
+
+
+@pytest.mark.parametrize("samples", [np.array([0.9, 1.5, 3.7]), np.array([True, False])])
+def test_moments_from_samples_rejects_non_integer_samples(samples):
+    # [0.9, 1.5, 3.7] was read as [0, 1, 3]
+    with pytest.raises(InvalidSamples, match="integers"):
+        moments_from_samples(samples, [1])
+
+
+def test_moments_from_samples_rejects_negative_samples_and_masks():
+    with pytest.raises(InvalidSamples, match="non-negative"):
+        moments_from_samples(np.array([3, -1]), [1])
+    with pytest.raises(InvalidSamples, match="non-negative"):
+        moments_from_samples(np.array([3, 1]), [1, -2])
 
 
 def test_row_wise_moment_transform():
