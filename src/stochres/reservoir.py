@@ -769,18 +769,21 @@ class _ExactSteps:
 
     ``kernels`` holds each op's kernels, built once: for a drive-dependent
     op the stack of one kernel per value, else its static kernel or None.
-    When the plan tabulates, ``tables`` maps the index of each value whose
-    drive-dependent kernels are all 0/1 to its whole-step matrix, built by
-    running the ops over the identity, one per distinct tuple of such
-    kernels. A step at value ``i`` is one product with its table, else the
-    ops in turn. The object lives for one call, so its tables do too, and
-    they see the ops as they are at the call.
+    ``steps[i]`` is the step at value ``i`` as a pair (table, clip). When
+    the plan tabulates, each value whose drive-dependent kernels are all
+    0/1 has its whole-step matrix as table, built by running the ops over
+    the identity, one per distinct tuple of such kernels; every other value
+    has None, and its step is the ops in turn. ``clip`` is False only for a
+    table with no entry whose sign bit is set: its product with a state
+    that has none either has none, so clipping it at zero changes no bit.
+    The object lives for one call, so its tables do too, and they see the
+    ops as they are at the call.
     """
 
     def __init__(self, plan: StepPlan, values: np.ndarray):
         self.ops = plan.ops
         self.kernels = [op.kernel(values) for op in plan.ops]
-        self.tables = {}
+        self.steps = [(None, True)] * len(values)
         if not plan.tabulates:
             return
         varying = [k for op, k in zip(self.ops, self.kernels) if op.varies]
@@ -797,7 +800,9 @@ class _ExactSteps:
         _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         tables = [np.ascontiguousarray(self.run_ops(np.eye(2 ** plan.n), rows[i]))
                   for i in first.tolist()]
-        self.tables = {i: tables[j] for i, j in zip(rows.tolist(), inverse.tolist())}
+        tables = [(table, bool(np.signbit(table).any())) for table in tables]
+        for i, j in zip(rows.tolist(), inverse.tolist()):
+            self.steps[i] = tables[j]
 
     def run_ops(self, vec: np.ndarray, i: int) -> np.ndarray:
         """The rows of ``vec`` (states) through the ops with their kernels
@@ -808,7 +813,7 @@ class _ExactSteps:
 
     def __call__(self, vec: np.ndarray, i: int) -> np.ndarray:
         """The rows of ``vec`` after one exact step at value ``i``."""
-        table = self.tables.get(i)
+        table, _ = self.steps[i]
         return self.run_ops(vec, i) if table is None else vec @ table
 
 
@@ -959,23 +964,40 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
     once (:class:`_ExactSteps`): one array-valued drive evaluation per gate
     for all of them, and one whole-step matrix per tabulated kernel tuple,
     built for this call and dropped when it returns. Each step is the step
-    :func:`step_exact` takes at its value, so the run equals a loop of them
-    bit for bit. After each step, negative entries are set to zero and the
-    state is divided by its sum; if that sum is ever further than
-    ``RENORM_DRIFT_TOL`` from one, the run raises
-    :class:`NumericCheckFailure` with the drift instead of hiding it.
+    :func:`step_exact` takes at its value, written straight into its own
+    output row (washout steps alternate between two scratch rows), so the
+    run equals a loop of them bit for bit. After each step, negative
+    entries are set to zero and the state is divided by its sum in place;
+    if that sum is ever further than ``RENORM_DRIFT_TOL`` from one, the run
+    raises :class:`NumericCheckFailure` with the drift instead of hiding
+    it. The clip is skipped where it cannot change a bit: after a table
+    product when no entry of the table, nor of the state it multiplies, has
+    its sign bit set (``np.signbit``, so that a ``-0.0`` is clipped to
+    ``+0.0`` as before). Every state after a step has none, so only the
+    initial state is checked, once.
     """
     values, index = _checked_drives(reservoir, inputs)
     _check_exact_mode(reservoir)
     step = _ExactSteps(reservoir.plan, values)
+    steps = step.steps
+    washout = inputs.washout_length
     state = reservoir.spec.initial_state.probs[None].copy()  # one row
-    out = np.empty((len(inputs) - inputs.washout_length, reservoir.dim))
+    dirty = bool(np.signbit(state).any())
+    out = np.empty((len(inputs) - washout, 1, reservoir.dim))  # one row per kept step
+    scratch = np.empty((2, 1, reservoir.dim))
     drift = 0.0  # largest |sum - 1| so far
     for t, i in enumerate(index.tolist()):
-        state = step(state, i)
-        np.maximum(state, 0.0, out=state)
-        total = state.sum()
-        state /= total
+        table, clip = steps[i]
+        row = out[t - washout] if t >= washout else scratch[t & 1]
+        if table is None:
+            row[...] = step.run_ops(state, i)
+        else:
+            np.matmul(state, table, out=row)
+        if clip or dirty:
+            np.maximum(row, 0.0, out=row)
+            dirty = False
+        total = np.add.reduce(row, None)
+        row /= total
         err = abs(float(total) - 1.0)
         if not err <= drift:  # also true for NaN
             drift = err
@@ -984,9 +1006,8 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
                     f"exact state sums to {float(total)!r} at step {t}: renormalization "
                     f"drift {drift:.3g} exceeds {RENORM_DRIFT_TOL:g}"
                 )
-        if t >= inputs.washout_length:
-            out[t - inputs.washout_length] = state[0]
-    return out
+        state = row
+    return out.reshape(len(out), reservoir.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -439,15 +439,20 @@ def test_run_on_folded_plan_equals_step_loop_bit_for_bit():
             assert np.array_equal(out[t - 20], state)
 
 
+def _tables(steps):
+    """The whole-step matrices of an :class:`_ExactSteps`, by value index."""
+    return {i: table for i, (table, _) in enumerate(steps.steps) if table is not None}
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_binary_scan_run_tabulates_one_whole_step_per_drive_value_through_n8(n):
     # 4**n <= 2n * DENSE_ENTRIES_PER_OP holds through n = 8; a call builds
     # one table per 0/1 set kernel
     res = sr.build_reservoir(sr.shift_register_flip_family(n, 0.05))
     drives = np.random.default_rng(n).integers(0, 2, 40).astype(float)
-    steps = _ExactSteps(res.plan, np.unique(drives))
-    assert len(steps.tables) == (2 if n <= 8 else 0)
-    for matrix in steps.tables.values():
+    tables = _tables(_ExactSteps(res.plan, np.unique(drives)))
+    assert len(tables) == (2 if n <= 8 else 0)
+    for matrix in tables.values():
         assert matrix.shape == (2 ** n, 2 ** n)
 
 
@@ -472,9 +477,10 @@ def test_drive_values_with_equal_01_kernels_share_one_table():
         *[flip_gate(i, 0.05) for i in range(4)]]))
     values = np.linspace(-1.0, 1.0, 41)
     steps = _ExactSteps(res.plan, values)
-    assert sorted(steps.tables) == np.flatnonzero((values <= 0.0) | (values >= 0.5)).tolist()
-    assert len({id(table) for table in steps.tables.values()}) == 2
-    for i, table in steps.tables.items():
+    tables = _tables(steps)
+    assert sorted(tables) == np.flatnonzero((values <= 0.0) | (values >= 0.5)).tolist()
+    assert len({id(table) for table in tables.values()}) == 2
+    for i, table in tables.items():
         assert np.array_equal(table, steps.run_ops(np.eye(16), i))
 
 
@@ -491,7 +497,7 @@ def test_continuous_drives_tabulate_no_whole_step():
     assert res.plan.tabulates
     drives = np.random.default_rng(0).uniform(-1, 1, 300)
     sr.run_exact(res, InputSequence(drives, washout_length=10))
-    assert _ExactSteps(res.plan, np.unique(drives)).tables == {}
+    assert _tables(_ExactSteps(res.plan, np.unique(drives))) == {}
 
 
 def test_mixed_drives_step_through_tables_and_ops_alike():
@@ -508,7 +514,7 @@ def test_mixed_drives_step_through_tables_and_ops_alike():
     res = sr.build_reservoir(spec)
     drives = gen.choice(np.concatenate([[0.0, 1.0], gen.uniform(0, 1, 6)]), size=600)
     out = sr.run_exact(res, InputSequence(drives, washout_length=30))
-    assert len(_ExactSteps(res.plan, np.unique(drives)).tables) == 2
+    assert len(_tables(_ExactSteps(res.plan, np.unique(drives)))) == 2
     state = spec.initial_state.probs.copy()
     for t, u in enumerate(drives):
         expected = dense_step_oracle(spec, state, u)
@@ -538,6 +544,87 @@ def test_run_accepts_drift_just_below_tolerance():
     res = _scaled_dense_reservoir(1.0 + 0.5 * RENORM_DRIFT_TOL)
     out = sr.run_exact(res, InputSequence(np.ones(10), washout_length=0))
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-15)
+
+
+def test_run_drift_error_names_its_step():
+    res = _scaled_dense_reservoir(1.0 + 2 * RENORM_DRIFT_TOL)
+    with pytest.raises(NumericCheckFailure, match=r"at step 0: renormalization drift"):
+        sr.run_exact(res, InputSequence(np.ones(10), washout_length=3))
+
+
+def _step_loop(res, initial, drives, washout):
+    """The post-washout states of a ``step_exact`` loop, each step clipped
+    at zero and divided by its sum, as ``run_exact`` does."""
+    state, rows = initial, []
+    for t, u in enumerate(drives):
+        state = sr.step_exact(res, state, u)
+        np.maximum(state, 0.0, out=state)
+        state /= state.sum()
+        if t >= washout:
+            rows.append(state)
+    return np.array(rows)
+
+
+def _assert_run_is_step_loop(res, drives, washout=10):
+    out = sr.run_exact(res, InputSequence(drives, washout_length=washout))
+    expected = _step_loop(res, res.spec.initial_state.probs, drives, washout)
+    assert out.tobytes() == expected.tobytes()  # -0.0 is not +0.0 here
+    assert not np.signbit(out).any()
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_scan_run_equals_step_loop_byte_for_byte(n):
+    # at n = 8 the whole-step gemv runs on every BLAS thread
+    res = sr.build_reservoir(sr.shift_register_flip_family(n, 0.05))
+    assert res.plan.tabulates
+    _assert_run_is_step_loop(res, np.random.default_rng(n).integers(0, 2, 120).astype(float))
+
+
+def _single_flip_block_reservoir():
+    # write the drive bit, rotate, flip bit 0 alone: the rotation and the
+    # flip fold into one block on all 3 bits, whose matrix has zeros
+    gates = [set_gate(2, {"type": "poly", "coeffs": [0.0, 1.0]}),
+             swap_gate(0, 1), swap_gate(1, 2), flip_gate(0, 0.05)]
+    res = sr.build_reservoir(ReservoirSpec(n=3, gates=gates, drive_domain=(0.0, 1.0),
+                                           initial_state=BitstringDistribution.point_mass(3, 0)))
+    (block,) = [op for op in res.plan.ops if _spans(op, 3)]
+    assert block.matrix[0, 1] == 0.0
+    return res, block
+
+
+@pytest.mark.parametrize("entry", [-1e-13, -0.0])
+def test_table_with_sign_bit_entry_is_clipped_as_a_step_loop(entry):
+    # from state 0 at drive 0 the step's entry 1 is the block's (0, 1), so
+    # step 0 writes it there; ROW_SUM_TOL admits a -1e-13 entry. The table
+    # is a product over the identity, which may turn the -0.0 into +0.0
+    res, block = _single_flip_block_reservoir()
+    block.matrix[0, 1] = entry
+    drives = np.concatenate([[0.0], np.random.default_rng(3).integers(0, 2, 80)]).astype(float)
+    table, clip = _ExactSteps(res.plan, np.unique(drives)).steps[0]
+    assert clip == np.signbit(table).any()
+    if entry:  # the clip is no no-op here
+        assert clip and table[0, 1] == entry
+        assert sr.step_exact(res, res.spec.initial_state, 0.0)[1] < 0.0
+    _assert_run_is_step_loop(res, drives, washout=0)
+
+
+def test_tables_without_sign_bit_entries_skip_the_clip():
+    res, _ = _single_flip_block_reservoir()
+    steps = _ExactSteps(res.plan, np.array([0.0, 1.0])).steps
+    assert [clip for _, clip in steps] == [False, False]
+
+
+@pytest.mark.parametrize("n, entry", [(3, -0.0), (3, -1e-13), (4, -0.0)])
+def test_initial_state_with_sign_bit_entry_is_clipped_as_a_step_loop(n, entry):
+    # at n = 3 and drive 0 only state 4 reaches entry 1, so a -1e-13 there
+    # leaves a negative entry unless the first step is clipped
+    res = (_single_flip_block_reservoir()[0] if n == 3
+           else sr.build_reservoir(sr.shift_register_flip_family(n, 0.05)))
+    probs = np.zeros(2 ** n)
+    probs[0], probs[4] = 1.0, entry
+    res.spec.initial_state = BitstringDistribution(probs)
+    drives = np.concatenate([[0.0], np.random.default_rng(n).integers(0, 2, 60)]).astype(float)
+    _assert_run_is_step_loop(res, drives, washout=0)
 
 
 def test_run_mixing_matches_dense_product_oracle():
