@@ -79,17 +79,19 @@ class CapacityReport:
 
 
 def _resolve_signals(signals, weights):
-    if isinstance(signals, SignalMatrix):
-        data = signals.data
-        if weights is None:
-            weights = signals.row_weights()
-    else:
-        data = np.asarray(signals, dtype=float)
-    if weights is None:
-        weights = np.full(data.shape[0], 1.0 / data.shape[0])
-    else:
+    """The data of ``signals`` and its row weights: ``weights`` divided by
+    their sum, else a :class:`SignalMatrix`'s own ``row_weights()`` as they
+    are (already normalized, as the one-hot routes take them), else
+    uniform."""
+    matrix = isinstance(signals, SignalMatrix)
+    data = signals.data if matrix else np.asarray(signals, dtype=float)
+    if weights is not None:
         weights = np.asarray(weights, dtype=float)
         weights = weights / weights.sum()
+    elif matrix:
+        weights = signals.row_weights()
+    else:
+        weights = np.full(data.shape[0], 1.0 / data.shape[0])
     return data, _finite(weights, "row weights")
 
 

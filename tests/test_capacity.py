@@ -172,6 +172,19 @@ def test_capacity_routes_reject_non_finite_signals(where, bad):
             sr.ipc_probability_rep(sm)
 
 
+def test_readout_and_trace_routes_weigh_rows_with_row_weights_once():
+    # row_weights() already divides by the sum, as the one-hot routes take
+    # it; dividing again moves some weights in their last bits
+    gen = np.random.default_rng(21)
+    for _ in range(50):
+        sm = SignalMatrix(gen.dirichlet(np.ones(4), size=50), "exact-probability", 2,
+                          weights=gen.uniform(0.1, 3.0, 50))
+        w = sm.row_weights()
+        assert ReadoutFit(sm).w.tobytes() == w.tobytes()
+        means, seconds = w @ sm.data, w @ (sm.data * sm.data)
+        assert sr.ipc_probability_rep(sm).ipc_value == float(np.sum(seconds / means))
+
+
 # --- gram matrices -----------------------------------------------------------
 
 def test_gram_constant_distribution():
