@@ -244,7 +244,7 @@ def shot_averaged_second_moment(g1: np.ndarray, g2: np.ndarray, shots: int) -> n
     return g1 + (g2 - g1) / float(shots)
 
 
-@dataclass
+@dataclass(eq=False)
 class EigentaskDecomposition:
     """Spectrum of the generalized noise-to-signal matrix of (G1, G2).
 
@@ -259,7 +259,9 @@ class EigentaskDecomposition:
     that raises NumericCheckFailure if the signals changed since, and the
     identity as ``eigentasks``. ``rank_tolerance`` lies in (0, 1], and
     ``dropped_count`` is ``signal_dim - retained_rank``. ``repr`` leaves out
-    ``eigentasks`` and ``whitener``, so it never runs that ``eigh``.
+    ``eigentasks`` and ``whitener``, so it never runs that ``eigh``, and
+    ``==`` is identity: a field-wise compare would run it and then fail on
+    array fields.
     """
 
     sigma_sq: np.ndarray

@@ -104,13 +104,15 @@ def moments_from_samples(samples: np.ndarray, masks: Sequence[int]) -> np.ndarra
     ``samples`` is any integer array of non-negative bitstring indices, read
     in its own dtype without a copy; for each mask the result is the
     fraction of samples containing that mask. A mask wider than the dtype
-    is in no sample and gives 0. Non-integer or negative samples and
+    is in no sample and gives 0. Non-integer, negative or no samples and
     negative masks raise :class:`InvalidSamples`, a ``ValueError``.
     """
     samples = np.asarray(samples)
     if samples.dtype.kind not in "iu":
         raise InvalidSamples(f"samples must be integers, got dtype {samples.dtype}")
-    if samples.dtype.kind == "i" and samples.size and samples.min() < 0:
+    if not samples.size:
+        raise InvalidSamples("no samples: the fraction holding a mask is undefined")
+    if samples.dtype.kind == "i" and samples.min() < 0:
         raise InvalidSamples("samples must be non-negative bitstring indices")
     widest = np.iinfo(samples.dtype).max
     out = np.empty(len(masks))

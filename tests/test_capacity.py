@@ -528,6 +528,19 @@ def test_one_hot_repr_takes_no_eigh(monkeypatch):
     assert "whitener" not in vars(dec)
 
 
+def test_one_hot_equality_takes_no_eigh(monkeypatch):
+    # a field-wise == ran the eigh and raised ValueError on the arrays
+    sm = _physical_signals(5, 3, 40, 0)
+    a, b = sr.eigentask_decomposition(sm), sr.eigentask_decomposition(sm)
+
+    def refuse(a):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert (a == b) is False and (a == a) is True and (a != b) is True
+    assert "whitener" not in vars(a) and "whitener" not in vars(b)
+
+
 def test_one_hot_repr_of_changed_signals_does_not_raise():
     res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.1))
     seq = InputMeasure("iid-uniform-binary", 0.0, 1.0, seed=1).sequence(400, washout_length=50)

@@ -1,6 +1,7 @@
 """Subset transforms and signal-matrix handling."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,17 @@ def test_moments_from_samples_rejects_negative_samples_and_masks():
         moments_from_samples(np.array([3, -1]), [1])
     with pytest.raises(InvalidSamples, match="non-negative"):
         moments_from_samples(np.array([3, 1]), [1, -2])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+def test_moments_from_samples_rejects_empty_samples(dtype):
+    # it returned NaN for every mask, with two RuntimeWarnings each
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSamples, match="no samples"):
+            moments_from_samples(np.array([], dtype=dtype), [0, 1])
+        with pytest.raises(InvalidSamples, match="no samples"):
+            moments_from_samples(np.empty((0, 3), dtype=dtype), [1])
 
 
 def test_row_wise_moment_transform():
