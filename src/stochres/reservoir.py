@@ -55,6 +55,10 @@ DEFAULT_WASHOUT = 1000
 SAMPLE_BLOCK = 1024
 SAMPLE_STEPS = 128
 SAMPLE_SLICE = 128
+# the count sampler's cost per op and step beyond one shot per state, in
+# shots that the per-shot sampler moves through one gate in the same time:
+# mostly the fixed cost of one binomial call (see _counts_pay)
+COUNT_CALL_SHOTS = 512
 # a run of static plan ops folds into one kernel product when the product
 # takes at most this many multiplications per op it replaces (see
 # _fold_static_runs)
@@ -1014,6 +1018,14 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
 # sampled propagation
 # ---------------------------------------------------------------------------
 
+def _check_shots(shots) -> None:
+    """A shot count must be an integer (not a bool) of at least 1."""
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+
+
 class _BitRun:
     """A maximal run of one-bit kernel ops, sampled as two bit masks per step.
 
@@ -1117,6 +1129,13 @@ class _OpStep:
         return op.sample(states, cdf, self.uniforms[k])
 
 
+def _op_parts(plan: StepPlan) -> list:
+    """The plan's ops with each block op given back as its parts: the ops
+    that sampled propagation, per shot or by counts, takes one by one."""
+    return [part for op in plan.ops
+            for part in (op.parts if isinstance(op, _BlockOp) else [op])]
+
+
 def _sampler_steps(plan: StepPlan, values: np.ndarray, dtype, cells: int) -> list:
     """The plan's ops as the sampler runs them at the drive ``values``, on
     blocks of up to ``cells`` (shot, step) pairs.
@@ -1125,11 +1144,9 @@ def _sampler_steps(plan: StepPlan, values: np.ndarray, dtype, cells: int) -> lis
     among them becomes one :class:`_BitRun`, and every other op one
     :class:`_OpStep`.
     """
-    parts = [part for op in plan.ops
-             for part in (op.parts if isinstance(op, _BlockOp) else [op])]
     steps = []
     for one_bit, run in itertools.groupby(
-            parts, lambda op: isinstance(op, _KernelOp) and op.rows == 2):
+            _op_parts(plan), lambda op: isinstance(op, _KernelOp) and op.rows == 2):
         if one_bit:
             steps.append(_BitRun(list(run), values, dtype, cells))
         else:
@@ -1164,10 +1181,7 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
     held, in the register's own width, ``np.min_scalar_type(2**n - 1)``:
     ``uint8`` through n = 8 and ``uint16`` through n = 16.
     """
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    _check_shots(shots)
     values, index = _checked_drives(reservoir, inputs)
     washout = inputs.washout_length
 
@@ -1204,6 +1218,125 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
                     out[s0:s0 + len(gens), t - washout] = states
         del gens, states  # before the next block's streams are built
     return TrajectoryEnsemble(out, reservoir.n, seed, washout)
+
+
+# ---------------------------------------------------------------------------
+# count propagation
+# ---------------------------------------------------------------------------
+
+def _counts_pay(shots: int, n: int) -> bool:
+    """The sampling cost rule: propagating the shot counts of an ``n``-bit
+    register, at about the cost of ``COUNT_CALL_SHOTS + 2**n`` shots per op
+    and step, costs no more than moving ``shots`` shots one by one."""
+    return shots >= COUNT_CALL_SHOTS + 2 ** n
+
+
+class _BitCounts:
+    """A one-bit kernel op on the shot counts of all ``2**n`` states.
+
+    The counts are viewed as ``(-1, 2, 2**shift)``, so that ``[:, b]``
+    holds the states whose bit is ``b``. At value ``i``, ``m[s]`` shots of
+    state ``s`` move to its partner ``s ^ bit``: one binomial draw per state
+    with its move probability ``kernel[b, 1 - b]``, or, where the kernel at
+    the value is 0/1 (the ``set`` gate under binary drives), the count times
+    that 0 or 1 with no draw. A zero count draws nothing from the stream, so
+    only occupied states draw. Move probabilities are clipped into [0, 1],
+    since a kernel entry may be off by ``ROW_SUM_TOL``.
+    """
+
+    def __init__(self, op, values):
+        kernel = np.broadcast_to(op.kernel(values), (len(values), 2, 2))
+        move = np.clip(np.stack([kernel[:, 0, 1], kernel[:, 1, 0]], axis=1), 0.0, 1.0)
+        self.fixed = ((move == 0.0) | (move == 1.0)).all(axis=1).tolist()
+        self.move = move[:, None, :, None]  # per value, shaped as the view
+        self.whole = self.move.astype(np.int64)
+        self.shape = (-1, 2, 1 << op.shifts[0])
+
+    def __call__(self, counts: np.ndarray, i: int, gen) -> np.ndarray:
+        view = counts.reshape(self.shape)
+        moved = view * self.whole[i] if self.fixed[i] else gen.binomial(view, self.move[i])
+        view -= moved
+        view += moved[:, ::-1]
+        return counts
+
+
+class _KernelCounts:
+    """A multi-bit kernel op on the shot counts of all ``2**n`` states.
+
+    At value ``i`` the shots of each occupied state spread over the
+    ``2**k`` sub-register states of its kernel row by one multinomial draw,
+    or, where the kernel at the value is 0/1, all go to the row's one column
+    with no draw; one ``bincount`` scatters them back. Kernel entries are
+    clipped at zero, since they may be off by ``ROW_SUM_TOL``.
+    """
+
+    def __init__(self, op, values, n: int):
+        rows = op.rows
+        self.kernel = np.maximum(np.broadcast_to(op.kernel(values), (len(values), rows, rows)), 0.0)
+        self.fixed = ((self.kernel == 0.0) | (self.kernel == 1.0)).all(axis=(1, 2)).tolist()
+        states = np.arange(2 ** n, dtype=np.int64)
+        self.sub = _read_bits(states, op.shifts)
+        spread = np.zeros(rows, dtype=np.int64)  # sub-register j as register bits
+        _flip_bits(spread, np.arange(rows, dtype=np.int64), op.shifts)
+        # dest[s, j]: state s with its sub-register set to j
+        self.dest = (states & ~spread[-1])[:, None] | spread
+
+    def __call__(self, counts: np.ndarray, i: int, gen) -> np.ndarray:
+        occupied = np.flatnonzero(counts)
+        rows = self.kernel[i][self.sub[occupied]]
+        if self.fixed[i]:
+            dest, moved = self.dest[occupied, rows.argmax(axis=1)], counts[occupied]
+        else:
+            dest, moved = self.dest[occupied], gen.multinomial(counts[occupied], rows)
+        return np.bincount(dest.ravel(), weights=moved.ravel(),
+                           minlength=len(counts)).astype(np.int64)
+
+
+def _count_steps(plan: StepPlan, values: np.ndarray) -> list:
+    """The plan's ops on shot counts at the drive ``values``, block ops by
+    their parts (:func:`_op_parts`): a gather permutes the counts, and
+    kernel ops are :class:`_BitCounts` or :class:`_KernelCounts`."""
+    steps = []
+    for op in _op_parts(plan):
+        if isinstance(op, _GatherOp):
+            steps.append(lambda counts, i, gen, src=op.src: counts[src])
+        elif op.rows == 2:
+            steps.append(_BitCounts(op, values))
+        else:
+            steps.append(_KernelCounts(op, values, plan.n))
+    return steps
+
+
+def _count_frequencies(reservoir: Reservoir, inputs: InputSequence, shots: int,
+                       seed: int) -> np.ndarray:
+    """Per-step frequencies of ``shots`` trajectories, propagated as counts.
+
+    Trajectories that no one reads one by one need only their count vector
+    ``N_t``, which is itself a Markov chain: the initial counts are
+    ``multinomial(shots, p0)``, and each step runs the plan's ops on counts
+    (:func:`_count_steps`), so a step costs O(2**n) per op whatever the
+    shot count. Every draw comes from the one stream ``(seed,
+    rng.COUNTS)``, a path that no shot of :func:`sample_trajectories` takes.
+    Kernels are built once for the run's distinct drive values. One integer
+    count vector is held; each kept step is written into a float (T, 2**n)
+    output, divided by ``shots`` in place at the end, which gives the bits
+    of ``counts / shots``. Row ``t`` holds the frequencies after drive
+    ``washout_length + t``.
+    """
+    _check_shots(shots)
+    values, index = _checked_drives(reservoir, inputs)
+    gen = _rng.stream(seed, _rng.COUNTS)
+    steps = _count_steps(reservoir.plan, values)
+    counts = gen.multinomial(int(shots), np.maximum(reservoir.spec.initial_state.probs, 0.0))
+    washout = inputs.washout_length
+    out = np.empty((len(inputs) - washout, reservoir.dim))
+    for t, i in enumerate(index.tolist()):
+        for step in steps:
+            counts = step(counts, i, gen)
+        if t >= washout:
+            out[t - washout] = counts
+    out /= shots
+    return out
 
 
 # ---------------------------------------------------------------------------

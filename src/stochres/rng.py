@@ -21,3 +21,10 @@ def stream(root_seed, *path):
     """
     entropy = (int(root_seed) & _MASK64,) + tuple(int(p) & _MASK64 for p in path)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+# Paths that no shot takes. A sampler run gives shot s the path (s,), and
+# SeedSequence reads an integer below 2**32 as one 32-bit word; a path
+# 2**32 + k is the two words (k, 1), so it is no shot's path in a run of
+# fewer than 2**32 shots.
+COUNTS = 2 ** 32  # the count sampler's draws

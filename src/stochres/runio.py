@@ -47,9 +47,8 @@ from .reservoir import (
     InputSequence,
     build_reservoir,
     run_exact,
-    sample_trajectories,
 )
-from .signals import empirical_probabilities, probability_signals
+from .signals import probability_signals, sample_frequencies
 
 
 def canonical_json(obj) -> str:
@@ -131,8 +130,7 @@ def _run_ipc(params, seed):
         signals = probability_signals(run_exact(res, seq))
         trace = ipc_probability_rep(signals)
     else:
-        ens = sample_trajectories(res, seq, params["shots"], seed)
-        signals = empirical_probabilities(ens)
+        signals = sample_frequencies(res, seq, params["shots"], seed)
         trace = None
     decomp = eigentask_decomposition(signals)
     spectral = ipc_spectral(decomp)

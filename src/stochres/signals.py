@@ -17,7 +17,17 @@ import numpy as np
 
 from .errors import MissingShotMetadata, MixedDimensions
 from .fileio import csv_text, read_raw, write_atomic, write_raw
-from .reservoir import EXACT_MODE_MAX_BITS, BitstringDistribution, TrajectoryEnsemble
+from .reservoir import (
+    EXACT_MODE_MAX_BITS,
+    BitstringDistribution,
+    InputSequence,
+    Reservoir,
+    TrajectoryEnsemble,
+    _check_shots,
+    _count_frequencies,
+    _counts_pay,
+    sample_trajectories,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -126,6 +136,37 @@ def empirical_probabilities(ensemble: TrajectoryEnsemble) -> SignalMatrix:
         counts[t] = np.bincount(ensemble.samples[:, t], minlength=dim)
     sm = SignalMatrix(counts / ensemble.shots, MODE_EMPIRICAL, ensemble.n,
                       shots=ensemble.shots)
+    sm.validate()
+    return sm
+
+
+def sample_frequencies(reservoir: Reservoir, inputs: InputSequence, shots: int,
+                       seed: int) -> SignalMatrix:
+    """Per-step bitstring frequencies of ``shots`` sampled trajectories.
+
+    An empirical-frequency SignalMatrix whose row ``t`` holds, for every
+    bitstring, the share of shots in it after drive ``washout_length + t``,
+    for ``n`` up to ``EXACT_MODE_MAX_BITS``. No shot's own path is kept, so
+    the frequencies come from the cheaper of two samplers, by one cost
+    rule on ``shots`` and ``2**n`` alone (``_counts_pay``): when ``shots >=
+    COUNT_CALL_SHOTS + 2**n`` the count vector is propagated as a Markov
+    chain, with one binomial per occupied state and one-bit op (see
+    ``reservoir._count_frequencies``), on the stream ``(seed,
+    rng.COUNTS)``; otherwise it is
+    ``empirical_probabilities(sample_trajectories(...))``, on the shots'
+    streams ``(seed, s)``. Both have the law of ``shots`` independent
+    trajectories, and a fixed seed gives the same bits on every run; the
+    two sides of the rule draw differently. ``shots`` and the drives are
+    checked as :func:`~stochres.reservoir.sample_trajectories` checks them.
+    """
+    _check_shots(shots)
+    if reservoir.n > EXACT_MODE_MAX_BITS:
+        raise ValueError(
+            f"dense frequencies limited to n <= {EXACT_MODE_MAX_BITS}; use mask moments")
+    if not _counts_pay(shots, reservoir.n):
+        return empirical_probabilities(sample_trajectories(reservoir, inputs, shots, seed))
+    sm = SignalMatrix(_count_frequencies(reservoir, inputs, shots, seed), MODE_EMPIRICAL,
+                      reservoir.n, shots=int(shots))
     sm.validate()
     return sm
 

@@ -52,6 +52,7 @@ PUBLIC = {
     "rotation_pair": "(p)",
     "run_exact": "(reservoir, inputs)",
     "sample_complexity_curve": "(q, m0_grid, trials, seed=0)",
+    "sample_frequencies": "(reservoir, inputs, shots, seed)",
     "sample_trajectories": "(reservoir, inputs, shots, seed)",
     "scan_system_size": "(family, n_values, noise, measure, timesteps=2000, washout=100, repeats=3, seed=0)",
     "shot_averaged_second_moment": "(g1, g2, shots)",

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stochres as sr
+import stochres.rng
 from stochres.errors import (
     DepthViolation,
     DriveBoundViolation,
@@ -23,6 +24,7 @@ from stochres.errors import (
     StochasticityViolation,
 )
 from stochres.reservoir import (
+    COUNT_CALL_SHOTS,
     DENSE_ENTRIES_PER_OP,
     RENORM_DRIFT_TOL,
     BitstringDistribution,
@@ -32,12 +34,19 @@ from stochres.reservoir import (
     SAMPLE_BLOCK,
     SAMPLE_SLICE,
     SAMPLE_STEPS,
+    _BitCounts,
     _BitRun,
     _BlockOp,
     _ExactSteps,
+    _GatherOp,
+    _KernelCounts,
     _KernelOp,
     _OpStep,
     _cdf_columns,
+    _count_frequencies,
+    _count_steps,
+    _counts_pay,
+    _op_parts,
     _sampler_steps,
     asymmetric_flip_gate,
     cnot_gate,
@@ -839,6 +848,156 @@ def test_sampled_frequencies_concentrate_around_exact():
         ok += np.sum(np.abs(freqs - exact) <= 5 * sigma + 1e-12)
         total += exact.size
     assert ok / total >= 0.99
+
+
+# --- count sampler -------------------------------------------------------------
+
+def _count_side(n):
+    """The fewest shots that sample_frequencies propagates as counts at n bits."""
+    return COUNT_CALL_SHOTS + 2 ** n
+
+
+def _binary_drives(seed, steps):
+    return stream(seed, 1).integers(0, 2, steps).astype(float)
+
+
+def _deterministic_spec(n):
+    """Swap backbone, the drive written in by a set gate and by a controlled
+    flip, and a non-bijective permutation: every kernel is 0/1 under binary
+    drives, so each shot's path is fixed."""
+    gates = [swap_gate(i, i + 1) for i in range(n - 1)]
+    gates.append(set_gate(n - 1, {"type": "poly", "coeffs": [0.0, 1.0]}))
+    gates.append(controlled_flip_gate(n - 1, 0, {"type": "poly", "coeffs": [0.0, 1.0]}))
+    gates.append(permutation_gate((0, 1), [0, 0, 3, 3]))
+    return ReservoirSpec(n=n, gates=gates, initial_state=BitstringDistribution.point_mass(n, 5),
+                         drive_domain=(0.0, 1.0))
+
+
+class _InitialDrawOnly:
+    """A count stream that draws the initial counts and refuses any other draw."""
+
+    def __init__(self, gen):
+        self.gen, self.initial = gen, True
+
+    def multinomial(self, *args):
+        assert self.initial, "a 0/1 kernel drew"
+        self.initial = False
+        return self.gen.multinomial(*args)
+
+    def binomial(self, *args):
+        raise AssertionError("a 0/1 kernel drew")
+
+
+@pytest.mark.parametrize("spec", [sr.shift_register_flip_family(4, 0.0), _deterministic_spec(4)])
+def test_count_frequencies_equal_exact_rows_when_every_kernel_is_01(spec, monkeypatch):
+    # at zero noise under binary drives the counts move with no draw: one-bit
+    # ops by their 0/1 move, multi-bit ops (the controlled flip and the
+    # non-bijective permutation) to their row's one column
+    counts_stream = stochres.rng.stream
+    monkeypatch.setattr(stochres.rng, "stream", lambda *path: _InitialDrawOnly(counts_stream(*path)))
+    res = sr.build_reservoir(spec)
+    assert any(isinstance(step, _KernelCounts) for step in _count_steps(res.plan, np.array([0.0, 1.0]))) \
+        == (spec.gates[-1].kind == "permutation")
+    seq = InputSequence(_binary_drives(3, 60), washout_length=7)
+    sm = sr.sample_frequencies(res, seq, shots=_count_side(4), seed=2)
+    assert sm.mode == "empirical-frequency" and sm.shots == _count_side(4)
+    assert sm.data.tobytes() == sr.run_exact(res, seq).tobytes()
+
+
+def test_count_rows_are_integer_counts_over_shots():
+    gen = np.random.default_rng(8)
+    res = sr.build_reservoir(random_physical_reservoir(3, gen))
+    seq = InputSequence(gen.uniform(-1, 1, 40), washout_length=5)
+    shots = _count_side(3) + 11
+    sm = sr.sample_frequencies(res, seq, shots=shots, seed=4)
+    counts = sm.data * shots
+    assert sm.data.shape == (35, 8)
+    assert np.array_equal(counts, np.round(counts))
+    assert np.all(counts.sum(axis=1) == shots)
+    # the float output divided by shots in place has the bits of counts / shots
+    assert sm.data.tobytes() == (np.round(counts) / shots).tobytes()
+
+
+def test_count_frequencies_are_fixed_by_the_seed():
+    res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.1))
+    seq = InputSequence(_binary_drives(5, 200), washout_length=20)
+    runs = [sr.sample_frequencies(res, seq, shots=1000, seed=seed).data.tobytes()
+            for seed in (7, 7, 8)]
+    assert runs[0] == runs[1] != runs[2]
+
+
+def _mixed_counts_spec():
+    # a gather, one-bit kernel ops and two-bit kernel ops (controlled flips and
+    # a constant gate), with flip noise on every bit so every state is reached
+    spec = random_mixed_reservoir(3, np.random.default_rng(0))
+    spec.gates += [flip_gate(b, 0.15) for b in range(3)]
+    spec.depth_bound = len(spec.gates)
+    return spec
+
+
+@pytest.mark.parametrize("spec, drives", [
+    (sr.shift_register_flip_family(4, 0.1), _binary_drives(9, 10)),
+    (_mixed_counts_spec(), stream(9, 2).uniform(-1, 1, 10)),
+])
+def test_count_frequencies_have_binomial_mean_and_variance(spec, drives):
+    # N_t(s) of S independent shots is Binomial(S, p): over R seeds each
+    # entry's mean is p within 5 standard errors sqrt(pq / (S R)), and its
+    # sample variance is pq / S within 5 standard errors of a sample variance
+    # of R draws, sqrt((mu4 - sigma^4 (R - 3) / (R - 1)) / R)
+    res = sr.build_reservoir(spec)
+    steps = _count_steps(res.plan, np.unique(drives))
+    assert any(isinstance(step, _BitCounts) for step in steps)
+    if spec.n == 3:
+        assert any(isinstance(op, _GatherOp) for op in _op_parts(res.plan))
+        assert any(isinstance(step, _KernelCounts) for step in steps)
+    seq = InputSequence(drives, washout_length=2)
+    exact = sr.run_exact(res, seq)
+    shots, seeds = 40, 400
+    freqs = np.stack([_count_frequencies(res, seq, shots, seed) for seed in range(seeds)])
+    p, q = exact, 1.0 - exact
+    mean_z = (freqs.mean(axis=0) - p) / np.sqrt(p * q / (shots * seeds))
+    sigma2 = p * q / shots
+    mu4 = p * q * (1 + 3 * (shots - 2) * p * q) / shots ** 3
+    var_se = np.sqrt((mu4 - sigma2 ** 2 * (seeds - 3) / (seeds - 1)) / seeds)
+    var_z = (freqs.var(axis=0, ddof=1) - sigma2) / var_se
+    spread = p * q > 1e-3
+    assert spread.sum() >= 0.8 * p.size
+    assert np.max(np.abs(mean_z[spread])) <= 5.0
+    assert np.max(np.abs(var_z[spread])) <= 5.0
+
+
+def test_sample_frequencies_takes_each_side_of_the_cost_rule():
+    res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.1))
+    seq = InputSequence(_binary_drives(4, 80), washout_length=10)
+    edge = _count_side(4)
+    assert not _counts_pay(edge - 1, 4) and _counts_pay(edge, 4)
+    below = sr.sample_frequencies(res, seq, shots=edge - 1, seed=3)
+    per_shot = sr.empirical_probabilities(sample_trajectories(res, seq, shots=edge - 1, seed=3))
+    assert below.data.tobytes() == per_shot.data.tobytes() and below.shots == edge - 1
+    at = sr.sample_frequencies(res, seq, shots=edge, seed=3)
+    assert at.data.tobytes() == _count_frequencies(res, seq, edge, 3).tobytes()
+    per_shot = sr.empirical_probabilities(sample_trajectories(res, seq, shots=edge, seed=3))
+    assert at.data.tobytes() != per_shot.data.tobytes()
+
+
+@pytest.mark.parametrize("shots", [5, _count_side(2)])
+def test_sample_frequencies_rejects_what_the_sampler_rejects(shots):
+    res = sr.build_reservoir(sr.shift_register_flip_family(2, 0.1))
+    seq = InputSequence(np.array([0.0, 1.0, 1.0]), washout_length=1)
+    for bad in (2.5, True, 3.0, "3", 0, -1):
+        with pytest.raises(ValueError, match="shots"):
+            sr.sample_frequencies(res, seq, shots=bad, seed=0)
+    assert sr.sample_frequencies(res, seq, shots=np.int64(shots), seed=0).shots == shots
+    nan = InputSequence(np.array([0.0, 1.0, 1.0]), washout_length=1)
+    nan.values[1, 0] = np.nan
+    with pytest.raises(NonfiniteDrive):
+        sr.sample_frequencies(res, nan, shots=shots, seed=0)
+    with pytest.raises(DriveBoundViolation, match="domain"):
+        sr.sample_frequencies(res, InputSequence(np.array([0.0, 1.5, 1.0]), washout_length=1),
+                              shots=shots, seed=0)
+    wide = sr.build_reservoir(ReservoirSpec(n=15, gates=[flip_gate(0, 0.2)]))
+    with pytest.raises(ValueError, match="dense frequencies"):
+        sr.sample_frequencies(wide, InputSequence(np.zeros(3), washout_length=1), shots=shots, seed=0)
 
 
 # --- fading memory ----------------------------------------------------------
