@@ -28,3 +28,4 @@ def stream(root_seed, *path):
 # 2**32 + k is the two words (k, 1), so it is no shot's path in a run of
 # fewer than 2**32 shots.
 COUNTS = 2 ** 32  # the count sampler's draws
+DRIVES = 2 ** 32 + 1  # the drives of the ipc experiment

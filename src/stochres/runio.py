@@ -120,11 +120,22 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_ipc(params, seed):
+    """Spectral IPC of the shift-register family under fair binary drives.
+
+    The drives come from the stream ``(seed, rng.DRIVES)``, a path that no
+    shot of a sampler run takes, so no shot's draws are a function of the
+    drives. In exact mode the signals are the exact distributions, and the
+    probability-trace capacity is reported beside the spectral one. In
+    sampled mode they are the empirical frequencies of ``shots``
+    trajectories from :func:`~stochres.signals.sample_frequencies`, which
+    propagates shot counts when ``shots >= COUNT_CALL_SHOTS + 2**n`` and
+    samples each shot otherwise; the trace capacity is null.
+    """
     n = params["n"]
     lam = params["lambda"]
     measure = InputMeasure("iid-uniform-binary", 0.0, 1.0, seed=seed)
     res = build_reservoir(shift_register_flip_family(n, lam))
-    drives = measure.draw(params["washout"] + params["timesteps"], _rng.stream(seed, 0))
+    drives = measure.draw(params["washout"] + params["timesteps"], _rng.stream(seed, _rng.DRIVES))
     seq = InputSequence(drives[:, None], washout_length=params["washout"])
     if params["mode"] == "exact":
         signals = probability_signals(run_exact(res, seq))

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stochres.rng
 from stochres.cli import main
 from stochres.errors import (
     ConfigValidation,
@@ -169,6 +170,35 @@ def test_identical_config_and_seed_reproduce_checksums(tmp_path):
     sums1 = {a["path"]: a["sha256"] for a in m1.artifacts}
     sums2 = {a["path"]: a["sha256"] for a in m2.artifacts}
     assert sums1 == sums2
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 40 + 3])
+@pytest.mark.parametrize("config", [
+    {"experiment": "ipc", "mode": "exact", "n": 3},
+    # above and below the count sampler's cost rule, 512 + 2**n shots
+    {"experiment": "ipc", "mode": "sampled", "n": 3, "shots": 600},
+    {"experiment": "ipc", "mode": "sampled", "n": 3, "shots": 20},
+    {"experiment": "scan-n", "n_min": 2, "n_max": 3, "repeats": 2},
+], ids=["ipc-exact", "ipc-counts", "ipc-shots", "scan-n"])
+def test_no_two_streams_of_a_run_share_a_seed_state(config, seed, tmp_path, monkeypatch):
+    # every rng.stream call of one run, as the state its SeedSequence gives
+    # Philox; two equal states would be one stream drawn twice, as the
+    # drives and shot 0 once were
+    states = []
+    stream = stochres.rng.stream
+
+    def recorded(*path):
+        gen = stream(*path)
+        states.append(tuple(gen.bit_generator.seed_seq.generate_state(4).tolist()))
+        return gen
+
+    monkeypatch.setattr(stochres.rng, "stream", recorded)
+    run_experiment({**config, "timesteps": 60, "washout": 5, "seed": seed,
+                    "out_dir": str(tmp_path)})
+    if "shots" in config:
+        # the drives, then the count stream or one stream per shot
+        assert len(states) == (2 if config["shots"] == 600 else 1 + config["shots"])
+    assert len(set(states)) == len(states)
 
 
 # --- CLI surface -------------------------------------------------------------------
