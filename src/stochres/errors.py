@@ -10,6 +10,10 @@ class StochresError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidInput(StochresError, ValueError):
+    """An input of a public function is non-finite or outside its domain."""
+
+
 # --- reservoir construction / simulation -----------------------------------
 
 class LocalityViolation(StochresError):

@@ -29,6 +29,7 @@ from .capacity import (
 from .errors import (
     ConditioningFailure,
     ExactModeOverflow,
+    InvalidInput,
     NonpositiveSignal,
     SearchBudgetExceeded,
 )
@@ -207,7 +208,11 @@ def switching_family(kind: str, count: int, domain=(0.0, 1.0),
     2**(-sharpness * |u - c|); ``polynomial`` uses the inverse-quadratic
     1 / (1 + ((u - c)/sharpness)**2), so the sharpness is a half-width.
     Centers are equispaced; bumps are normalized pointwise to sum to one.
+    A NaN, infinite or non-positive ``sharpness`` raises
+    :class:`InvalidInput`, a ``ValueError``.
     """
+    if not 0.0 < float(sharpness) < math.inf:
+        raise InvalidInput(f"sharpness must be finite and positive, got {sharpness!r}")
     if count < 1:
         raise ValueError("need at least one signal")
     lo, hi = float(domain[0]), float(domain[1])
@@ -296,10 +301,13 @@ def classify_tails(u: np.ndarray, p: np.ndarray, region=None) -> TailFit:
     decay region and keeps the lower-residual law; residuals within 10 % of
     the larger one, or both at the rounding level of log p (as for a
     constant p), give "inconclusive". Fewer than 3 samples in the region
-    raise ``ValueError``.
+    raise ``ValueError``, and a NaN or infinity in ``u`` or ``p``
+    :class:`InvalidInput`, a ``ValueError``.
     """
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
+    if not (np.isfinite(u).all() and np.isfinite(p).all()):
+        raise InvalidInput("tail classification needs finite u and p")
     mask = np.ones_like(u, dtype=bool)
     if region is not None:
         mask = (u >= region[0]) & (u <= region[1])

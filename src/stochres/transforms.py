@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidSamples, NegativeProbability
+from .errors import InvalidInput, InvalidSamples, NegativeProbability
 from .reservoir import EXACT_MODE_MAX_BITS
 from .signals import MODE_MOMENT, SignalMatrix
 
@@ -60,8 +60,21 @@ def mobius_superset(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def moments_from_probabilities(probs: np.ndarray, n: int) -> np.ndarray:
-    """All 2**n product moments of a probability row (or rows)."""
-    return zeta_superset(np.asarray(probs, dtype=float), n)
+    """All 2**n product moments of a probability row (or rows).
+
+    A NaN, an infinite entry or one below ``-1e-12`` (rounding) raises
+    :class:`InvalidInput`, a ``ValueError``. The check is one ``min`` pass
+    over ``probs``, which NaN and negatives fail, plus a look at each row's
+    total, the empty-mask moment, which an infinity makes infinite.
+    """
+    probs = np.asarray(probs, dtype=float)
+    low = float(probs.min()) if probs.size else 0.0
+    if not low >= -1e-12:
+        raise InvalidInput(f"probabilities must be finite and non-negative, got an entry {low!r}")
+    moments = zeta_superset(probs, n)
+    if not np.isfinite(moments[..., 0]).all():
+        raise InvalidInput("probabilities must be finite, got an infinite entry")
+    return moments
 
 
 def probabilities_from_moments(moments: np.ndarray, n: int,

@@ -11,6 +11,7 @@ import stochres as sr
 from stochres.errors import (
     ConditioningFailure,
     ExactModeOverflow,
+    InvalidInput,
     NonpositiveSignal,
     SearchBudgetExceeded,
 )
@@ -128,6 +129,25 @@ def test_classify_exponential_tail():
     fit = sr.classify_tails(u, 2.0 ** -u)
     assert fit.classification == "exponential"
     assert abs(fit.parameter - math.log(2)) <= 0.05 * math.log(2)
+
+
+@pytest.mark.parametrize("where", ["u", "p"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_classify_tails_rejects_non_finite_samples(where, bad):
+    # a NaN in u gave "exponential" with a NaN parameter
+    u = np.linspace(1.0, 60.0, 40)
+    p = 2.0 ** -u
+    (u if where == "u" else p)[7] = bad
+    with pytest.raises(InvalidInput, match="finite"):
+        sr.classify_tails(u, p)
+
+
+@pytest.mark.parametrize("sharpness", [np.nan, np.inf, -3.0, 0.0])
+def test_switching_family_rejects_sharpness_that_is_not_finite_and_positive(sharpness):
+    # NaN gave NaN peaks, and -3.0 was accepted
+    for kind in ("exponential", "polynomial"):
+        with pytest.raises(InvalidInput, match="sharpness"):
+            sr.switching_family(kind, 4, sharpness=sharpness)
 
 
 def test_exponential_beats_polynomial_prefactor():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import stochres as sr
 from stochres.errors import (
+    InvalidInput,
     InvalidSamples,
     MissingShotMetadata,
     MixedDimensions,
@@ -129,6 +130,24 @@ def test_inconsistent_moments_raise():
 def test_moments_require_unit_empty_mask():
     with pytest.raises(ValueError):
         probabilities_from_moments(np.array([0.9, 0.5]), 1)
+
+
+@pytest.mark.parametrize("row", [
+    [0.6, -0.2, 0.3, 0.3],  # gave [1., 0.1, 0.6, 0.3]
+    [np.nan, 0.5, 0.25, 0.25],  # gave NaN moments
+    [0.25, 0.25, np.inf, 0.5],
+    [[0.25, 0.25, 0.25, 0.25], [0.5, 0.5, -np.inf, 0.0]],
+])
+def test_moments_from_probabilities_rejects_what_is_not_a_probability(row):
+    with pytest.raises(InvalidInput, match="probabilities must be finite"):
+        moments_from_probabilities(np.array(row), 2)
+    assert issubclass(InvalidInput, ValueError)
+
+
+def test_moments_from_probabilities_admits_rounding_below_zero():
+    # an entry of -1e-13, as an inverse transform may leave, is still a probability
+    row = np.array([0.5 + 1e-13, -1e-13, 0.25, 0.25])
+    np.testing.assert_allclose(moments_from_probabilities(row, 2), [1.0, 0.25, 0.5, 0.25])
 
 
 def test_mask_list_path_matches_dense():
