@@ -1323,7 +1323,6 @@ def _count_frequencies(reservoir: Reservoir, inputs: InputSequence, shots: int,
     of ``counts / shots``. Row ``t`` holds the frequencies after drive
     ``washout_length + t``.
     """
-    _check_shots(shots)
     values, index = _checked_drives(reservoir, inputs)
     gen = _rng.stream(seed, _rng.COUNTS)
     steps = _count_steps(reservoir.plan, values)

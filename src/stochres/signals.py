@@ -125,11 +125,15 @@ def probability_signals(dists) -> SignalMatrix:
     return sm
 
 
-def empirical_probabilities(ensemble: TrajectoryEnsemble) -> SignalMatrix:
-    """Per-step bitstring frequencies of a trajectory ensemble."""
-    if ensemble.n > EXACT_MODE_MAX_BITS:
+def _check_dense(n: int) -> None:
+    if n > EXACT_MODE_MAX_BITS:
         raise ValueError(
             f"dense frequencies limited to n <= {EXACT_MODE_MAX_BITS}; use mask moments")
+
+
+def empirical_probabilities(ensemble: TrajectoryEnsemble) -> SignalMatrix:
+    """Per-step bitstring frequencies of a trajectory ensemble."""
+    _check_dense(ensemble.n)
     dim = 2 ** ensemble.n
     counts = np.zeros((ensemble.steps, dim))
     for t in range(ensemble.steps):
@@ -160,9 +164,7 @@ def sample_frequencies(reservoir: Reservoir, inputs: InputSequence, shots: int,
     checked as :func:`~stochres.reservoir.sample_trajectories` checks them.
     """
     _check_shots(shots)
-    if reservoir.n > EXACT_MODE_MAX_BITS:
-        raise ValueError(
-            f"dense frequencies limited to n <= {EXACT_MODE_MAX_BITS}; use mask moments")
+    _check_dense(reservoir.n)
     if not _counts_pay(shots, reservoir.n):
         return empirical_probabilities(sample_trajectories(reservoir, inputs, shots, seed))
     sm = SignalMatrix(_count_frequencies(reservoir, inputs, shots, seed), MODE_EMPIRICAL,
