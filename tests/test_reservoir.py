@@ -888,16 +888,17 @@ class _InitialDrawOnly:
         raise AssertionError("a 0/1 kernel drew")
 
 
-@pytest.mark.parametrize("spec", [sr.shift_register_flip_family(4, 0.0), _deterministic_spec(4)])
-def test_count_frequencies_equal_exact_rows_when_every_kernel_is_01(spec, monkeypatch):
+@pytest.mark.parametrize("spec, multi_bit", [(sr.shift_register_flip_family(4, 0.0), False),
+                                             (_deterministic_spec(4), True)])
+def test_count_frequencies_equal_exact_rows_when_every_kernel_is_01(spec, multi_bit, monkeypatch):
     # at zero noise under binary drives the counts move with no draw: one-bit
     # ops by their 0/1 move, multi-bit ops (the controlled flip and the
     # non-bijective permutation) to their row's one column
     counts_stream = stochres.rng.stream
     monkeypatch.setattr(stochres.rng, "stream", lambda *path: _InitialDrawOnly(counts_stream(*path)))
     res = sr.build_reservoir(spec)
-    assert any(isinstance(step, _KernelCounts) for step in _count_steps(res.plan, np.array([0.0, 1.0]))) \
-        == (spec.gates[-1].kind == "permutation")
+    steps = _count_steps(res.plan, np.array([0.0, 1.0]))
+    assert any(isinstance(step, _KernelCounts) for step in steps) == multi_bit
     seq = InputSequence(_binary_drives(3, 60), washout_length=7)
     sm = sr.sample_frequencies(res, seq, shots=_count_side(4), seed=2)
     assert sm.mode == "empirical-frequency" and sm.shots == _count_side(4)
