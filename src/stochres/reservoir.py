@@ -55,10 +55,6 @@ DEFAULT_WASHOUT = 1000
 SAMPLE_BLOCK = 1024
 SAMPLE_STEPS = 128
 SAMPLE_SLICE = 128
-# the count sampler's cost per op and step beyond one shot per state, in
-# shots that the per-shot sampler moves through one gate in the same time:
-# mostly the fixed cost of one binomial call (see _counts_pay)
-COUNT_CALL_SHOTS = 512
 # a run of static plan ops folds into one kernel product when the product
 # takes at most this many multiplications per op it replaces (see
 # _fold_static_runs)
@@ -1224,11 +1220,14 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
 # count propagation
 # ---------------------------------------------------------------------------
 
-def _counts_pay(shots: int, n: int) -> bool:
-    """The sampling cost rule: propagating the shot counts of an ``n``-bit
-    register, at about the cost of ``COUNT_CALL_SHOTS + 2**n`` shots per op
-    and step, costs no more than moving ``shots`` shots one by one."""
-    return shots >= COUNT_CALL_SHOTS + 2 ** n
+def _pvals(probs: np.ndarray) -> np.ndarray:
+    """Probability rows as ``Generator.multinomial`` takes them. An entry
+    may be off by ``ROW_SUM_TOL``, so entries are clipped at zero and each
+    row is divided by its sum: no entry, and no sum of a row's leading
+    entries, then exceeds 1. A row with no negative entry that sums to
+    exactly 1 keeps its bits."""
+    probs = np.maximum(probs, 0.0)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 class _BitCounts:
@@ -1264,16 +1263,14 @@ class _KernelCounts:
     """A multi-bit kernel op on the shot counts of all ``2**n`` states.
 
     At value ``i`` the shots of each occupied state spread over the
-    ``2**k`` sub-register states of its kernel row by one multinomial draw,
-    or, where the kernel at the value is 0/1, all go to the row's one column
-    with no draw; one ``bincount`` scatters them back. Kernel entries are
-    clipped at zero, since they may be off by ``ROW_SUM_TOL``.
+    ``2**k`` sub-register states of its kernel row by one multinomial draw;
+    one ``bincount`` scatters them back. Kernel rows are taken through
+    :func:`_pvals`, since their entries may be off by ``ROW_SUM_TOL``.
     """
 
     def __init__(self, op, values, n: int):
         rows = op.rows
-        self.kernel = np.maximum(np.broadcast_to(op.kernel(values), (len(values), rows, rows)), 0.0)
-        self.fixed = ((self.kernel == 0.0) | (self.kernel == 1.0)).all(axis=(1, 2)).tolist()
+        self.kernel = _pvals(np.broadcast_to(op.kernel(values), (len(values), rows, rows)))
         states = np.arange(2 ** n, dtype=np.int64)
         self.sub = _read_bits(states, op.shifts)
         spread = np.zeros(rows, dtype=np.int64)  # sub-register j as register bits
@@ -1283,12 +1280,8 @@ class _KernelCounts:
 
     def __call__(self, counts: np.ndarray, i: int, gen) -> np.ndarray:
         occupied = np.flatnonzero(counts)
-        rows = self.kernel[i][self.sub[occupied]]
-        if self.fixed[i]:
-            dest, moved = self.dest[occupied, rows.argmax(axis=1)], counts[occupied]
-        else:
-            dest, moved = self.dest[occupied], gen.multinomial(counts[occupied], rows)
-        return np.bincount(dest.ravel(), weights=moved.ravel(),
+        moved = gen.multinomial(counts[occupied], self.kernel[i][self.sub[occupied]])
+        return np.bincount(self.dest[occupied].ravel(), weights=moved.ravel(),
                            minlength=len(counts)).astype(np.int64)
 
 
@@ -1326,7 +1319,7 @@ def _count_frequencies(reservoir: Reservoir, inputs: InputSequence, shots: int,
     values, index = _checked_drives(reservoir, inputs)
     gen = _rng.stream(seed, _rng.COUNTS)
     steps = _count_steps(reservoir.plan, values)
-    counts = gen.multinomial(int(shots), np.maximum(reservoir.spec.initial_state.probs, 0.0))
+    counts = gen.multinomial(int(shots), _pvals(reservoir.spec.initial_state.probs))
     washout = inputs.washout_length
     out = np.empty((len(inputs) - washout, reservoir.dim))
     for t, i in enumerate(index.tolist()):

@@ -128,8 +128,8 @@ def _run_ipc(params, seed):
     probability-trace capacity is reported beside the spectral one. In
     sampled mode they are the empirical frequencies of ``shots``
     trajectories from :func:`~stochres.signals.sample_frequencies`, which
-    propagates shot counts when ``shots >= COUNT_CALL_SHOTS + 2**n`` and
-    samples each shot otherwise; the trace capacity is null.
+    propagates shot counts or samples each shot by its cost rule; the trace
+    capacity is null.
     """
     n = params["n"]
     lam = params["lambda"]

@@ -25,7 +25,6 @@ from .reservoir import (
     TrajectoryEnsemble,
     _check_shots,
     _count_frequencies,
-    _counts_pay,
     sample_trajectories,
 )
 
@@ -34,6 +33,11 @@ logger = logging.getLogger(__name__)
 MODE_EXACT = "exact-probability"
 MODE_EMPIRICAL = "empirical-frequency"
 MODE_MOMENT = "moment"
+
+# the count sampler's cost per op and step beyond one shot per state, in
+# shots that the per-shot sampler moves through one gate in the same time:
+# mostly the fixed cost of one binomial call (see _counts_pay)
+COUNT_CALL_SHOTS = 512
 
 
 @dataclass
@@ -142,6 +146,13 @@ def empirical_probabilities(ensemble: TrajectoryEnsemble) -> SignalMatrix:
                       shots=ensemble.shots)
     sm.validate()
     return sm
+
+
+def _counts_pay(shots: int, n: int) -> bool:
+    """The sampling cost rule: propagating the shot counts of an ``n``-bit
+    register, at about the cost of ``COUNT_CALL_SHOTS + 2**n`` shots per op
+    and step, costs no more than moving ``shots`` shots one by one."""
+    return shots >= COUNT_CALL_SHOTS + 2 ** n
 
 
 def sample_frequencies(reservoir: Reservoir, inputs: InputSequence, shots: int,

@@ -24,7 +24,6 @@ from stochres.errors import (
     StochasticityViolation,
 )
 from stochres.reservoir import (
-    COUNT_CALL_SHOTS,
     DENSE_ENTRIES_PER_OP,
     RENORM_DRIFT_TOL,
     BitstringDistribution,
@@ -45,7 +44,6 @@ from stochres.reservoir import (
     _cdf_columns,
     _count_frequencies,
     _count_steps,
-    _counts_pay,
     _op_parts,
     _sampler_steps,
     asymmetric_flip_gate,
@@ -62,6 +60,7 @@ from stochres.reservoir import (
     swap_gate,
 )
 from stochres.rng import stream
+from stochres.signals import COUNT_CALL_SHOTS, _counts_pay
 
 from helpers import (
     dense_gate_matrix,
@@ -880,22 +879,21 @@ class _InitialDrawOnly:
         self.gen, self.initial = gen, True
 
     def multinomial(self, *args):
-        assert self.initial, "a 0/1 kernel drew"
+        assert self.initial, "a kernel op drew"
         self.initial = False
         return self.gen.multinomial(*args)
 
     def binomial(self, *args):
-        raise AssertionError("a 0/1 kernel drew")
+        raise AssertionError("a 0/1 one-bit kernel drew")
 
 
 @pytest.mark.parametrize("spec, multi_bit", [(sr.shift_register_flip_family(4, 0.0), False),
                                              (_deterministic_spec(4), True)])
-def test_count_frequencies_equal_exact_rows_when_every_kernel_is_01(spec, multi_bit, monkeypatch):
-    # at zero noise under binary drives the counts move with no draw: one-bit
-    # ops by their 0/1 move, multi-bit ops (the controlled flip and the
-    # non-bijective permutation) to their row's one column
-    counts_stream = stochres.rng.stream
-    monkeypatch.setattr(stochres.rng, "stream", lambda *path: _InitialDrawOnly(counts_stream(*path)))
+def test_count_frequencies_equal_exact_rows_when_every_kernel_is_01(spec, multi_bit):
+    # at zero noise under binary drives every shot's path is fixed: one-bit
+    # ops move their 0/1 share, and a multi-bit op's multinomial (the
+    # controlled flip and the non-bijective permutation) puts a state's whole
+    # count in its row's one column
     res = sr.build_reservoir(spec)
     steps = _count_steps(res.plan, np.array([0.0, 1.0]))
     assert any(isinstance(step, _KernelCounts) for step in steps) == multi_bit
@@ -903,6 +901,40 @@ def test_count_frequencies_equal_exact_rows_when_every_kernel_is_01(spec, multi_
     sm = sr.sample_frequencies(res, seq, shots=_count_side(4), seed=2)
     assert sm.mode == "empirical-frequency" and sm.shots == _count_side(4)
     assert sm.data.tobytes() == sr.run_exact(res, seq).tobytes()
+
+
+def test_one_bit_01_kernels_move_counts_with_no_draw(monkeypatch):
+    # the set gate under binary drives and zero flip noise: after the
+    # initial multinomial, the count stream is never drawn from
+    counts_stream = stochres.rng.stream
+    monkeypatch.setattr(stochres.rng, "stream", lambda *path: _InitialDrawOnly(counts_stream(*path)))
+    res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.0))
+    seq = InputSequence(_binary_drives(3, 60), washout_length=7)
+    sm = sr.sample_frequencies(res, seq, shots=_count_side(4), seed=2)
+    assert sm.data.tobytes() == sr.run_exact(res, seq).tobytes()
+
+
+def _rounding_spec():
+    """A two-bit kernel and an initial state, each with an entry 1e-12 below
+    zero and a row that sums to 1 + 5e-13: within ``ROW_SUM_TOL`` of a
+    distribution, but clipped at zero its first three entries sum to more
+    than 1."""
+    row = [-1e-12, 0.5 + 1.5e-12, 0.5, 0.0]
+    matrix = [row, [0.25] * 4, [0.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.5, 0.0]]
+    gates = [constant_gate((0, 1), matrix), flip_gate(0, 0.2)]
+    return ReservoirSpec(n=2, gates=gates, initial_state=BitstringDistribution(row))
+
+
+def test_count_path_takes_kernels_off_by_rounding():
+    res = sr.build_reservoir(_rounding_spec())
+    steps = _count_steps(res.plan, np.array([0.0]))
+    assert any(isinstance(step, _KernelCounts) for step in steps)
+    seq = InputSequence(np.zeros(30), washout_length=3)
+    for shots in (_count_side(2) - 1, _count_side(2)):
+        # both sides of the cost rule draw, and give whole shot counts
+        counts = sr.sample_frequencies(res, seq, shots=shots, seed=6).data * shots
+        assert np.allclose(counts, np.round(counts), rtol=0.0, atol=1e-9)
+        assert np.all(np.round(counts).sum(axis=1) == shots)
 
 
 def test_count_rows_are_integer_counts_over_shots():
