@@ -59,8 +59,8 @@ SAMPLE_SLICE = 128
 # takes at most this many multiplications per op it replaces (see
 # _fold_static_runs)
 DENSE_ENTRIES_PER_OP = 8192
-# largest |sum - 1| of the exact state before renormalization; a gate's
-# kernel rows may be off by ROW_SUM_TOL
+# largest |sum / previous sum - 1| of run_exact's unnormalized state over
+# one step; a gate's kernel rows may be off by ROW_SUM_TOL
 RENORM_DRIFT_TOL = 1e-9
 
 
@@ -965,12 +965,24 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
     for all of them, and one whole-step matrix per tabulated kernel tuple,
     built for this call and dropped when it returns. Each step is the step
     :func:`step_exact` takes at its value, written straight into its own
-    output row (washout steps alternate between two scratch rows), so the
-    run equals a loop of them bit for bit. After each step, negative
-    entries are set to zero and the state is divided by its sum in place;
-    if that sum is ever further than ``RENORM_DRIFT_TOL`` from one, the run
-    raises :class:`NumericCheckFailure` with the drift instead of hiding
-    it. The clip is skipped where it cannot change a bit: after a table
+    output row (washout steps alternate between two scratch rows), and its
+    negative entries are set to zero. The loop does nothing else: a
+    row-stochastic step keeps the sum at one up to rounding, so the state
+    is carried unnormalized, and each kept row is divided by its own sum
+    once after the loop. The run thus equals a loop of clipped steps whose
+    kept states are then each divided by their sum, bit for bit; against
+    dividing after every step it moves entries by rounding alone.
+
+    Each washout step's sum is taken as it is made, and the kept rows' sums
+    in one reduction after the loop. A step's drift is ``|sum / previous
+    sum - 1|``, the previous sum of step 0 being the initial state's; for
+    a normalized state that is the ``|sum - 1|`` of dividing after every
+    step. The first step, washout or kept, whose drift exceeds
+    ``RENORM_DRIFT_TOL`` or is NaN raises :class:`NumericCheckFailure` with
+    the step and its drift, instead of hiding it. An overflow to infinity
+    is reported the same way, without a floating-point warning.
+
+    The clip is skipped where it cannot change a bit: after a table
     product when no entry of the table, nor of the state it multiplies, has
     its sign bit set (``np.signbit``, so that a ``-0.0`` is clipped to
     ``+0.0`` as before). Every state after a step has none, so only the
@@ -985,28 +997,35 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
     dirty = bool(np.signbit(state).any())
     out = np.empty((len(inputs) - washout, 1, reservoir.dim))  # one row per kept step
     scratch = np.empty((2, 1, reservoir.dim))
-    drift = 0.0  # largest |sum - 1| so far
-    for t, i in enumerate(index.tolist()):
-        table, clip = steps[i]
-        row = out[t - washout] if t >= washout else scratch[t & 1]
-        if table is None:
-            row[...] = step.run_ops(state, i)
-        else:
-            np.matmul(state, table, out=row)
-        if clip or dirty:
-            np.maximum(row, 0.0, out=row)
-            dirty = False
-        total = np.add.reduce(row, None)
-        row /= total
-        err = abs(float(total) - 1.0)
-        if not err <= drift:  # also true for NaN
-            drift = err
-            if not drift <= RENORM_DRIFT_TOL:
-                raise NumericCheckFailure(
-                    f"exact state sums to {float(total)!r} at step {t}: renormalization "
-                    f"drift {drift:.3g} exceeds {RENORM_DRIFT_TOL:g}"
-                )
-        state = row
+    sums = np.empty(len(inputs) + 1)  # the initial state's sum, then each step's
+    sums[0] = np.add.reduce(state, None)
+    # a drift, an overflow or a NaN reaches the sums and is raised below
+    with np.errstate(all="ignore"):
+        for t, i in enumerate(index.tolist()):
+            table, clip = steps[i]
+            row = out[t - washout] if t >= washout else scratch[t & 1]
+            if table is None:
+                row[...] = step.run_ops(state, i)
+            else:
+                np.matmul(state, table, out=row)
+            if clip or dirty:
+                np.maximum(row, 0.0, out=row)
+                dirty = False
+            if t < washout:
+                sums[t + 1] = np.add.reduce(row, None)
+            state = row
+        kept = sums[washout + 1:, None]
+        np.add.reduce(out, axis=-1, out=kept)
+        ratios = sums[1:] / sums[:-1]
+        drifts = np.abs(ratios - 1.0)
+    failed = np.flatnonzero(~(drifts <= RENORM_DRIFT_TOL))  # NaN fails too
+    if failed.size:
+        t = int(failed[0])
+        raise NumericCheckFailure(
+            f"exact state sums to {float(ratios[t])!r} at step {t}: renormalization "
+            f"drift {drifts[t]:.3g} exceeds {RENORM_DRIFT_TOL:g}"
+        )
+    out /= kept[:, None]
     return out.reshape(len(out), reservoir.dim)
 
 

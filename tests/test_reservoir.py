@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -383,12 +384,7 @@ def test_run_equals_iterated_steps():
     drives = gen.uniform(-1, 1, 12)
     seq = InputSequence(drives[:, None], washout_length=0)
     out = sr.run_exact(res, seq)
-    state = spec.initial_state.probs.copy()
-    for t, u in enumerate(drives):
-        state = sr.step_exact(res, state, u)
-        np.clip(state, 0.0, None, out=state)
-        state /= state.sum()
-        np.testing.assert_array_equal(out[t], state)
+    np.testing.assert_array_equal(out, _step_loop(res, drives, 0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -404,13 +400,7 @@ def test_run_on_continuous_drives_equals_step_loop_bit_for_bit(n):
     res = sr.build_reservoir(spec)
     drives = gen.choice(gen.uniform(-1, 1, 150), size=400)  # repeats on purpose
     out = sr.run_exact(res, InputSequence(drives, washout_length=50))
-    state = spec.initial_state.probs.copy()
-    for t, u in enumerate(drives):
-        state = sr.step_exact(res, state, u)
-        np.clip(state, 0.0, None, out=state)
-        state /= state.sum()
-        if t >= 50:
-            assert np.array_equal(out[t - 50], state)
+    assert np.array_equal(out, _step_loop(res, drives, 50))
 
 
 @settings(max_examples=20, deadline=None)
@@ -438,13 +428,7 @@ def test_run_on_folded_plan_equals_step_loop_bit_for_bit():
     assert any(_spans(op, 6) for op in res.plan.ops)
     drives = np.random.default_rng(6).integers(0, 2, 300).astype(float)
     out = sr.run_exact(res, InputSequence(drives, washout_length=20))
-    state = spec.initial_state.probs.copy()
-    for t, u in enumerate(drives):
-        state = sr.step_exact(res, state, u)
-        np.clip(state, 0.0, None, out=state)
-        state /= state.sum()
-        if t >= 20:
-            assert np.array_equal(out[t - 20], state)
+    assert np.array_equal(out, _step_loop(res, drives, 20))
 
 
 def _tables(steps):
@@ -524,14 +508,11 @@ def test_mixed_drives_step_through_tables_and_ops_alike():
     out = sr.run_exact(res, InputSequence(drives, washout_length=30))
     assert len(_tables(_ExactSteps(res.plan, np.unique(drives)))) == 2
     state = spec.initial_state.probs.copy()
-    for t, u in enumerate(drives):
+    for u in drives:
         expected = dense_step_oracle(spec, state, u)
         state = sr.step_exact(res, state, u)
         assert np.max(np.abs(state - expected)) < 1e-13
-        np.clip(state, 0.0, None, out=state)
-        state /= state.sum()
-        if t >= 30:
-            assert np.array_equal(out[t - 30], state)
+    assert np.array_equal(out, _step_loop(res, drives, 30))
 
 
 def _scaled_dense_reservoir(factor):
@@ -554,10 +535,53 @@ def test_run_accepts_drift_just_below_tolerance():
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-15)
 
 
-def _step_loop(res, initial, drives, washout):
-    """The post-washout states of a ``step_exact`` loop, each step clipped
-    at zero and divided by its sum, as ``run_exact`` does."""
-    state, rows = initial, []
+def _scale_table_at_drive_one(monkeypatch, factor):
+    """Make every run's whole-step matrix at drive 1 (the last distinct
+    value) ``factor`` times its own, and leave the one at drive 0 alone."""
+    class Scaled(_ExactSteps):
+        def __init__(self, plan, values):
+            super().__init__(plan, values)
+            table, clip = self.steps[-1]
+            self.steps[-1] = (table * factor, clip)
+    monkeypatch.setattr("stochres.reservoir._ExactSteps", Scaled)
+
+
+@pytest.mark.parametrize("washout, step", [(3, 7), (10, 6)])
+def test_run_names_the_first_step_that_drifts(monkeypatch, washout, step):
+    # the scan register at drive 0 until ``step``, a kept step in the
+    # first case and a washout step in the second, then at drive 1
+    res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.05))
+    _scale_table_at_drive_one(monkeypatch, 1.0 + 2 * RENORM_DRIFT_TOL)
+    drives = np.zeros(20)
+    drives[step:] = 1.0
+    with pytest.raises(NumericCheckFailure, match=rf"sums to 1\.000000002\d* at step {step}: "
+                                                  r"renormalization drift 2e-09 exceeds 1e-09"):
+        sr.run_exact(res, InputSequence(drives, washout_length=washout))
+
+
+@pytest.mark.parametrize("washout", [0, 3])
+def test_run_raises_on_overflow_without_a_warning(washout):
+    # the total is 1e100 after step 0 and inf from step 3 on; the run
+    # still reports step 0, and no floating-point warning escapes
+    res = _scaled_dense_reservoir(1e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericCheckFailure, match=r"at step 0: renormalization drift 1e\+100 exceeds"):
+            sr.run_exact(res, InputSequence(np.ones(20), washout_length=washout))
+
+
+def test_run_accepts_long_drift_just_below_tolerance():
+    # the unnormalized total grows to about 1 + 5e-6 over the run; each
+    # step's ratio to the last stays below the tolerance
+    res = _scaled_dense_reservoir(1.0 + 0.5 * RENORM_DRIFT_TOL)
+    out = sr.run_exact(res, InputSequence(np.ones(10_000), washout_length=0))
+    np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+def _renormalized_step_loop(res, drives, washout):
+    """The post-washout states of a ``step_exact`` loop whose every step is
+    clipped at zero and divided by its sum."""
+    state, rows = res.spec.initial_state.probs, []
     for t, u in enumerate(drives):
         state = sr.step_exact(res, state, u)
         np.maximum(state, 0.0, out=state)
@@ -567,9 +591,38 @@ def _step_loop(res, initial, drives, washout):
     return np.array(rows)
 
 
+def test_run_stays_within_rounding_of_per_step_renormalization():
+    # dividing once after the loop instead of after every step moves each
+    # entry by rounding alone; at n = 6 the scan plan folds a spanning block
+    gen = np.random.default_rng(4)
+    cases = [(sr.shift_register_flip_family(n, 0.05),
+              np.random.default_rng(n).integers(0, 2, 200).astype(float)) for n in range(2, 9)]
+    cases.append((random_physical_reservoir(4, gen), gen.uniform(-1, 1, 200)))
+    folded = 0
+    for spec, drives in cases:
+        res = sr.build_reservoir(spec)
+        folded += any(_spans(op, res.n) for op in res.plan.ops)
+        out = sr.run_exact(res, InputSequence(drives, washout_length=20))
+        assert np.max(np.abs(out - _renormalized_step_loop(res, drives, 20))) <= 1e-15
+    assert folded
+
+
+def _step_loop(res, drives, washout):
+    """The post-washout states of a ``step_exact`` loop from the initial
+    state, as ``run_exact`` computes them: each step clipped at zero, and
+    each kept state divided by its own sum once the loop is done."""
+    state, rows = res.spec.initial_state.probs, []
+    for t, u in enumerate(drives):
+        state = sr.step_exact(res, state, u)
+        np.maximum(state, 0.0, out=state)
+        if t >= washout:
+            rows.append(state)
+    return np.array([row / row.sum() for row in rows])
+
+
 def _assert_run_is_step_loop(res, drives, washout=10):
     out = sr.run_exact(res, InputSequence(drives, washout_length=washout))
-    expected = _step_loop(res, res.spec.initial_state.probs, drives, washout)
+    expected = _step_loop(res, drives, washout)
     assert out.tobytes() == expected.tobytes()  # -0.0 is not +0.0 here
     assert not np.signbit(out).any()
 
