@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stochres.errors import InvalidState, OutOfRange, SingularPath
+from stochres.errors import InvalidInput, InvalidState, OutOfRange, SingularPath
 from stochres.qembed import (
     PAULI_X,
     assert_density,
@@ -133,6 +133,18 @@ def test_rate_relation_rejects_zero_touching_path():
         verify_rate_relation(np.array([0.5, 0.0, 0.5]), 1e-2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rate_relation_rejects_a_nonfinite_path(bad):
+    with pytest.raises(InvalidInput, match="finite path"):
+        verify_rate_relation(np.array([0.5, bad, 0.5, 0.4]), 1e-2)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-3])
+def test_rate_relation_rejects_a_nonfinite_or_nonpositive_step(dt):
+    with pytest.raises(InvalidInput, match="dt must be finite and positive"):
+        verify_rate_relation(np.cos(np.arange(0.1, 1.4, 1e-2)) ** 2, dt)
+
+
 # --- correlated flips --------------------------------------------------------
 
 def test_correlated_flip_identity_at_zero_angle():
@@ -149,6 +161,12 @@ def test_correlated_flip_partial_transfer_stays_on_diagonal_pair():
     res = correlated_flip_check(np.pi / 6)
     assert abs(res["p11"] - 0.25) < 1e-12  # sin^2(pi/6)
     assert res["leakage"] < 1e-12
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_correlated_flip_rejects_a_nonfinite_angle(theta):
+    with pytest.raises(InvalidInput, match="theta must be finite"):
+        correlated_flip_check(theta)
 
 
 # --- whole suite ----------------------------------------------------------------
