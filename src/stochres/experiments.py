@@ -54,6 +54,14 @@ logger = logging.getLogger(__name__)
 # reservoir families for the size scan
 # ---------------------------------------------------------------------------
 
+def _check_shift_register(n: int, noise: float) -> None:
+    """The shift-register family needs ``n >= 1`` and a noise rate in [0, 0.5]."""
+    if n < 1:
+        raise InvalidInput(f"the shift register needs n >= 1, got {n!r}")
+    if not 0.0 <= noise <= 0.5:
+        raise InvalidInput(f"noise rate must be in [0, 0.5], got {noise!r}")
+
+
 def shift_register_flip_family(n: int, noise: float) -> ReservoirSpec:
     """Shift register that absorbs one drive bit per step, with flip noise.
 
@@ -65,10 +73,10 @@ def shift_register_flip_family(n: int, noise: float) -> ReservoirSpec:
     has the closed form prod_{a=1..n} (1 + (1-2*noise)**(2a)). With
     ``noise == 0`` the step is deterministic and the trajectory reaches
     every bitstring; with ``noise == 0.5`` the state is exactly uniform
-    after every step.
+    after every step. ``n < 1`` or a noise rate outside [0, 0.5], NaN
+    included, raises :class:`InvalidInput`, a ``ValueError``.
     """
-    if not 0.0 <= noise <= 0.5:
-        raise ValueError("noise rate must be in [0, 0.5]")
+    _check_shift_register(n, noise)
     gates = []
     for i in range(n - 1):
         gates.append(swap_gate(i, i + 1))
@@ -91,7 +99,10 @@ def shift_register_capacity_closed_form(n: int, noise: float) -> float:
     Given the last n drive bits, the state is a product of independent
     Bernoullis whose bit of age a has mean (1 +/- (1-2*noise)**a) / 2; the
     trace formula then factorizes into prod_{a=1..n} (1 + (1-2*noise)**(2a)).
+    It refuses what :func:`shift_register_flip_family` refuses, with the
+    same :class:`InvalidInput`.
     """
+    _check_shift_register(n, noise)
     r = 1.0 - 2.0 * noise
     out = 1.0
     for a in range(1, n + 1):

@@ -33,6 +33,7 @@ from .errors import (
     EmptyAfterWashout,
     ExactModeOverflow,
     InsufficientTrials,
+    InvalidInput,
     InvalidSamples,
     LocalityViolation,
     MixedDimensions,
@@ -59,6 +60,10 @@ SAMPLE_SLICE = 128
 # takes at most this many multiplications per op it replaces (see
 # _fold_static_runs)
 DENSE_ENTRIES_PER_OP = 8192
+# the count sampler takes a block op whole, one multinomial per occupied
+# state over the block's sub-states, when those draws have at most this
+# many entries per op the block replaces (see _whole_block_counts_pay)
+COUNT_ENTRIES_PER_OP = 64
 # largest |sum / previous sum - 1| of run_exact's unnormalized state over
 # one step; a gate's kernel rows may be off by ROW_SUM_TOL
 RENORM_DRIFT_TOL = 1e-9
@@ -282,6 +287,10 @@ class BitstringDistribution:
 
     @classmethod
     def point_mass(cls, n: int, index: int) -> "BitstringDistribution":
+        """All mass on bitstring ``index``, which must lie in [0, 2**n);
+        any other index raises :class:`InvalidInput`, a ``ValueError``."""
+        if not 0 <= index < 2 ** n:
+            raise InvalidInput(f"point mass index must be in [0, {2 ** n}), got {index!r}")
         p = np.zeros(2 ** n)
         p[index] = 1.0
         return cls(p)
@@ -351,7 +360,9 @@ class InputSequence:
 
     ``values`` is a 1-D array of T drives or a (T, 1) column of them, and is
     held as the column; any other shape, such as (T, m) with m > 1, is
-    rejected rather than reduced to a scalar per step.
+    rejected rather than reduced to a scalar per step. ``washout_length``
+    must be an integer (not a bool), else :class:`InvalidInput`, a
+    ``ValueError``, is raised.
     """
 
     values: np.ndarray
@@ -366,6 +377,9 @@ class InputSequence:
             raise ValueError(f"values must be 1-D (T,) or (T, 1), got shape {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise NonfiniteDrive("input values must be finite")
+        if (isinstance(self.washout_length, bool)
+                or not isinstance(self.washout_length, numbers.Integral)):
+            raise InvalidInput(f"washout_length must be an integer, got {self.washout_length!r}")
         if self.washout_length < 0:
             raise ValueError("washout_length must be >= 0")
         if self.weights is not None:
@@ -642,10 +656,12 @@ class _BlockOp(_KernelOp):
     it, over its identity. An exact state steps by one kernel op with
     this matrix, or by one product ``vec @ matrix`` when the bits are the
     whole register. Its sums group the parts' products differently, so an
-    exact step moves in the last bits. The sampler takes the parts
-    themselves (see :func:`_sampler_steps`), each on its own uniforms and
-    with the CDF table of its own kernel, so every stream and sample is
-    unchanged.
+    exact step moves in the last bits. The matrix is also its static
+    kernel. The per-shot sampler takes the parts themselves (see
+    :func:`_sampler_steps`), each on its own uniforms and with the CDF
+    table of its own kernel, so every stream and sample is unchanged. The
+    count sampler takes the block whole, with the matrix as its kernel,
+    where that pays, and by its parts otherwise (see :func:`_count_steps`).
     """
 
     varies = False  # with the drive
@@ -664,8 +680,8 @@ class _BlockOp(_KernelOp):
             rows = local.exact(rows, part.kernel(0.0))
         self.matrix = np.ascontiguousarray(rows)
 
-    def kernel(self, u):
-        return None
+    def kernel(self, u) -> np.ndarray:
+        return self.matrix
 
     def exact(self, vec: np.ndarray, kernel) -> np.ndarray:
         if self.spans:
@@ -1146,7 +1162,7 @@ class _OpStep:
 
 def _op_parts(plan: StepPlan) -> list:
     """The plan's ops with each block op given back as its parts: the ops
-    that sampled propagation, per shot or by counts, takes one by one."""
+    that the per-shot sampler takes one by one."""
     return [part for op in plan.ops
             for part in (op.parts if isinstance(op, _BlockOp) else [op])]
 
@@ -1279,17 +1295,21 @@ class _BitCounts:
 
 
 class _KernelCounts:
-    """A multi-bit kernel op on the shot counts of all ``2**n`` states.
+    """A multi-bit kernel op, or a whole block op, on the shot counts of
+    all ``2**n`` states.
 
     At value ``i`` the shots of each occupied state spread over the
-    ``2**k`` sub-register states of its kernel row by one multinomial draw;
-    one ``bincount`` scatters them back. Kernel rows are taken through
-    :func:`_pvals`, since their entries may be off by ``ROW_SUM_TOL``.
+    ``2**k`` sub-register states of its kernel row by one multinomial draw,
+    all in one call; one ``bincount`` scatters them back. Kernel rows are
+    taken through :func:`_pvals`, since their entries may be off by
+    ``ROW_SUM_TOL``. A static op's table is held once, and a
+    drive-dependent op's as one kernel per value.
     """
 
     def __init__(self, op, values, n: int):
         rows = op.rows
-        self.kernel = _pvals(np.broadcast_to(op.kernel(values), (len(values), rows, rows)))
+        self.varies = op.varies
+        self.kernel = _pvals(op.kernel(values))
         states = np.arange(2 ** n, dtype=np.int64)
         self.sub = _read_bits(states, op.shifts)
         spread = np.zeros(rows, dtype=np.int64)  # sub-register j as register bits
@@ -1299,23 +1319,44 @@ class _KernelCounts:
 
     def __call__(self, counts: np.ndarray, i: int, gen) -> np.ndarray:
         occupied = np.flatnonzero(counts)
-        moved = gen.multinomial(counts[occupied], self.kernel[i][self.sub[occupied]])
+        kernel = self.kernel[i] if self.varies else self.kernel
+        moved = gen.multinomial(counts[occupied], kernel[self.sub[occupied]])
         return np.bincount(self.dest[occupied].ravel(), weights=moved.ravel(),
                            minlength=len(counts)).astype(np.int64)
 
 
+def _whole_block_counts_pay(op: _BlockOp, n: int) -> bool:
+    """The count cost rule for a block op on ``k`` bits of an ``n``-bit
+    register: one multinomial over its ``2**k`` sub-states for each of up
+    to ``2**n`` occupied states, ``2**(n + k)`` entries in one call, costs
+    no more than its parts drawn one by one. On the scan family's flip
+    block, one whole step costs 0.55-0.86 times its parts at n = 2..4 and
+    0.94-2.4 times at n = 5, from 2000 to 10**6 shots (see the README)."""
+    return 2 ** n * op.rows <= len(op.parts) * COUNT_ENTRIES_PER_OP
+
+
 def _count_steps(plan: StepPlan, values: np.ndarray) -> list:
-    """The plan's ops on shot counts at the drive ``values``, block ops by
-    their parts (:func:`_op_parts`): a gather permutes the counts, and
-    kernel ops are :class:`_BitCounts` or :class:`_KernelCounts`."""
+    """The plan's ops on shot counts at the drive ``values``.
+
+    A block op is taken whole where :func:`_whole_block_counts_pay`, and by
+    its parts otherwise: the scan family's flip block whole through n = 4,
+    and its blocks by their parts from n = 5. A gather permutes the counts;
+    a one-bit kernel op, or a block op on one bit, is a :class:`_BitCounts`,
+    and any other kernel or block op a :class:`_KernelCounts`. A block's
+    matrix is the product of its parts' kernels, so each shot moves by the
+    same Markov kernel either way: the counts have the same law, drawn
+    differently.
+    """
     steps = []
-    for op in _op_parts(plan):
-        if isinstance(op, _GatherOp):
-            steps.append(lambda counts, i, gen, src=op.src: counts[src])
-        elif op.rows == 2:
-            steps.append(_BitCounts(op, values))
-        else:
-            steps.append(_KernelCounts(op, values, plan.n))
+    for op in plan.ops:
+        whole = not isinstance(op, _BlockOp) or _whole_block_counts_pay(op, plan.n)
+        for part in ([op] if whole else op.parts):
+            if isinstance(part, _GatherOp):
+                steps.append(lambda counts, i, gen, src=part.src: counts[src])
+            elif part.rows == 2:
+                steps.append(_BitCounts(part, values))
+            else:
+                steps.append(_KernelCounts(part, values, plan.n))
     return steps
 
 
@@ -1326,9 +1367,12 @@ def _count_frequencies(reservoir: Reservoir, inputs: InputSequence, shots: int,
     Trajectories that no one reads one by one need only their count vector
     ``N_t``, which is itself a Markov chain: the initial counts are
     ``multinomial(shots, p0)``, and each step runs the plan's ops on counts
-    (:func:`_count_steps`), so a step costs O(2**n) per op whatever the
-    shot count. Every draw comes from the one stream ``(seed,
-    rng.COUNTS)``, a path that no shot of :func:`sample_trajectories` takes.
+    (:func:`_count_steps`): one multinomial call for a block op taken whole,
+    which is the scan family's whole noise layer through n = 4, and else one
+    binomial call per one-bit op and one multinomial call per multi-bit op,
+    each over the occupied states, whatever the shot count. Every draw comes
+    from the one stream ``(seed, rng.COUNTS)``, a path that no shot of
+    :func:`sample_trajectories` takes.
     Kernels are built once for the run's distinct drive values. One integer
     count vector is held; each kept step is written into a float (T, 2**n)
     output, divided by ``shots`` in place at the end, which gives the bits

@@ -165,7 +165,8 @@ def sample_frequencies(reservoir: Reservoir, inputs: InputSequence, shots: int,
     the frequencies come from the cheaper of two samplers, by one cost
     rule on ``shots`` and ``2**n`` alone (``_counts_pay``): when ``shots >=
     COUNT_CALL_SHOTS + 2**n`` the count vector is propagated as a Markov
-    chain, with one binomial per occupied state and one-bit op (see
+    chain, with one multinomial call per small folded block op and else one
+    binomial or multinomial call per op, each over the occupied states (see
     ``reservoir._count_frequencies``), on the stream ``(seed,
     rng.COUNTS)``; otherwise it is
     ``empirical_probabilities(sample_trajectories(...))``, on the shots'

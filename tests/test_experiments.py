@@ -62,6 +62,15 @@ def test_scan_noisy_family_matches_closed_form():
     assert np.all(np.diff(ratios) < 0)
 
 
+@pytest.mark.parametrize("n, noise", [(3, float("nan")), (3, 0.7), (3, -0.1), (0, 0.1),
+                                      (-2, 0.1)])
+def test_closed_form_refuses_what_the_family_refuses(n, noise):
+    with pytest.raises(InvalidInput):
+        sr.shift_register_flip_family(n, noise)
+    with pytest.raises(InvalidInput):
+        shift_register_capacity_closed_form(n, noise)
+
+
 def test_scan_rejects_oversized_exact_mode():
     with pytest.raises(ExactModeOverflow):
         sr.scan_system_size(sr.shift_register_flip_family, [15], 0.1, BINARY)

@@ -1,5 +1,6 @@
 """Reservoir construction, exact propagation, sampling, and fading memory."""
 
+import collections
 import hashlib
 import json
 import tracemalloc
@@ -18,6 +19,7 @@ from stochres.errors import (
     DriveDerivativeViolation,
     EmptyAfterWashout,
     InsufficientTrials,
+    InvalidInput,
     InvalidSamples,
     LocalityViolation,
     NonfiniteDrive,
@@ -47,6 +49,7 @@ from stochres.reservoir import (
     _count_steps,
     _op_parts,
     _sampler_steps,
+    _whole_block_counts_pay,
     asymmetric_flip_gate,
     cnot_gate,
     constant_gate,
@@ -1024,6 +1027,7 @@ def _mixed_counts_spec():
 @pytest.mark.parametrize("spec, drives", [
     (sr.shift_register_flip_family(4, 0.1), _binary_drives(9, 10)),
     (_mixed_counts_spec(), stream(9, 2).uniform(-1, 1, 10)),
+    (sr.shift_register_flip_family(5, 0.1), _binary_drives(9, 10)),
 ])
 def test_count_frequencies_have_binomial_mean_and_variance(spec, drives):
     # N_t(s) of S independent shots is Binomial(S, p): over R seeds each
@@ -1050,6 +1054,73 @@ def test_count_frequencies_have_binomial_mean_and_variance(spec, drives):
     assert spread.sum() >= 0.8 * p.size
     assert np.max(np.abs(mean_z[spread])) <= 5.0
     assert np.max(np.abs(var_z[spread])) <= 5.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+def test_count_sampler_takes_the_flip_block_whole_through_n_4(n):
+    # the swaps are one gather and the set gate one bit; the flips fold into
+    # one block through n = 8 and into 6 + 3 bits at n = 9, and the block
+    # is one multinomial step only while 2**(n + k) <= 64 per flip
+    res = sr.build_reservoir(sr.shift_register_flip_family(n, 0.1))
+    blocks = [op for op in res.plan.ops if isinstance(op, _BlockOp)]
+    assert [len(op.parts) for op in blocks] == ([n] if n < 9 else [6, 3])
+    steps = _count_steps(res.plan, np.array([0.0, 1.0]))
+    assert isinstance(steps[1], _BitCounts)
+    if n <= 4:
+        assert _whole_block_counts_pay(blocks[0], n)
+        assert len(steps) == 3 and isinstance(steps[2], _KernelCounts)
+        assert steps[2].kernel.shape == (2 ** n, 2 ** n)  # held once, not per value
+    else:
+        assert not any(_whole_block_counts_pay(op, n) for op in blocks)
+        assert len(steps) == 2 + n
+        assert all(isinstance(step, _BitCounts) for step in steps[1:])
+
+
+def test_count_sampler_takes_a_one_bit_block_as_one_binomial():
+    # two flips of bit 0 fold into a block on that bit alone, which moves
+    # counts by the composed flip rate 0.1 * 0.8 + 0.9 * 0.2
+    spec = ReservoirSpec(n=2, gates=[set_gate(1, {"type": "poly", "coeffs": [0.0, 1.0]}),
+                                     flip_gate(0, 0.1), flip_gate(0, 0.2)],
+                         drive_domain=(0.0, 1.0))
+    res = sr.build_reservoir(spec)
+    assert isinstance(res.plan.ops[1], _BlockOp) and res.plan.ops[1].rows == 2
+    steps = _count_steps(res.plan, np.array([0.0, 1.0]))
+    assert [type(step) for step in steps] == [_BitCounts, _BitCounts]
+    np.testing.assert_allclose(steps[1].move.ravel(), [0.26, 0.26] * 2, rtol=0, atol=1e-15)
+
+
+class _DrawTally:
+    """A count stream that tallies its draw calls by name."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, collections.Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.gen, name)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_count_stream_draws_once_per_step_for_a_whole_block(monkeypatch, n):
+    # binary drives make the set gate 0/1, so only the flips draw: at n = 4
+    # one multinomial for the whole block per step, at n = 5 one binomial
+    # per flip and step, after the initial multinomial
+    streams = []
+    counts_stream = stochres.rng.stream
+
+    def tallied(*path):
+        streams.append((path, _DrawTally(counts_stream(*path))))
+        return streams[-1][1]
+
+    monkeypatch.setattr(stochres.rng, "stream", tallied)
+    res = sr.build_reservoir(sr.shift_register_flip_family(n, 0.1))
+    seq = InputSequence(_binary_drives(3, 60), washout_length=7)
+    sr.sample_frequencies(res, seq, shots=_count_side(n), seed=2)
+    [(path, gen)] = streams
+    assert path == (2, stochres.rng.COUNTS)
+    steps = len(seq)
+    want = {"multinomial": 1 + steps} if n == 4 else {"multinomial": 1, "binomial": n * steps}
+    assert dict(gen.calls) == want
 
 
 def test_sample_frequencies_takes_each_side_of_the_cost_rule():
@@ -1275,6 +1346,24 @@ def test_vector_inputs_are_rejected():
     for values in ([[3.0, 4.0], [0.0, 0.5]], [[3.0, 4.0]], np.zeros((5, 3))):
         with pytest.raises(ValueError, match="shape"):
             InputSequence(np.asarray(values), washout_length=0)
+
+
+def test_input_sequence_washout_is_an_integer():
+    drives = np.zeros(5)
+    for bad in (2.5, True, False, 3.0, "3", None):
+        with pytest.raises(InvalidInput, match="washout_length must be an integer"):
+            InputSequence(drives, washout_length=bad)
+    with pytest.raises(ValueError, match="washout_length must be >= 0"):
+        InputSequence(drives, washout_length=-1)
+    assert InputSequence(drives, washout_length=np.int64(3)).washout_length == 3
+
+
+def test_point_mass_index_lies_in_the_register():
+    for bad in (-1, 8, 9):
+        with pytest.raises(InvalidInput, match="point mass index"):
+            BitstringDistribution.point_mass(3, bad)
+    np.testing.assert_array_equal(BitstringDistribution.point_mass(3, 7).probs,
+                                  np.eye(8)[7])
 
 
 def test_input_sequence_shape_comes_from_ndim():
