@@ -51,11 +51,9 @@ ROW_SUM_TOL = 1e-12
 DEFAULT_K_MAX = 2
 DEFAULT_WASHOUT = 1000
 # the sampler's block: shots simulated together, and the steps whose
-# uniforms they draw at once; the draws of one slice of a block's shots
-# are tabulated before the next slice's are drawn, while they are in cache
+# uniforms they draw at once
 SAMPLE_BLOCK = 1024
-SAMPLE_STEPS = 128
-SAMPLE_SLICE = 128
+SAMPLE_STEPS = 32
 # a run of static plan ops folds into one kernel product when the product
 # takes at most this many multiplications per op it replaces (see
 # _fold_static_runs)
@@ -287,10 +285,13 @@ class BitstringDistribution:
 
     @classmethod
     def point_mass(cls, n: int, index: int) -> "BitstringDistribution":
-        """All mass on bitstring ``index``, which must lie in [0, 2**n);
-        any other index raises :class:`InvalidInput`, a ``ValueError``."""
-        if not 0 <= index < 2 ** n:
-            raise InvalidInput(f"point mass index must be in [0, {2 ** n}), got {index!r}")
+        """All mass on bitstring ``index``, an integer (not a bool) in
+        [0, 2**n); any other index raises :class:`InvalidInput`, a
+        ``ValueError``."""
+        if (isinstance(index, bool) or not isinstance(index, numbers.Integral)
+                or not 0 <= index < 2 ** n):
+            raise InvalidInput(
+                f"point mass index must be an integer in [0, {2 ** n}), got {index!r}")
         p = np.zeros(2 ** n)
         p[index] = 1.0
         return cls(p)
@@ -658,10 +659,10 @@ class _BlockOp(_KernelOp):
     whole register. Its sums group the parts' products differently, so an
     exact step moves in the last bits. The matrix is also its static
     kernel. The per-shot sampler takes the parts themselves (see
-    :func:`_sampler_steps`), each on its own uniforms and with the CDF
-    table of its own kernel, so every stream and sample is unchanged. The
-    count sampler takes the block whole, with the matrix as its kernel,
-    where that pays, and by its parts otherwise (see :func:`_count_steps`).
+    :func:`_op_parts`), each on its own uniforms and with the CDF table of
+    its own kernel, so every stream and sample is unchanged. The count
+    sampler takes the block whole, with the matrix as its kernel, where
+    that pays, and by its parts otherwise (see :func:`_count_steps`).
     """
 
     varies = False  # with the drive
@@ -749,10 +750,9 @@ class StepPlan:
     small registers a block spans the whole register (through n = 8 for
     the scan family) and is one matrix-vector product. Exact steps through
     a folded run agree with gate-by-gate ones within 1e-13 per entry (about
-    1e-16 in practice), not bit for bit. The sampler takes block ops by
-    their parts and each run of one-bit kernel ops as one bit-run (see
-    :func:`_sampler_steps`), from the ops as they are at the call, with
-    the same samples as one gate at a time.
+    1e-16 in practice), not bit for bit. The per-shot sampler takes block
+    ops by their parts (see :func:`_op_parts`), from the ops as they are at
+    the call, so its samples are those of one gate at a time.
 
     An exact step at drive ``u`` is one product with a whole-step
     ``2**n`` x ``2**n`` matrix when the plan ``tabulates``, that is when
@@ -1050,114 +1050,12 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_shots(shots) -> None:
-    """A shot count must be an integer (not a bool) of at least 1."""
+    """A shot count must be an integer (not a bool) in [1, 2**53], above
+    which the count sampler's float ``bincount`` would lose shots."""
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-
-
-class _BitRun:
-    """A maximal run of one-bit kernel ops, sampled as two bit masks per step.
-
-    A one-bit op sets its bit to ``cdf[0, b] <= r`` from the bit's value
-    ``b``, its kernel row's CDF and its uniform ``r``; ops on other bits
-    neither read nor write it. So after the run each bit is a function of
-    its own value before it, and :meth:`load` tabulates both outcomes for a
-    slice of draws with whole-slice array ops: bit ``b`` of ``m0[i, k]`` is
-    shot ``i``'s bit after the run at step ``k`` from a 0, and of
-    ``m1[i, k]`` from a 1. The bits the run leaves alone are 0 in ``m0``
-    and 1 in ``m1``. The masks held are ``m0`` and ``m0 ^ m1``, the bits
-    whose outcome depends on their value, so a step is ``m0 ^ (states &
-    (m0 ^ m1))``, which is ``(states & m1) | (~states & m0)`` in two array
-    ops. The comparisons are those of one op at a time, and a later op on
-    a bit composes after an earlier one, so every sample is unchanged.
-    The masks hold ``cells`` (shot, step) pairs, a whole block; each load
-    writes one slice's rows of them, and its working arrays hold one slice.
-    """
-
-    def __init__(self, ops, values, dtype, cells: int):
-        self.dtype = dtype
-        # per bit (as its shift): (uniform column, varies, cdf[..., 0, :])
-        # of each op on it, in plan order
-        self.bits = {}
-        for op in ops:
-            cdf = _cdf_columns(op.kernel(values))[..., 0, :]
-            self.bits.setdefault(op.shifts[0], []).append((op.index, op.varies, cdf))
-        self.keep = dtype.type(~sum(1 << sh for sh in self.bits) & np.iinfo(dtype).max)
-        self.ints = np.empty(2 * cells, dtype=dtype)
-        # a slice holds at most SAMPLE_SLICE shots and SAMPLE_STEPS steps
-        part = min(cells, SAMPLE_SLICE * SAMPLE_STEPS)
-        self.shifted = np.empty(part, dtype=dtype)
-        self.bools = np.empty(4 * part, dtype=bool)
-        # one op's uniforms, copied out of the tile once for its two compares
-        self.uniforms = np.empty(part)
-
-    def load(self, draws: np.ndarray, index: np.ndarray, lo: int, shots: int) -> None:
-        """Tabulate the masks of shots ``[lo, lo + len(draws))`` of a block
-        of ``shots`` from their uniforms ``draws[shot, step, gate]``, whose
-        steps take drive value ``index[step]``."""
-        size, steps = draws.shape[:2]
-        self.masks = self.ints[:2 * shots * steps].reshape(2, shots, steps)
-        m0, m1 = self.masks[:, lo:lo + size]
-        shifted = self.shifted[:size * steps].reshape(size, steps)
-        zero, one, out0, out1 = self.bools[:4 * size * steps].reshape(4, size, steps)
-        r = self.uniforms[:size * steps].reshape(size, steps)
-        m0.fill(0)
-        m1.fill(self.keep)
-        for shift, ops in self.bits.items():
-            for j, (column, varies, cdf) in enumerate(ops):
-                c0, c1 = (cdf[index, 0], cdf[index, 1]) if varies else cdf
-                np.copyto(r, draws[:, :, column])
-                if j == 0:
-                    np.less_equal(c0, r, out=zero)
-                    np.less_equal(c1, r, out=one)
-                    continue
-                # the op's outcome is out1 where the bit is 1, else out0:
-                # out0 ^ (bit & (out0 ^ out1))
-                np.less_equal(c0, r, out=out0)
-                np.less_equal(c1, r, out=out1)
-                out1 ^= out0
-                for bit in (zero, one):
-                    bit &= out1
-                    bit ^= out0
-            for mask, bit in ((m0, zero), (m1, one)):
-                np.left_shift(bit.view(np.uint8), shift, out=shifted, dtype=self.dtype)
-                mask |= shifted
-        m1 ^= m0
-
-    def sample(self, states: np.ndarray, k: int) -> np.ndarray:
-        m0, differ = self.masks
-        return m0[:, k] ^ (states & differ[:, k])
-
-
-class _OpStep:
-    """A gather or multi-bit kernel op, sampled one step at a time.
-
-    A kernel op copies its own uniforms into a (step, shot) buffer of
-    ``cells`` entries, a whole block, so that a step reads one row.
-    """
-
-    def __init__(self, op, values, dtype, cells: int):
-        self.op = op
-        self.fwd = op.fwd.astype(dtype) if isinstance(op, _GatherOp) else None
-        if self.fwd is None:
-            self.cdf = _cdf_columns(op.kernel(values))
-            self.block = np.empty(cells)
-
-    def load(self, draws: np.ndarray, index: np.ndarray, lo: int, shots: int) -> None:
-        if self.fwd is not None:
-            return
-        self.index = index
-        self.uniforms = self.block[:draws.shape[1] * shots].reshape(-1, shots)
-        self.uniforms[:, lo:lo + len(draws)] = draws[:, :, self.op.index].T
-
-    def sample(self, states: np.ndarray, k: int) -> np.ndarray:
-        if self.fwd is not None:
-            return self.fwd.take(states)
-        op = self.op
-        cdf = self.cdf[self.index[k]] if op.varies else self.cdf
-        return op.sample(states, cdf, self.uniforms[k])
+        raise InvalidInput(f"shots must be an integer, got {shots!r}")
+    if not 1 <= shots <= 2 ** 53:
+        raise InvalidInput(f"shots must be in [1, 2**53], got {shots!r}")
 
 
 def _op_parts(plan: StepPlan) -> list:
@@ -1165,24 +1063,6 @@ def _op_parts(plan: StepPlan) -> list:
     that the per-shot sampler takes one by one."""
     return [part for op in plan.ops
             for part in (op.parts if isinstance(op, _BlockOp) else [op])]
-
-
-def _sampler_steps(plan: StepPlan, values: np.ndarray, dtype, cells: int) -> list:
-    """The plan's ops as the sampler runs them at the drive ``values``, on
-    blocks of up to ``cells`` (shot, step) pairs.
-
-    A block op gives its parts back; each maximal run of one-bit kernel ops
-    among them becomes one :class:`_BitRun`, and every other op one
-    :class:`_OpStep`.
-    """
-    steps = []
-    for one_bit, run in itertools.groupby(
-            _op_parts(plan), lambda op: isinstance(op, _KernelOp) and op.rows == 2):
-        if one_bit:
-            steps.append(_BitRun(list(run), values, dtype, cells))
-        else:
-            steps += [_OpStep(op, values, dtype, cells) for op in run]
-    return steps
 
 
 def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
@@ -1194,23 +1074,14 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
     ``SAMPLE_BLOCK`` on one thread: the loop over steps holds the GIL, so
     worker threads would add only scheduling. Per step, each gate owns
     exactly one uniform per shot, drawn for ``SAMPLE_STEPS`` steps at a
-    time, and a state of a one-hot kernel row takes its column whatever
-    the uniform. A block's draws go through one tile of ``SAMPLE_SLICE``
-    x ``SAMPLE_STEPS`` x gates, allocated once per call: each slice of the
-    block's shots draws into it, and every sampler step loads its share
-    of the slice at once, while it is still in cache, into block-wide
-    buffers that the step loop then reads. Shots step through the
-    reservoir's compiled plan, block ops through their parts (see
-    :func:`_sampler_steps`): a gather maps states through its index
-    table, a multi-bit kernel op draws each shot's new sub-register from
-    its kernel row, and each run of one-bit kernel ops (the ``set`` drive
-    and flip noise of every experiment's reservoir) is one
-    :class:`_BitRun`, two masks per step tabulated slice by slice with the
-    same comparisons. So fusing or folding gates leaves every stream, and
-    the output, unchanged. Kernel rows are built once for all of the run's
-    distinct drive values. States step, and the (shots, steps) samples are
-    held, in the register's own width, ``np.min_scalar_type(2**n - 1)``:
-    ``uint8`` through n = 8 and ``uint16`` through n = 16.
+    time into one tile allocated per call, and a state of a one-hot kernel
+    row takes its column whatever the uniform. Shots step gate by gate,
+    block ops through their parts (:func:`_op_parts`): a gather maps states
+    through its index table, and a kernel op draws each shot's new
+    sub-register from its CDF table, built once for the run's distinct
+    drive values, by its own column of the tile. So fusing or folding gates
+    leaves every stream, and the output, unchanged. States and samples are
+    held in the register's own width, ``np.min_scalar_type(2**n - 1)``.
     """
     _check_shots(shots)
     values, index = _checked_drives(reservoir, inputs)
@@ -1219,11 +1090,12 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
     # the smallest unsigned type that holds n bits, for the states and the output
     dtype = np.min_scalar_type(reservoir.dim - 1)
     out = np.empty((shots, len(inputs) - washout), dtype=dtype)
-    block_steps = min(len(index), SAMPLE_STEPS)
-    steps = _sampler_steps(reservoir.plan, values, dtype,
-                           min(shots, SAMPLE_BLOCK) * block_steps)
-    # uniforms of a slice: tile[i, k, gi] is its shot i's for gate gi at step k
-    tile = np.empty((min(shots, SAMPLE_SLICE), block_steps, len(reservoir.gates)))
+    # each op with its gather table, or with its CDF table at the drive values
+    ops = [(op, op.fwd.astype(dtype) if isinstance(op, _GatherOp)
+            else _cdf_columns(op.kernel(values))) for op in _op_parts(reservoir.plan)]
+    # uniforms of a block: tile[i, k, gi] is its shot i's for gate gi at step k
+    tile = np.empty((min(shots, SAMPLE_BLOCK), min(len(index), SAMPLE_STEPS),
+                     len(reservoir.gates)))
     init_cdf = np.cumsum(reservoir.spec.initial_state.probs)
     init_cdf[-1] = 1.0
     for s0 in range(0, shots, SAMPLE_BLOCK):
@@ -1235,18 +1107,18 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
         states = states.astype(dtype)
         for t0 in range(0, len(index), SAMPLE_STEPS):
             at = index[t0:t0 + SAMPLE_STEPS]
-            for lo in range(0, len(gens), SAMPLE_SLICE):
-                part = gens[lo:lo + SAMPLE_SLICE]
-                draws = tile[:len(part), :len(at)]
-                for i, g in enumerate(part):
-                    g.random(out=draws[i])
-                for step in steps:
-                    step.load(draws, at, lo, len(gens))
-            for k, t in enumerate(range(t0, t0 + len(at))):
-                for step in steps:
-                    states = step.sample(states, k)
-                if t >= washout:
-                    out[s0:s0 + len(gens), t - washout] = states
+            draws = tile[:len(gens), :len(at)]
+            for i, g in enumerate(gens):
+                g.random(out=draws[i])
+            for k, v in enumerate(at.tolist()):
+                for op, table in ops:
+                    if isinstance(op, _GatherOp):
+                        states = table.take(states)
+                    else:
+                        states = op.sample(states, table[v] if op.varies else table,
+                                           draws[:, k, op.index])
+                if t0 + k >= washout:
+                    out[s0:s0 + len(gens), t0 + k - washout] = states
         del gens, states  # before the next block's streams are built
     return TrajectoryEnsemble(out, reservoir.n, seed, washout)
 

@@ -7,7 +7,11 @@ which they are created, so results are reproducible regardless of how work is
 chunked or threaded.
 """
 
+import numbers
+
 import numpy as np
+
+from .errors import InvalidInput
 
 _MASK64 = (1 << 64) - 1
 
@@ -18,8 +22,13 @@ def stream(root_seed, *path):
     The same arguments always yield the same stream; distinct paths yield
     statistically independent streams. Within a stream, draws are consumed
     sequentially (the Philox counter plays the role of the step index).
+    Each word is masked to 64 bits; a bool or a non-integer, which ``int()``
+    would alias onto an integer's stream, raises :class:`InvalidInput`.
     """
-    entropy = (int(root_seed) & _MASK64,) + tuple(int(p) & _MASK64 for p in path)
+    words = (root_seed, *path)
+    if any(isinstance(w, bool) or not isinstance(w, numbers.Integral) for w in words):
+        raise InvalidInput(f"stream seeds and paths must be integers, got {words!r}")
+    entropy = tuple(int(w) & _MASK64 for w in words)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 

@@ -128,8 +128,7 @@ def _run_ipc(params, seed):
     probability-trace capacity is reported beside the spectral one. In
     sampled mode they are the empirical frequencies of ``shots``
     trajectories from :func:`~stochres.signals.sample_frequencies`, which
-    propagates shot counts or samples each shot by its cost rule; the trace
-    capacity is null.
+    propagates shot counts at every shot count; the trace capacity is null.
     """
     n = params["n"]
     lam = params["lambda"]
@@ -398,7 +397,7 @@ EXPERIMENTS: dict = {
         "timesteps": (1500, _AT_LEAST_1),
         "washout": (100, _AT_LEAST_0),
         "mode": ("exact", OneOf({"exact", "sampled"})),
-        "shots": (2000, _AT_LEAST_1),
+        "shots": (2000, Interval(1, 2 ** 53)),
     }),
     "scan-n": (_run_scan, {
         # every n of the scan runs in exact mode

@@ -25,7 +25,6 @@ from .reservoir import (
     TrajectoryEnsemble,
     _check_shots,
     _count_frequencies,
-    sample_trajectories,
 )
 
 logger = logging.getLogger(__name__)
@@ -33,11 +32,6 @@ logger = logging.getLogger(__name__)
 MODE_EXACT = "exact-probability"
 MODE_EMPIRICAL = "empirical-frequency"
 MODE_MOMENT = "moment"
-
-# the count sampler's cost per op and step beyond one shot per state, in
-# shots that the per-shot sampler moves through one gate in the same time:
-# mostly the fixed cost of one binomial call (see _counts_pay)
-COUNT_CALL_SHOTS = 512
 
 
 @dataclass
@@ -148,13 +142,6 @@ def empirical_probabilities(ensemble: TrajectoryEnsemble) -> SignalMatrix:
     return sm
 
 
-def _counts_pay(shots: int, n: int) -> bool:
-    """The sampling cost rule: propagating the shot counts of an ``n``-bit
-    register, at about the cost of ``COUNT_CALL_SHOTS + 2**n`` shots per op
-    and step, costs no more than moving ``shots`` shots one by one."""
-    return shots >= COUNT_CALL_SHOTS + 2 ** n
-
-
 def sample_frequencies(reservoir: Reservoir, inputs: InputSequence, shots: int,
                        seed: int) -> SignalMatrix:
     """Per-step bitstring frequencies of ``shots`` sampled trajectories.
@@ -162,23 +149,15 @@ def sample_frequencies(reservoir: Reservoir, inputs: InputSequence, shots: int,
     An empirical-frequency SignalMatrix whose row ``t`` holds, for every
     bitstring, the share of shots in it after drive ``washout_length + t``,
     for ``n`` up to ``EXACT_MODE_MAX_BITS``. No shot's own path is kept, so
-    the frequencies come from the cheaper of two samplers, by one cost
-    rule on ``shots`` and ``2**n`` alone (``_counts_pay``): when ``shots >=
-    COUNT_CALL_SHOTS + 2**n`` the count vector is propagated as a Markov
-    chain, with one multinomial call per small folded block op and else one
-    binomial or multinomial call per op, each over the occupied states (see
+    the count vector is propagated as a Markov chain at any shot count (see
     ``reservoir._count_frequencies``), on the stream ``(seed,
-    rng.COUNTS)``; otherwise it is
-    ``empirical_probabilities(sample_trajectories(...))``, on the shots'
-    streams ``(seed, s)``. Both have the law of ``shots`` independent
-    trajectories, and a fixed seed gives the same bits on every run; the
-    two sides of the rule draw differently. ``shots`` and the drives are
-    checked as :func:`~stochres.reservoir.sample_trajectories` checks them.
+    rng.COUNTS)``: the law of ``shots`` independent trajectories, drawn
+    otherwise than :func:`~stochres.reservoir.sample_trajectories` draws
+    them, with the same bits for a seed on every run. ``shots`` and the
+    drives are checked as ``sample_trajectories`` checks them.
     """
     _check_shots(shots)
     _check_dense(reservoir.n)
-    if not _counts_pay(shots, reservoir.n):
-        return empirical_probabilities(sample_trajectories(reservoir, inputs, shots, seed))
     sm = SignalMatrix(_count_frequencies(reservoir, inputs, shots, seed), MODE_EMPIRICAL,
                       reservoir.n, shots=int(shots))
     sm.validate()

@@ -175,7 +175,7 @@ def test_identical_config_and_seed_reproduce_checksums(tmp_path):
 @pytest.mark.parametrize("seed", [0, 5, 2 ** 40 + 3])
 @pytest.mark.parametrize("config", [
     {"experiment": "ipc", "mode": "exact", "n": 3},
-    # above and below the count sampler's cost rule, 512 + 2**n shots
+    # many shots and few, both propagated as counts
     {"experiment": "ipc", "mode": "sampled", "n": 3, "shots": 600},
     {"experiment": "ipc", "mode": "sampled", "n": 3, "shots": 20},
     {"experiment": "scan-n", "n_min": 2, "n_max": 3, "repeats": 2},
@@ -196,8 +196,8 @@ def test_no_two_streams_of_a_run_share_a_seed_state(config, seed, tmp_path, monk
     run_experiment({**config, "timesteps": 60, "washout": 5, "seed": seed,
                     "out_dir": str(tmp_path)})
     if "shots" in config:
-        # the drives, then the count stream or one stream per shot
-        assert len(states) == (2 if config["shots"] == 600 else 1 + config["shots"])
+        # the drives, then the count stream
+        assert len(states) == 2
     assert len(set(states)) == len(states)
 
 
@@ -293,6 +293,7 @@ def test_cli_rejects_ambiguous_numbers_with_config_exit_code(text, tmp_path):
     ('{"mode": "bogus"}', "mode"),
     ('{"n": 0}', "n"),
     ('{"mode": "sampled", "shots": 0}', "shots"),
+    ('{"mode": "sampled", "shots": 9007199254740993}', "shots"),
     ('{"timesteps": -5}', "timesteps"),
     ('{"lambda": 0.7}', "lambda"),
     ('{"lambda": -0.1}', "lambda"),
@@ -328,6 +329,7 @@ def test_config_range_limits_are_inclusive():
                            "timesteps": 1, "washout": 0})
     assert (eff["n_min"], eff["n_max"], eff["washout"]) == (3, 3, 0)
     assert validate_config({"experiment": "ipc", "mode": "sampled", "shots": 1})["shots"] == 1
+    assert validate_config({"experiment": "ipc", "shots": 2 ** 53})["shots"] == 2 ** 53
     eff = validate_config({"experiment": "ipc", "n": 14, "lambda": 0.5})
     assert (eff["n"], eff["lambda"]) == (14, 0.5)
     assert validate_config({"experiment": "scan-n", "lambda": 0.0})["lambda"] == 0.0

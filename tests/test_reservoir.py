@@ -34,21 +34,17 @@ from stochres.reservoir import (
     InputSequence,
     ReservoirSpec,
     SAMPLE_BLOCK,
-    SAMPLE_SLICE,
     SAMPLE_STEPS,
     _BitCounts,
-    _BitRun,
     _BlockOp,
     _ExactSteps,
     _GatherOp,
     _KernelCounts,
     _KernelOp,
-    _OpStep,
     _cdf_columns,
     _count_frequencies,
     _count_steps,
     _op_parts,
-    _sampler_steps,
     _whole_block_counts_pay,
     asymmetric_flip_gate,
     cnot_gate,
@@ -64,7 +60,6 @@ from stochres.reservoir import (
     swap_gate,
 )
 from stochres.rng import stream
-from stochres.signals import COUNT_CALL_SHOTS, _counts_pay
 
 from helpers import (
     dense_gate_matrix,
@@ -760,8 +755,6 @@ def test_sampler_equals_gate_by_gate_reference_across_blocks_and_chunks(seed, n)
     gates += [flip_gate(b, gen.uniform(0.05, 0.3)) for b in range(n)]
     spec = ReservoirSpec(n=n, gates=gates, depth_bound=len(gates))
     res = sr.build_reservoir(spec)
-    assert any(isinstance(step, _BitRun) for step in _sampler_steps(res.plan, np.zeros(1),
-                                                                    np.dtype(np.uint16), 1))
     drives = gen.choice(gen.uniform(-1, 1, 5), SAMPLE_STEPS + 22)
     seq = InputSequence(drives, washout_length=7)
     shots = SAMPLE_BLOCK + 9
@@ -773,9 +766,8 @@ def test_sampler_equals_gate_by_gate_reference_across_blocks_and_chunks(seed, n)
 
 
 def test_sampled_shift_register_digest_is_unchanged():
-    # digest recorded with the gate-by-gate sampler, before runs of one-bit
-    # gates were sampled through bit masks; two blocks, the second one
-    # partial, each over two tiles of steps
+    # digest recorded with the gate-by-gate sampler; two blocks, the second
+    # one partial, each over several tiles of steps
     res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.1))
     bits = np.unpackbits(np.frombuffer(hashlib.sha256(b"stochres binary drives").digest(),
                                        np.uint8))
@@ -786,45 +778,32 @@ def test_sampled_shift_register_digest_is_unchanged():
         "ba844f38d74e19c09cb256c70117215e9d97e10e0b4299ba3b77a14d85833ffe"
 
 
-@pytest.mark.parametrize("n", [2, 4, 9, 12])
-def test_shift_register_samples_its_set_gate_and_noise_as_one_bit_run(n):
-    # the swaps fuse into one gather; the set gate and every flip, folded
-    # into blocks or not, are one run of one-bit ops
-    res = sr.build_reservoir(sr.shift_register_flip_family(n, 0.1))
-    steps = _sampler_steps(res.plan, np.array([0.0, 1.0]), np.dtype(np.uint16), 1)
-    assert [type(step) for step in steps] == [_OpStep, _BitRun]
-    assert sorted(steps[1].bits) == list(range(n))
-    assert [len(ops) for _, ops in sorted(steps[1].bits.items())] == [2] + [1] * (n - 1)
-
-
 def test_samples_do_not_depend_on_the_tile(monkeypatch):
-    # a gather, a 2-bit kernel op and runs of one-bit ops; on 3-shot blocks
-    # of 2-shot slices over 5 steps the 7 shots and 23 steps end in a
-    # partial block, slice and tile, and SAMPLE_SLICE + 5 shots fill one
-    # slice and part of the next in the default block
+    # a gather, a 2-bit kernel op and one-bit ops; on 3-shot blocks over 5
+    # steps the 7 shots and 23 steps end in a partial block and tile, and
+    # 133 shots fill part of the default block
     gates = [swap_gate(0, 1), controlled_flip_gate(0, 2, {"type": "poly", "coeffs": [0.3, 0.2]}),
              set_gate(2, {"type": "poly", "coeffs": [0.5, 0.3]})]
     gates += [flip_gate(b, 0.1 + 0.05 * b) for b in range(3)]
     res = sr.build_reservoir(ReservoirSpec(n=3, gates=gates))
-    steps = _sampler_steps(res.plan, np.zeros(1), np.dtype(np.uint8), 1)
-    assert [type(step) for step in steps] == [_OpStep, _OpStep, _BitRun]
-    assert steps[0].fwd is not None and steps[1].op.rows == 4
+    parts = _op_parts(res.plan)
+    assert isinstance(parts[0], _GatherOp) and parts[1].rows == 4
     seq = InputSequence(np.random.default_rng(8).uniform(-1, 1, 23), washout_length=4)
     whole = [sample_trajectories(res, seq, shots=shots, seed=13).samples
-             for shots in (7, SAMPLE_SLICE + 5)]
+             for shots in (7, 133)]
     assert whole[1][:7].tobytes() == whole[0].tobytes()
     monkeypatch.setattr("stochres.reservoir.SAMPLE_BLOCK", 3)
     monkeypatch.setattr("stochres.reservoir.SAMPLE_STEPS", 5)
-    monkeypatch.setattr("stochres.reservoir.SAMPLE_SLICE", 2)
     for samples in whole:
         tiled = sample_trajectories(res, seq, shots=len(samples), seed=13)
         assert tiled.samples.tobytes() == samples.tobytes()
 
 
 def test_sampler_holds_one_slice_of_draws():
-    # 1100 shots over 300 steps: a whole-block draw tile alone would take
-    # 1024 x 128 x 8 x 8 B = 8 MB at n = 4. The peak of the whole call
-    # counts the samples too, which take 0.3 MiB as uint8 (2.5 as int64)
+    # 1100 shots over 300 steps: the draw tile of a block holds 1024 shots
+    # x SAMPLE_STEPS (32) steps x 8 gates x 8 B = 2 MiB at n = 4, where all
+    # 300 steps would take 19 MiB. The peak of the whole call counts the
+    # samples too, which take 0.3 MiB as uint8 (2.5 as int64)
     res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.1))
     drives = np.random.default_rng(4).integers(0, 2, 320).astype(float)
     seq = InputSequence(drives, washout_length=20)
@@ -841,8 +820,8 @@ def test_sampler_holds_one_slice_of_draws():
 def test_sampling_rejects_shots_that_are_not_counts():
     res = sr.build_reservoir(ReservoirSpec(n=1, gates=[flip_gate(0, 0.2)]))
     seq = InputSequence(np.zeros(4), washout_length=0)
-    for shots in (2.5, True, 3.0, "3", 0, -1):
-        with pytest.raises(ValueError, match="shots"):
+    for shots in (2.5, True, 3.0, "3", 0, -1, 2 ** 53 + 1):
+        with pytest.raises(InvalidInput, match="shots"):
             sample_trajectories(res, seq, shots=shots, seed=0)
     assert sample_trajectories(res, seq, shots=np.int64(3), seed=0).shots == 3
 
@@ -907,11 +886,6 @@ def test_sampled_frequencies_concentrate_around_exact():
 
 # --- count sampler -------------------------------------------------------------
 
-def _count_side(n):
-    """The fewest shots that sample_frequencies propagates as counts at n bits."""
-    return COUNT_CALL_SHOTS + 2 ** n
-
-
 def _binary_drives(seed, steps):
     return stream(seed, 1).integers(0, 2, steps).astype(float)
 
@@ -954,8 +928,8 @@ def test_count_frequencies_equal_exact_rows_when_every_kernel_is_01(spec, multi_
     steps = _count_steps(res.plan, np.array([0.0, 1.0]))
     assert any(isinstance(step, _KernelCounts) for step in steps) == multi_bit
     seq = InputSequence(_binary_drives(3, 60), washout_length=7)
-    sm = sr.sample_frequencies(res, seq, shots=_count_side(4), seed=2)
-    assert sm.mode == "empirical-frequency" and sm.shots == _count_side(4)
+    sm = sr.sample_frequencies(res, seq, shots=528, seed=2)
+    assert sm.mode == "empirical-frequency" and sm.shots == 528
     assert sm.data.tobytes() == sr.run_exact(res, seq).tobytes()
 
 
@@ -966,7 +940,7 @@ def test_one_bit_01_kernels_move_counts_with_no_draw(monkeypatch):
     monkeypatch.setattr(stochres.rng, "stream", lambda *path: _InitialDrawOnly(counts_stream(*path)))
     res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.0))
     seq = InputSequence(_binary_drives(3, 60), washout_length=7)
-    sm = sr.sample_frequencies(res, seq, shots=_count_side(4), seed=2)
+    sm = sr.sample_frequencies(res, seq, shots=528, seed=2)
     assert sm.data.tobytes() == sr.run_exact(res, seq).tobytes()
 
 
@@ -986,8 +960,8 @@ def test_count_path_takes_kernels_off_by_rounding():
     steps = _count_steps(res.plan, np.array([0.0]))
     assert any(isinstance(step, _KernelCounts) for step in steps)
     seq = InputSequence(np.zeros(30), washout_length=3)
-    for shots in (_count_side(2) - 1, _count_side(2)):
-        # both sides of the cost rule draw, and give whole shot counts
+    for shots in (5, 516):
+        # few shots and many both give whole shot counts
         counts = sr.sample_frequencies(res, seq, shots=shots, seed=6).data * shots
         assert np.allclose(counts, np.round(counts), rtol=0.0, atol=1e-9)
         assert np.all(np.round(counts).sum(axis=1) == shots)
@@ -997,7 +971,7 @@ def test_count_rows_are_integer_counts_over_shots():
     gen = np.random.default_rng(8)
     res = sr.build_reservoir(random_physical_reservoir(3, gen))
     seq = InputSequence(gen.uniform(-1, 1, 40), washout_length=5)
-    shots = _count_side(3) + 11
+    shots = 531
     sm = sr.sample_frequencies(res, seq, shots=shots, seed=4)
     counts = sm.data * shots
     assert sm.data.shape == (35, 8)
@@ -1115,7 +1089,7 @@ def test_count_stream_draws_once_per_step_for_a_whole_block(monkeypatch, n):
     monkeypatch.setattr(stochres.rng, "stream", tallied)
     res = sr.build_reservoir(sr.shift_register_flip_family(n, 0.1))
     seq = InputSequence(_binary_drives(3, 60), washout_length=7)
-    sr.sample_frequencies(res, seq, shots=_count_side(n), seed=2)
+    sr.sample_frequencies(res, seq, shots=600, seed=2)
     [(path, gen)] = streams
     assert path == (2, stochres.rng.COUNTS)
     steps = len(seq)
@@ -1123,26 +1097,41 @@ def test_count_stream_draws_once_per_step_for_a_whole_block(monkeypatch, n):
     assert dict(gen.calls) == want
 
 
-def test_sample_frequencies_takes_each_side_of_the_cost_rule():
+def test_sample_frequencies_always_propagates_counts(monkeypatch):
+    # at few shots and many, the frequencies are the count sampler's and no
+    # shot is sampled on its own
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_frequencies sampled each shot")
+
     res = sr.build_reservoir(sr.shift_register_flip_family(4, 0.1))
     seq = InputSequence(_binary_drives(4, 80), washout_length=10)
-    edge = _count_side(4)
-    assert not _counts_pay(edge - 1, 4) and _counts_pay(edge, 4)
-    below = sr.sample_frequencies(res, seq, shots=edge - 1, seed=3)
-    per_shot = sr.empirical_probabilities(sample_trajectories(res, seq, shots=edge - 1, seed=3))
-    assert below.data.tobytes() == per_shot.data.tobytes() and below.shots == edge - 1
-    at = sr.sample_frequencies(res, seq, shots=edge, seed=3)
-    assert at.data.tobytes() == _count_frequencies(res, seq, edge, 3).tobytes()
-    per_shot = sr.empirical_probabilities(sample_trajectories(res, seq, shots=edge, seed=3))
-    assert at.data.tobytes() != per_shot.data.tobytes()
+    monkeypatch.setattr("stochres.reservoir.sample_trajectories", refuse)
+    monkeypatch.setattr("stochres.signals.sample_trajectories", refuse, raising=False)
+    for shots in (1, 5, 20, 600):
+        sm = sr.sample_frequencies(res, seq, shots=shots, seed=3)
+        assert sm.shots == shots
+        assert sm.data.tobytes() == _count_frequencies(res, seq, shots, 3).tobytes()
 
 
-@pytest.mark.parametrize("shots", [5, _count_side(2)])
+def test_count_sampler_conserves_two_to_the_53_shots_exactly():
+    # the largest shot count allowed, through the flip block taken whole at
+    # n = 3: every count is a float64 integer, and every row keeps them all
+    res = sr.build_reservoir(sr.shift_register_flip_family(3, 0.1))
+    steps = _count_steps(res.plan, np.array([0.0, 1.0]))
+    assert isinstance(steps[-1], _KernelCounts) and steps[-1].kernel.shape == (8, 8)
+    seq = InputSequence(_binary_drives(6, 40), washout_length=5)
+    shots = 2 ** 53
+    counts = sr.sample_frequencies(res, seq, shots=shots, seed=1).data * shots
+    assert np.array_equal(counts, np.round(counts))
+    assert all(int(row.sum()) == shots for row in counts.astype(np.int64))
+
+
+@pytest.mark.parametrize("shots", [5, 516])
 def test_sample_frequencies_rejects_what_the_sampler_rejects(shots):
     res = sr.build_reservoir(sr.shift_register_flip_family(2, 0.1))
     seq = InputSequence(np.array([0.0, 1.0, 1.0]), washout_length=1)
-    for bad in (2.5, True, 3.0, "3", 0, -1):
-        with pytest.raises(ValueError, match="shots"):
+    for bad in (2.5, True, 3.0, "3", 0, -1, 2 ** 53 + 1, 2 ** 63):
+        with pytest.raises(InvalidInput, match="shots"):
             sr.sample_frequencies(res, seq, shots=bad, seed=0)
     assert sr.sample_frequencies(res, seq, shots=np.int64(shots), seed=0).shots == shots
     nan = InputSequence(np.array([0.0, 1.0, 1.0]), washout_length=1)
@@ -1341,6 +1330,22 @@ def test_stream_reproducibility_and_independence():
     assert not np.array_equal(a, c)
 
 
+def test_stream_seeds_and_paths_are_integers():
+    # a float or a bool would be truncated onto the stream of an integer
+    for args in ((1.5,), (True,), (np.float64(1.0),), (1, 2.5), (1, False), ("1",)):
+        with pytest.raises(InvalidInput, match="integers"):
+            sr.rng.stream(*args)
+    res = sr.build_reservoir(sr.shift_register_flip_family(2, 0.1))
+    seq = InputSequence(np.array([0.0, 1.0, 1.0]), washout_length=1)
+    for seed in (1.5, True):
+        with pytest.raises(InvalidInput, match="integers"):
+            sr.sample_frequencies(res, seq, shots=20, seed=seed)
+    # integers of any type keep their 64-bit mask
+    for same in ((np.int64(5),), (5 + 2 ** 64,), (np.uint64(5),)):
+        assert np.array_equal(sr.rng.stream(*same).random(4), sr.rng.stream(5).random(4))
+    assert np.array_equal(sr.rng.stream(-1).random(4), sr.rng.stream(2 ** 64 - 1).random(4))
+
+
 def test_vector_inputs_are_rejected():
     # a drive is one scalar per step; no reduction of a row is guessed
     for values in ([[3.0, 4.0], [0.0, 0.5]], [[3.0, 4.0]], np.zeros((5, 3))):
@@ -1359,7 +1364,7 @@ def test_input_sequence_washout_is_an_integer():
 
 
 def test_point_mass_index_lies_in_the_register():
-    for bad in (-1, 8, 9):
+    for bad in (-1, 8, 9, True, 1.5):
         with pytest.raises(InvalidInput, match="point mass index"):
             BitstringDistribution.point_mass(3, bad)
     np.testing.assert_array_equal(BitstringDistribution.point_mass(3, 7).probs,
