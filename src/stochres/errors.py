@@ -48,8 +48,8 @@ class InsufficientTrials(StochresError):
     """Too few Monte Carlo trials for a meaningful estimate."""
 
 
-class ExactModeOverflow(StochresError):
-    """Exact propagation requested for a state space that is too large."""
+class ExactModeOverflow(StochresError, ValueError):
+    """A dense vector over all 2^n states is asked for past the exact-mode cap."""
 
 
 class InvalidSamples(StochresError, ValueError):

@@ -28,13 +28,11 @@ from .capacity import (
 )
 from .errors import (
     ConditioningFailure,
-    ExactModeOverflow,
     InvalidInput,
     NonpositiveSignal,
     SearchBudgetExceeded,
 )
 from .reservoir import (
-    EXACT_MODE_MAX_BITS,
     BitstringDistribution,
     InputMeasure,
     InputSequence,
@@ -44,6 +42,7 @@ from .reservoir import (
     run_exact,
     set_gate,
     swap_gate,
+    _check_dense,
 )
 from .signals import probability_signals
 
@@ -153,10 +152,7 @@ def scan_system_size(family: Callable[[int, float], ReservoirSpec],
     than three standard errors below log 2.
     """
     n_values = sorted(int(n) for n in n_values)
-    if max(n_values) > EXACT_MODE_MAX_BITS:
-        raise ExactModeOverflow(
-            f"scan needs exact mode; n={max(n_values)} exceeds {EXACT_MODE_MAX_BITS}"
-        )
+    _check_dense(max(n_values), "scan's exact mode")
     means, errs, samples = [], [], []
     for n in n_values:
         spec = family(n, noise)

@@ -942,11 +942,11 @@ def _checked_drives(reservoir: Reservoir, inputs: InputSequence) -> tuple:
     return np.unique(drives, return_inverse=True)
 
 
-def _check_exact_mode(reservoir: Reservoir) -> None:
-    if reservoir.n > EXACT_MODE_MAX_BITS:
-        raise ExactModeOverflow(
-            f"exact mode supports up to {EXACT_MODE_MAX_BITS} bits, got {reservoir.n}"
-        )
+def _check_dense(n: int, what: str) -> None:
+    """Raise :class:`ExactModeOverflow`, a ``ValueError``, when ``what`` would
+    hold a dense vector of 2^n entries past ``EXACT_MODE_MAX_BITS``."""
+    if n > EXACT_MODE_MAX_BITS:
+        raise ExactModeOverflow(f"{what} supports up to {EXACT_MODE_MAX_BITS} bits, got {n}")
 
 
 def step_exact(reservoir: Reservoir, state, u: float) -> np.ndarray:
@@ -965,7 +965,7 @@ def step_exact(reservoir: Reservoir, state, u: float) -> np.ndarray:
     one outside the drive domain :class:`DriveBoundViolation`.
     """
     values, _ = _checked_drives(reservoir, InputSequence([float(u)], washout_length=0))
-    _check_exact_mode(reservoir)
+    _check_dense(reservoir.n, "exact mode")
     vec = state.probs if isinstance(state, BitstringDistribution) else np.asarray(state, dtype=float)
     if vec.size != reservoir.dim:
         raise MixedDimensions("state size does not match reservoir")
@@ -1005,7 +1005,7 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
     initial state is checked, once.
     """
     values, index = _checked_drives(reservoir, inputs)
-    _check_exact_mode(reservoir)
+    _check_dense(reservoir.n, "exact mode")
     step = _ExactSteps(reservoir.plan, values)
     steps = step.steps
     washout = inputs.washout_length

@@ -18,11 +18,11 @@ import numpy as np
 from .errors import MissingShotMetadata, MixedDimensions
 from .fileio import csv_text, read_raw, write_atomic, write_raw
 from .reservoir import (
-    EXACT_MODE_MAX_BITS,
     BitstringDistribution,
     InputSequence,
     Reservoir,
     TrajectoryEnsemble,
+    _check_dense,
     _check_shots,
     _count_frequencies,
 )
@@ -123,15 +123,9 @@ def probability_signals(dists) -> SignalMatrix:
     return sm
 
 
-def _check_dense(n: int) -> None:
-    if n > EXACT_MODE_MAX_BITS:
-        raise ValueError(
-            f"dense frequencies limited to n <= {EXACT_MODE_MAX_BITS}; use mask moments")
-
-
 def empirical_probabilities(ensemble: TrajectoryEnsemble) -> SignalMatrix:
     """Per-step bitstring frequencies of a trajectory ensemble."""
-    _check_dense(ensemble.n)
+    _check_dense(ensemble.n, "dense frequencies")
     dim = 2 ** ensemble.n
     counts = np.zeros((ensemble.steps, dim))
     for t in range(ensemble.steps):
@@ -157,7 +151,7 @@ def sample_frequencies(reservoir: Reservoir, inputs: InputSequence, shots: int,
     drives are checked as ``sample_trajectories`` checks them.
     """
     _check_shots(shots)
-    _check_dense(reservoir.n)
+    _check_dense(reservoir.n, "dense frequencies")
     sm = SignalMatrix(_count_frequencies(reservoir, inputs, shots, seed), MODE_EMPIRICAL,
                       reservoir.n, shots=int(shots))
     sm.validate()

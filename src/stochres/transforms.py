@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput, InvalidSamples, NegativeProbability
-from .reservoir import EXACT_MODE_MAX_BITS
+from .reservoir import _check_dense
 from .signals import MODE_MOMENT, SignalMatrix
 
 
@@ -25,18 +25,10 @@ def subset_mask(bits, n: int) -> int:
     return sum(1 << (n - 1 - int(b)) for b in bits)
 
 
-def _check_dense(n: int) -> None:
-    if n > EXACT_MODE_MAX_BITS:
-        raise ValueError(
-            f"dense transforms limited to n <= {EXACT_MODE_MAX_BITS}; "
-            "pass an explicit mask list instead"
-        )
-
-
 def _superset_pass(values, n: int, combine) -> np.ndarray:
     """Along each bit axis, ``values[m] = combine(values[m], values[m | bit])``
     for every ``m`` without the bit, in place on a float copy."""
-    _check_dense(n)
+    _check_dense(n, "dense transforms")
     out = np.array(values, dtype=float, copy=True)
     t = out.reshape(out.shape[:-1] + (2,) * n)
     for k in reversed(range(n)):  # bit axes first to last; the order fixes the rounding

@@ -173,17 +173,28 @@ def test_identical_config_and_seed_reproduce_checksums(tmp_path):
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2 ** 40 + 3])
-@pytest.mark.parametrize("config", [
-    {"experiment": "ipc", "mode": "exact", "n": 3},
-    # many shots and few, both propagated as counts
-    {"experiment": "ipc", "mode": "sampled", "n": 3, "shots": 600},
-    {"experiment": "ipc", "mode": "sampled", "n": 3, "shots": 20},
-    {"experiment": "scan-n", "n_min": 2, "n_max": 3, "repeats": 2},
-], ids=["ipc-exact", "ipc-counts", "ipc-shots", "scan-n"])
-def test_no_two_streams_of_a_run_share_a_seed_state(config, seed, tmp_path, monkeypatch):
+@pytest.mark.parametrize("config, streams", [
+    ({"experiment": "ipc", "mode": "exact", "n": 3, "timesteps": 60, "washout": 5}, 1),
+    # many shots and few, both propagated as counts: the drives, then the count stream
+    ({"experiment": "ipc", "mode": "sampled", "n": 3, "shots": 600, "timesteps": 60,
+      "washout": 5}, 2),
+    ({"experiment": "ipc", "mode": "sampled", "n": 3, "shots": 20, "timesteps": 60,
+      "washout": 5}, 2),
+    # one stream per n and repeat
+    ({"experiment": "scan-n", "n_min": 2, "n_max": 3, "repeats": 2, "timesteps": 60,
+      "washout": 5}, 4),
+    ({"experiment": "tails", "draws": 3, "points": 3}, 1),
+    ({"experiment": "power-basis", "n": 2, "samples": 100}, 1),
+    # one stream per q, seeded seed + i
+    ({"experiment": "learnability", "q_values": [0.01, 0.1], "m0_grid": [1], "trials": 1000,
+      "growth_n_min": 5, "growth_n_max": 5}, 2),
+], ids=["ipc-exact", "ipc-counts", "ipc-shots", "scan-n", "tails", "power-basis", "learnability"])
+def test_no_two_streams_of_a_run_share_a_seed_state(config, streams, seed, tmp_path, monkeypatch):
     # every rng.stream call of one run, as the state its SeedSequence gives
     # Philox; two equal states would be one stream drawn twice, as the
-    # drives and shot 0 once were
+    # drives and shot 0 once were. These are the experiments that draw from
+    # rng.stream: switching and fat-shatter draw nothing, and embed-check
+    # draws from np.random.default_rng, outside the stream tree
     states = []
     stream = stochres.rng.stream
 
@@ -193,11 +204,8 @@ def test_no_two_streams_of_a_run_share_a_seed_state(config, seed, tmp_path, monk
         return gen
 
     monkeypatch.setattr(stochres.rng, "stream", recorded)
-    run_experiment({**config, "timesteps": 60, "washout": 5, "seed": seed,
-                    "out_dir": str(tmp_path)})
-    if "shots" in config:
-        # the drives, then the count stream
-        assert len(states) == 2
+    run_experiment({**config, "seed": seed, "out_dir": str(tmp_path)})
+    assert len(states) == streams
     assert len(set(states)) == len(states)
 
 

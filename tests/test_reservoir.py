@@ -1420,6 +1420,24 @@ def test_exact_mode_register_cap():
         sr.run_exact(res, InputSequence(np.zeros(3), washout_length=0))
 
 
+def test_every_dense_vector_past_the_cap_raises_exact_mode_overflow():
+    # frequencies and transforms share the exact-mode cap and its error,
+    # still a ValueError for callers that catch that
+    from stochres.errors import ExactModeOverflow
+    from stochres.transforms import mobius_superset, zeta_superset
+
+    assert issubclass(ExactModeOverflow, ValueError)
+    wide = sr.build_reservoir(ReservoirSpec(n=15, gates=[flip_gate(0, 0.2)]))
+    with pytest.raises(ExactModeOverflow, match="dense frequencies .* got 15"):
+        sr.sample_frequencies(wide, InputSequence(np.zeros(3), washout_length=1), shots=5, seed=0)
+    ensemble = sr.TrajectoryEnsemble(np.zeros((2, 3), dtype=np.uint16), 15, seed_root=0)
+    with pytest.raises(ExactModeOverflow, match="dense frequencies .* got 15"):
+        sr.empirical_probabilities(ensemble)
+    for transform in (zeta_superset, mobius_superset):
+        with pytest.raises(ExactModeOverflow, match="dense transforms .* got 15"):
+            transform(np.zeros(2 ** 15), 15)
+
+
 def test_step_accepts_distribution_wrapper():
     res = sr.build_reservoir(ReservoirSpec(n=1, gates=[flip_gate(0, 0.3)]))
     out = sr.step_exact(res, BitstringDistribution(np.array([1.0, 0.0])), 0.0)
