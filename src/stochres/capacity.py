@@ -35,11 +35,13 @@ from .errors import (
     BasisNotOrthonormal,
     DegenerateSignals,
     EmptyRank,
+    InvalidInput,
     MissingShotMetadata,
     NotPSD,
     NumericCheckFailure,
     ZeroTarget,
 )
+from .reservoir import _check_weights
 from .signals import MODE_EMPIRICAL, MODE_EXACT, SignalMatrix
 
 logger = logging.getLogger(__name__)
@@ -79,14 +81,14 @@ class CapacityReport:
 
 
 def _resolve_signals(signals, weights):
-    """The data of ``signals`` and its row weights: ``weights`` divided by
-    their sum, else a :class:`SignalMatrix`'s own ``row_weights()`` as they
-    are (already normalized, as the one-hot routes take them), else
-    uniform."""
+    """The data of ``signals`` and its row weights: ``weights``, checked as
+    a :class:`SignalMatrix` checks its own and divided by their sum, else a
+    :class:`SignalMatrix`'s own ``row_weights()`` as they are (already
+    normalized, as the one-hot routes take them), else uniform."""
     matrix = isinstance(signals, SignalMatrix)
     data = signals.data if matrix else np.asarray(signals, dtype=float)
     if weights is not None:
-        weights = np.asarray(weights, dtype=float)
+        weights = _check_weights(weights, data.shape[0])
         weights = weights / weights.sum()
     elif matrix:
         weights = signals.row_weights()
@@ -516,7 +518,8 @@ class TargetBasis:
     t is the product over delays d of the degree-``g_d`` orthonormal
     polynomial evaluated at u(t - d). Indices are ordered graded
     lexicographically and truncated at ``max_delay`` and total degree
-    ``max_degree``, and set at construction as ``indices``.
+    ``max_degree``, and set at construction as ``indices``. ``measure_kind``
+    is ``iid-uniform-interval`` or ``iid-uniform-binary`` (InvalidInput).
     """
 
     max_delay: int
@@ -527,6 +530,8 @@ class TargetBasis:
     indices: list = field(init=False)
 
     def __post_init__(self):
+        if self.measure_kind not in ("iid-uniform-interval", "iid-uniform-binary"):
+            raise InvalidInput(f"unknown basis measure kind: {self.measure_kind!r}")
         self.indices = self._enumerate_indices()
         if self.measure_kind == "iid-uniform-binary" and self.max_degree > 1:
             raise ValueError("binary drive supports polynomial degree <= 1 only")

@@ -442,10 +442,11 @@ def sample_complexity_curve(q: float, m0_grid: Sequence[int], trials: int,
 def detection_sample_threshold(q: float, prob: float = 0.5) -> float:
     """Samples needed so the any-nonzero detector fires with probability >= prob.
 
-    Solves (1-q)**m = 1-prob for real m.
+    Solves (1-q)**m = 1-prob for real m; ``q`` and ``prob`` outside (0, 1)
+    raise :class:`InvalidInput`.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must be in (0, 1)")
+    if not (0.0 < q < 1.0 and 0.0 < prob < 1.0):
+        raise InvalidInput(f"q and prob must be in (0, 1), got {q!r} and {prob!r}")
     return math.log(1.0 - prob) / math.log(1.0 - q)
 
 

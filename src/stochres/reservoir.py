@@ -16,7 +16,6 @@ vector is ordered ``p[0] = p_{00...0}`` through ``p[2**n - 1] = p_{11...1}``.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import math
 import numbers
@@ -145,14 +144,11 @@ class StochasticGate:
         ``asymmetric_flip``, ``controlled_flip``.
     params : dict
         Kind-specific parameters (see the ``*_gate`` constructors).
-    derivative_bound : float, optional
-        Per-gate override for the max allowed |d(entry)/du|.
     """
 
     support: tuple
     kind: str
     params: dict
-    derivative_bound: Optional[float] = None
 
     @property
     def arity(self) -> int:
@@ -355,6 +351,19 @@ class InputMeasure:
         return InputSequence(values, washout_length=washout_length)
 
 
+def _check_weights(weights, rows: int):
+    """``weights`` (None passes) as floats, one per row, none negative and
+    summing above 0 (:class:`InvalidInput`); capacity rejects non-finite."""
+    if weights is None:
+        return None
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (rows,):
+        raise ValueError(f"weights must have one entry per row, got shape {weights.shape}")
+    if np.any(weights < 0.0) or weights.sum() <= 0.0:
+        raise InvalidInput("weights must be non-negative with a positive sum")
+    return weights
+
+
 @dataclass
 class InputSequence:
     """Ordered scalar drive inputs with a washout length and optional row weights.
@@ -383,10 +392,7 @@ class InputSequence:
             raise InvalidInput(f"washout_length must be an integer, got {self.washout_length!r}")
         if self.washout_length < 0:
             raise ValueError("washout_length must be >= 0")
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != (len(self),):
-                raise ValueError("weights must have one entry per step")
+        self.weights = _check_weights(self.weights, len(self))
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -418,46 +424,6 @@ class ReservoirSpec:
             self.depth_bound = default_depth_bound(self.n)
         if self.derivative_bound is None:
             self.derivative_bound = default_derivative_bound(self.n)
-
-    def to_json(self) -> str:
-        doc = {
-            "n": self.n,
-            "k_max": self.k_max,
-            "depth_bound": self.depth_bound,
-            "derivative_bound": self.derivative_bound,
-            "drive_domain": list(self.drive_domain),
-            "gates": [
-                {
-                    "support": list(g.support),
-                    "kernel_kind": g.kind,
-                    "params": g.params,
-                    "derivative_bound": g.derivative_bound,
-                }
-                for g in self.gates
-            ],
-            "initial_state": self.initial_state.probs.tolist(),
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReservoirSpec":
-        doc = json.loads(text)
-        gates = [
-            StochasticGate(
-                tuple(g["support"]), g["kernel_kind"], g["params"],
-                g.get("derivative_bound"),
-            )
-            for g in doc["gates"]
-        ]
-        return cls(
-            n=doc["n"],
-            gates=gates,
-            initial_state=BitstringDistribution(np.asarray(doc["initial_state"])),
-            k_max=doc.get("k_max", DEFAULT_K_MAX),
-            depth_bound=doc.get("depth_bound"),
-            derivative_bound=doc.get("derivative_bound"),
-            drive_domain=tuple(doc.get("drive_domain", (-1.0, 1.0))),
-        )
 
 
 @dataclass
@@ -885,15 +851,14 @@ def _validate_gate(gate: StochasticGate, n: int, k_max: int,
             f"kernel rows sum to 1 +/- {np.max(np.abs(row_sums - 1.0)):.3g}"
         )
 
-    bound = gate.derivative_bound if gate.derivative_bound is not None else derivative_bound
     if not gate.is_static:
         # central differences over the probe grid
         du = grid[1] - grid[0]
         slopes = np.abs(stack[2:] - stack[:-2]) / (2 * du)
         max_slope = float(slopes.max()) if slopes.size else 0.0
-        if max_slope > bound:
+        if max_slope > derivative_bound:
             raise DriveDerivativeViolation(
-                f"kernel entry slope {max_slope:.4g} exceeds bound {bound:.4g}"
+                f"kernel entry slope {max_slope:.4g} exceeds bound {derivative_bound:.4g}"
             )
 
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import MissingShotMetadata, MixedDimensions
-from .fileio import csv_text, read_raw, write_atomic, write_raw
+from .fileio import read_raw, write_raw
 from .reservoir import (
     BitstringDistribution,
     InputSequence,
@@ -24,6 +23,7 @@ from .reservoir import (
     TrajectoryEnsemble,
     _check_dense,
     _check_shots,
+    _check_weights,
     _count_frequencies,
 )
 
@@ -57,10 +57,7 @@ class SignalMatrix:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.size != self.data.shape[1]:
                 raise ValueError("one label per column required")
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != (self.data.shape[0],):
-                raise ValueError("one weight per row required")
+        self.weights = _check_weights(self.weights, self.data.shape[0])
 
     @property
     def rows(self) -> int:
@@ -158,35 +155,9 @@ def sample_frequencies(reservoir: Reservoir, inputs: InputSequence, shots: int,
     return sm
 
 
-def noise_floor_mask(sm: SignalMatrix) -> np.ndarray:
-    """Flag cells below 1/(10 * shots). Informational only; values are kept."""
-    if sm.shots is None:
-        raise MissingShotMetadata("noise floor is defined relative to a shot count")
-    return sm.data < 1.0 / (10.0 * sm.shots)
-
-
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
-
-def write_csv(sm: SignalMatrix, path) -> None:
-    """Labels as the header line, then one line of 17-digit floats per row.
-
-    The format has no weight column, so a weighted matrix raises ValueError
-    rather than losing its weights; use :func:`write_binary` for one.
-    """
-    if sm.weights is not None:
-        raise ValueError("CSV has no weight column; write a weighted matrix with write_binary")
-    write_atomic(path, csv_text([str(int(l)) for l in sm.labels], sm.data))
-
-
-def read_csv(path, mode: str, n: int, shots: Optional[int] = None) -> SignalMatrix:
-    path = Path(path)
-    lines = path.read_text().strip().split("\n")
-    labels = np.array([int(x) for x in lines[0].split(",")], dtype=np.int64)
-    data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    return SignalMatrix(data, mode, n, labels=labels, shots=shots)
-
 
 def write_binary(sm: SignalMatrix, path) -> None:
     """Raw little-endian float64 rows plus a JSON sidecar at ``<path>.json``

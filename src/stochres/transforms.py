@@ -20,11 +20,6 @@ from .reservoir import _check_dense
 from .signals import MODE_MOMENT, SignalMatrix
 
 
-def subset_mask(bits, n: int) -> int:
-    """Mask for the product of the given register bits (big-endian indices)."""
-    return sum(1 << (n - 1 - int(b)) for b in bits)
-
-
 def _superset_pass(values, n: int, combine) -> np.ndarray:
     """Along each bit axis, ``values[m] = combine(values[m], values[m | bit])``
     for every ``m`` without the bit, in place on a float copy."""
@@ -73,10 +68,13 @@ def probabilities_from_moments(moments: np.ndarray, n: int,
                                tol: float = 1e-10) -> np.ndarray:
     """Invert :func:`moments_from_probabilities`.
 
+    A non-finite moment raises :class:`InvalidInput`, a ``ValueError``.
     Raises NegativeProbability when the inversion produces an entry below
     ``-tol``, which signals an inconsistent moment vector.
     """
     moments = np.asarray(moments, dtype=float)
+    if not np.isfinite(moments).all():
+        raise InvalidInput("moments must be finite")
     empty = moments[..., 0]
     if np.max(np.abs(empty - 1.0)) > 1e-9:
         raise ValueError("moment for the empty mask must be 1")

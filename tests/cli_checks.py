@@ -45,6 +45,8 @@ SAMPLED = (
     # fewer shots than states: the plug-in bias dominates (about 6.5 against 4.49)
     ("sampled-n11", '{"mode": "sampled", "n": 11, "shots": 1000, "timesteps": 300}', False),
 )
+# largest relative gap between each sampled IPC and its finite-shot target
+FINITE_SHOT_BOUND = 0.02
 
 
 def check(ok, message):
@@ -99,6 +101,19 @@ def near_closed_form(label, n, lam, ipc):
     print(f"{label}: ipc {ipc:.4f} against closed form {closed:.4f}, gap {gap:.2%}")
 
 
+def near_finite_shot_target(label, n, lam, shots, ipc):
+    """Check a sampled IPC against IPC + (2**n - IPC) / shots, IPC the closed form: the
+    expected plug-in IPC of ``shots``-shot frequencies, whose second moment is
+    G1 + (G2 - G1) / shots (Hu et al., PRX 13, 041020, 2023)."""
+    closed = shift_register_capacity_closed_form(n, lam)
+    target = closed + (2 ** n - closed) / shots
+    gap = (ipc - target) / target
+    check(abs(gap) <= FINITE_SHOT_BOUND,
+          f"{label}: ipc {ipc} is not within {FINITE_SHOT_BOUND * 100:g} % of its {shots}-shot "
+          f"target {target}")
+    print(f"{label}: ipc {ipc:.4f} against {shots}-shot target {target:.4f}, gap {gap:+.2%}")
+
+
 def shatters_16(report_path):
     report = json.loads(Path(report_path).read_text())
     check(report["dimension"] == 16, f"fat-shatter count 16: dimension {report['dimension']}")
@@ -142,10 +157,12 @@ def main(root, cmd):
         for again in ("", "-again"):
             run(cmd, root, name + again, "ipc", config)
         same_bytes(root, name)
+        report = json.loads((root / name / "ipc_report.json").read_text())
         if bounded:
-            report = json.loads((root / name / "ipc_report.json").read_text())
             near_closed_form(f"{name} n = {report['n']}", report["n"], report["lambda"],
                              report["spectral"]["ipc"])
+        near_finite_shot_target(f"{name} n = {report['n']}", report["n"], report["lambda"],
+                                json.loads(config)["shots"], report["spectral"]["ipc"])
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ PUBLIC = {
     "ScalingCurve": "(n_values, ipc_mean, ipc_stderr, noise, slope_n=0.0, slope_n_stderr=0.0, slope_logn=0.0, slope_logn_stderr=0.0, subexponential_consistent=False, samples=<factory>)",
     "ShatterWitness": "(instance_indices, thresholds, assignment, gamma)",
     "SignalMatrix": "(data, mode, n, labels=None, weights=None, shots=None)",
-    "StochasticGate": "(support, kind, params, derivative_bound=None)",
+    "StochasticGate": "(support, kind, params)",
     "SwitchingFamily": "(kind, centers, sharpness, grid, signals, peaks, confusion)",
     "TailFit": "(classification, parameter, residual_poly, residual_exp, region)",
     "TargetBasis": "(max_delay, max_degree, measure_kind, lo=-1.0, hi=1.0)",

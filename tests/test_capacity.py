@@ -21,6 +21,7 @@ from stochres.errors import (
     BasisNotOrthonormal,
     DegenerateSignals,
     EmptyRank,
+    InvalidInput,
     MissingShotMetadata,
     NotPSD,
     NumericCheckFailure,
@@ -172,6 +173,23 @@ def test_capacity_routes_reject_non_finite_signals(where, bad):
             sr.ipc_probability_rep(sm)
 
 
+@pytest.mark.parametrize("weights", [[1.0, -1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0],
+                                     [-np.inf, 1.0, 1.0]],
+                         ids=["negative", "zero-sum", "all-zero", "minus-infinity"])
+@pytest.mark.parametrize("owner", ["SignalMatrix", "InputSequence", "ReadoutFit"])
+def test_row_weights_must_be_non_negative_with_a_positive_sum(owner, weights):
+    # unchecked, [1, -1, 1] gives a probability-trace IPC of 1.0 and
+    # [1, -1, 0] row weights [inf, -inf, nan]
+    data = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
+    make = {
+        "SignalMatrix": lambda: SignalMatrix(data, "exact-probability", 1, weights=weights),
+        "InputSequence": lambda: InputSequence(np.zeros(3), washout_length=0, weights=weights),
+        "ReadoutFit": lambda: ReadoutFit(data, weights=weights),
+    }[owner]
+    with pytest.raises(InvalidInput, match="non-negative with a positive sum"):
+        make()
+
+
 def test_readout_and_trace_routes_weigh_rows_with_row_weights_once():
     # row_weights() already divides by the sum, as the one-hot routes take
     # it; dividing again moves some weights in their last bits
@@ -226,6 +244,23 @@ def test_shot_averaging_interpolates_second_moment():
     # averaging 3 shots scales every noise-to-signal ratio by 1/3
     dec = sr.eigentask_decomposition(g1, shot_averaged_second_moment(g1, g2, 3))
     np.testing.assert_allclose(dec.sigma_sq, [0.0, 2.0 / 3.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("shots", [1, 7, 2000])
+def test_finite_shot_ipc_is_ipc_plus_its_shortfall_over_shots(shots):
+    # S-shot frequencies have E[f f^T] = G1 + (G2 - G1)/S, so their expected
+    # plug-in IPC, trace or spectral, is IPC + (d - IPC)/S
+    gen = np.random.default_rng(17)
+    res = sr.build_reservoir(random_physical_reservoir(3, gen))
+    sm = sr.probability_signals(sr.run_exact(res, InputSequence(gen.uniform(-1, 1, 300), 50)))
+    ipc = sr.ipc_probability_rep(sm).ipc_value
+    d = sm.columns
+    g1, g2 = sr.gram_matrices(sm)
+    second = shot_averaged_second_moment(g1, g2, shots)
+    expected = ipc + (d - ipc) / shots
+    assert abs(np.sum(np.diag(second) / np.diag(g2)) - expected) <= 1e-12 * d
+    spectral = sr.ipc_spectral(sr.eigentask_decomposition(second, g2)).ipc_value
+    assert abs(spectral - expected) <= 1e-9 * d
 
 
 @pytest.mark.parametrize("shots", [2.5, 2.0, True, "3"])
@@ -628,6 +663,13 @@ def test_binary_basis_limits_degree():
         TargetBasis(max_delay=1, max_degree=2, measure_kind="iid-uniform-binary")
     basis = TargetBasis(max_delay=2, max_degree=1, measure_kind="iid-uniform-binary")
     assert basis.gram_error() < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["iid-uniform-binray", "quadrature-grid", ""])
+def test_target_basis_rejects_an_unknown_measure_kind(kind):
+    # unchecked, a misspelt kind builds a Legendre basis that passes the Gram gate
+    with pytest.raises(InvalidInput, match="measure kind"):
+        TargetBasis(1, 1, kind)
 
 
 def test_quadrature_grid_measure_gets_an_interval_basis():

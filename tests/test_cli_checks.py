@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from cli_checks import manifest_matches, near_closed_form, routes_agree, run, same_bytes, shatters_16
+from cli_checks import (manifest_matches, near_closed_form, near_finite_shot_target, routes_agree,
+                        run, same_bytes, shatters_16)
 from stochres.experiments import shift_register_capacity_closed_form
 
 
@@ -29,6 +30,18 @@ def test_ipc_six_percent_off_its_closed_form_fails():
     near_closed_form("sampled n = 4", 4, 0.1, 1.04 * closed)
     with pytest.raises(SystemExit, match="sampled n = 4: ipc .* not within 5 %"):
         near_closed_form("sampled n = 4", 4, 0.1, 1.06 * closed)
+
+
+def test_ipc_three_percent_off_its_finite_shot_target_fails():
+    closed = shift_register_capacity_closed_form(11, 0.1)
+    target = closed + (2 ** 11 - closed) / 1000
+    near_finite_shot_target("sampled-n11 n = 11", 11, 0.1, 1000, 0.985 * target)
+    with pytest.raises(SystemExit, match="sampled-n11 n = 11: ipc .* not within 2 % of its "
+                                         "1000-shot target"):
+        near_finite_shot_target("sampled-n11 n = 11", 11, 0.1, 1000, 1.03 * target)
+    with pytest.raises(SystemExit, match="not within 2 %"):
+        # the closed form itself, 31 % below the target, fails
+        near_finite_shot_target("sampled-n11 n = 11", 11, 0.1, 1000, closed)
 
 
 def test_one_differing_byte_between_two_runs_fails(tmp_path):

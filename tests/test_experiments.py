@@ -305,6 +305,14 @@ def test_detection_threshold_matches_bisection_oracle():
         assert abs(m - lo) < 1e-6 * max(1.0, lo)
 
 
+@pytest.mark.parametrize("q, prob", [(0.1, np.nan), (0.1, 1.5), (0.1, 1.0), (0.1, 0.0),
+                                     (0.1, -0.2), (np.nan, 0.5), (1.0, 0.5)])
+def test_detection_threshold_rejects_rates_outside_the_open_unit_interval(q, prob):
+    # unchecked, prob = nan gives nan and prob = 1.5 a bare "math domain error"
+    with pytest.raises(InvalidInput):
+        sr.detection_sample_threshold(q, prob)
+
+
 def test_detection_threshold_growth_tracks_inverse_rate():
     # m0(n) = ln2/q - ln2/2 - O(q) for q = n^2/2^n: increments match the
     # increments of ln2/q to well under 5% across n = 8..16

@@ -11,7 +11,8 @@ import pytest
 import stochres as sr
 from stochres.capacity import gram_matrices
 from stochres.errors import IOFailure
-from stochres.signals import MODE_EXACT, SignalMatrix, read_binary, write_binary, write_csv
+from stochres.runio import Artifact, write_results
+from stochres.signals import MODE_EXACT, SignalMatrix, read_binary, write_binary
 
 
 def _signals(seed, rows=4, weights=None):
@@ -26,7 +27,9 @@ def _ensemble(seed):
 
 
 WRITERS = {
-    "write_csv": lambda seed, path: write_csv(_signals(seed), path),
+    "write_results": lambda seed, path: write_results(
+        [Artifact(path.name, "csv", {"header": ["a", "b", "c", "d"],
+                                     "rows": _signals(seed).data.tolist()})], path.parent),
     "write_binary": lambda seed, path: write_binary(_signals(seed), path),
     "TrajectoryEnsemble.save": lambda seed, path: _ensemble(seed).save(path),
 }
@@ -107,12 +110,6 @@ def test_weighted_signals_survive_a_binary_round_trip(tmp_path):
     for a, b in zip(gram_matrices(sm), gram_matrices(back)):
         assert np.array_equal(a, b)
     assert json.loads((tmp_path / "w.bin.json").read_text())["weights"] == [0.2, 0.5, 0.3]
-
-
-def test_write_csv_refuses_a_weighted_matrix(tmp_path):
-    with pytest.raises(ValueError, match="weight"):
-        write_csv(_signals(5, rows=3, weights=[0.2, 0.5, 0.3]), tmp_path / "w.csv")
-    assert not (tmp_path / "w.csv").exists()
 
 
 # a file written any other way than through the writer module

@@ -24,15 +24,8 @@ from stochres.reservoir import (
     sample_trajectories,
     set_gate,
 )
-from stochres.signals import (
-    MODE_EXACT,
-    SignalMatrix,
-    noise_floor_mask,
-    read_binary,
-    read_csv,
-    write_binary,
-    write_csv,
-)
+from stochres.fileio import csv_text
+from stochres.signals import MODE_EXACT, SignalMatrix, read_binary, write_binary
 from stochres.transforms import (
     mobius_superset,
     moments_for_masks,
@@ -40,7 +33,6 @@ from stochres.transforms import (
     moments_from_samples,
     probabilities_from_moments,
     signal_moments,
-    subset_mask,
     zeta_superset,
 )
 
@@ -63,7 +55,7 @@ def test_empty_mask_moment_is_one():
 
 def test_two_bit_uniform_product_moment():
     m = moments_from_probabilities(np.full(4, 0.25), 2)
-    assert abs(m[subset_mask((0, 1), 2)] - 0.25) < 1e-15
+    assert abs(m[3] - 0.25) < 1e-15  # mask 3: the product of both bits
 
 
 def test_moments_match_brute_force_enumeration():
@@ -125,6 +117,16 @@ def test_inconsistent_moments_raise():
     # probability vector
     with pytest.raises(NegativeProbability):
         probabilities_from_moments(np.array([1.0, 0.5, 0.5, 0.9]), 2)
+
+
+@pytest.mark.parametrize("moments", [[np.nan, 0.5], [1.0, np.nan], [1.0, np.inf],
+                                     [np.inf, -np.inf]],
+                         ids=["nan-empty", "nan", "inf", "inf-empty"])
+def test_probabilities_from_moments_rejects_non_finite_moments(moments):
+    # the empty-mask and sign checks compare NaN as False: unchecked, [nan, 0.5]
+    # inverts to [nan, 0.5]
+    with pytest.raises(InvalidInput, match="finite"):
+        probabilities_from_moments(np.array(moments), 1)
 
 
 def test_moments_require_unit_empty_mask():
@@ -287,16 +289,6 @@ def test_empirical_unbiased_over_seeds():
     assert np.max(np.abs(acc - exact)) < 5.0 / np.sqrt(shots * seeds)
 
 
-def test_noise_floor_flagging_keeps_values():
-    sm = SignalMatrix(np.array([[0.5, 0.49, 0.01, 0.0]]), "empirical-frequency",
-                      2, shots=100)
-    flags = noise_floor_mask(sm)
-    np.testing.assert_array_equal(flags, [[False, False, False, True]])
-    assert sm.data[0, 2] == 0.01  # flagged values are never zeroed
-    with pytest.raises(MissingShotMetadata):
-        noise_floor_mask(sr.probability_signals(np.full((1, 4), 0.25)))
-
-
 def test_signal_matrix_validation():
     with pytest.raises(ValueError):
         SignalMatrix(np.array([[0.5, 0.6]]), MODE_EXACT, 1).validate()
@@ -304,14 +296,14 @@ def test_signal_matrix_validation():
         SignalMatrix(np.array([[0.5, 0.5]]), "empirical-frequency", 1).validate()
 
 
-def test_csv_roundtrip_bit_exact(tmp_path):
+def test_csv_roundtrip_bit_exact():
+    # the 17-digit floats of every CSV artifact parse back to the same bits
     gen = np.random.default_rng(7)
-    sm = sr.probability_signals(_random_rows(gen, 3, rows=5))
-    path = tmp_path / "signals.csv"
-    write_csv(sm, path)
-    back = read_csv(path, MODE_EXACT, 3)
-    assert np.array_equal(back.data, sm.data)
-    assert np.array_equal(back.labels, sm.labels)
+    data = _random_rows(gen, 3, rows=5)
+    lines = csv_text([str(k) for k in range(8)], data).splitlines()
+    assert lines[0] == "0,1,2,3,4,5,6,7"
+    back = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(back, data)
 
 
 def test_binary_roundtrip(tmp_path):
