@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -36,12 +35,13 @@ from .errors import (
     DegenerateSignals,
     EmptyRank,
     InvalidInput,
+    Interval,
     MissingShotMetadata,
     NotPSD,
     NumericCheckFailure,
     ZeroTarget,
 )
-from .reservoir import _check_weights
+from .reservoir import SHOTS, _check_weights
 from .signals import MODE_EMPIRICAL, MODE_EXACT, SignalMatrix
 
 logger = logging.getLogger(__name__)
@@ -237,11 +237,10 @@ def shot_averaged_second_moment(g1: np.ndarray, g2: np.ndarray, shots: int) -> n
     Averaging S one-hot shots divides the Bernoulli variance term by S:
     <f f^T> = G1 + (G2 - G1) / S. With shots = 1 this is G2 itself; as
     S grows the readout becomes noiseless and the pair (G1, result)
-    approaches zero noise-to-signal ratios. ``shots`` must be an integer
-    >= 1 (ValueError), and G1 and G2 finite (NumericCheckFailure).
+    approaches zero noise-to-signal ratios. G1 and G2 must be finite
+    (NumericCheckFailure).
     """
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
-        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+    SHOTS.check("shots", shots)
     g1, g2 = _finite(g1, "G1"), _finite(g2, "G2")
     return g1 + (g2 - g1) / float(shots)
 
@@ -324,12 +323,11 @@ def eigentask_decomposition(source, g2: Optional[np.ndarray] = None,
     the whitened matrix minus one are the ratios. A non-finite entry in
     either matrix raises NumericCheckFailure.
 
-    Both routes take ``rank_tolerance`` in (0, 1] (else ValueError), set
+    Both routes take ``rank_tolerance`` in (0, 1], set
     ratios in [-1e-10, 0) to zero, counting them in ``clipped_negatives``,
     warn about any ratio still negative, and sort the ratios ascending.
     """
-    if not 0.0 < rank_tolerance <= 1.0:
-        raise ValueError(f"rank_tolerance must lie in (0, 1], got {rank_tolerance!r}")
+    Interval(0.0, 1.0, open_lo=True).check("rank_tolerance", rank_tolerance)
     if isinstance(source, SignalMatrix):
         if g2 is not None:
             raise ValueError("pass a SignalMatrix alone or the pair (G1, G2)")
@@ -519,7 +517,7 @@ class TargetBasis:
     polynomial evaluated at u(t - d). Indices are ordered graded
     lexicographically and truncated at ``max_delay`` and total degree
     ``max_degree``, and set at construction as ``indices``. ``measure_kind``
-    is ``iid-uniform-interval`` or ``iid-uniform-binary`` (InvalidInput).
+    is ``iid-uniform-interval`` or ``iid-uniform-binary``.
     """
 
     max_delay: int
@@ -532,9 +530,12 @@ class TargetBasis:
     def __post_init__(self):
         if self.measure_kind not in ("iid-uniform-interval", "iid-uniform-binary"):
             raise InvalidInput(f"unknown basis measure kind: {self.measure_kind!r}")
+        Interval(0, integer=True).check("max_delay", self.max_delay)
+        binary = self.measure_kind == "iid-uniform-binary"  # whose u^2 = u: degree <= 1
+        Interval(0, 1 if binary else None, integer=True).check("max_degree", self.max_degree)
+        Interval().check("lo", self.lo)
+        Interval(self.lo, open_lo=True).check("hi", self.hi)
         self.indices = self._enumerate_indices()
-        if self.measure_kind == "iid-uniform-binary" and self.max_degree > 1:
-            raise ValueError("binary drive supports polynomial degree <= 1 only")
 
     def _enumerate_indices(self):
         slots = self.max_delay + 1
@@ -623,18 +624,18 @@ def total_capacity(signals, basis: TargetBasis, drives: np.ndarray,
     """Sum of capacities over the truncated orthonormal target basis.
 
     ``drives`` is the full drive sequence; ``start`` is the absolute time of
-    the first signal row (the washout length), which must be at least
+    the first signal row (the washout length), at least
     ``basis.max_delay``. All targets are scored against one
     :class:`ReadoutFit` of the signals. Capacities below the finite-time
     threshold 4/sqrt(T) are reported but excluded from the total.
     """
+    Interval(basis.max_delay, integer=True).check("start", start)
+    Interval(0.0).check("orthonormality_tol", orthonormality_tol)
     gram_err = basis.gram_error()
     if gram_err > orthonormality_tol:
         raise BasisNotOrthonormal(
             f"basis Gram deviates from identity by {gram_err:.3g}"
         )
-    if start < basis.max_delay:
-        raise ValueError("washout shorter than the basis max_delay")
     fit = ReadoutFit(signals)
     targets = basis.evaluate(np.asarray(drives, dtype=float))
     offset = start - basis.max_delay

@@ -2,8 +2,12 @@
 
 Every failure mode that callers are expected to catch has its own class so
 that experiment drivers can map problems onto exit codes without string
-matching.
+matching. Scalar arguments are checked against an :class:`Interval`.
 """
+
+import math
+import numbers
+from dataclasses import dataclass
 
 
 class StochresError(Exception):
@@ -12,6 +16,40 @@ class StochresError(Exception):
 
 class InvalidInput(StochresError, ValueError):
     """An input of a public function is non-finite or outside its domain."""
+
+
+def is_integer(value) -> bool:
+    """An integer of any type, but not a bool, which ``int()`` would read as 0 or 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Limit of a scalar: ``lo`` to ``hi``, each end closed unless marked open,
+    or unbounded if None; an integer (not a bool) where ``integer`` is set."""
+
+    lo: float = None
+    hi: float = None
+    open_lo: bool = False
+    open_hi: bool = False
+    integer: bool = False
+
+    def check(self, name, value, error=InvalidInput):
+        """``value`` if within the limit, which no bool, non-number, NaN or
+        infinity is; else ``error``, an :class:`InvalidInput`, naming ``name``."""
+        if not is_integer(value):
+            if self.integer or isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise error(f"{name} must be {'an integer' if self.integer else 'a number'}, "
+                            f"got {value!r}")
+            if not math.isfinite(value):
+                raise error(f"{name} must be finite, got {value!r}")
+        if self.lo is not None and (value <= self.lo if self.open_lo else value < self.lo):
+            bound = f"{'>' if self.open_lo else '>='} {self.lo}"
+        elif self.hi is not None and (value >= self.hi if self.open_hi else value > self.hi):
+            bound = f"{'<' if self.open_hi else '<='} {self.hi}"
+        else:
+            return value
+        raise error(f"{name} must be {bound}, got {value!r}")
 
 
 # --- reservoir construction / simulation -----------------------------------
@@ -32,11 +70,11 @@ class StochasticityViolation(StochresError):
     """A kernel is not row-stochastic within tolerance."""
 
 
-class NonfiniteDrive(StochresError):
-    """A drive value is NaN or infinite."""
+class NonfiniteDrive(InvalidInput):
+    """A drive value is not a finite number."""
 
 
-class DriveBoundViolation(StochresError):
+class DriveBoundViolation(InvalidInput):
     """A drive magnitude exceeds the configured bound."""
 
 
@@ -44,15 +82,15 @@ class EmptyAfterWashout(StochresError):
     """The input sequence is not longer than its washout."""
 
 
-class InsufficientTrials(StochresError):
+class InsufficientTrials(InvalidInput):
     """Too few Monte Carlo trials for a meaningful estimate."""
 
 
-class ExactModeOverflow(StochresError, ValueError):
+class ExactModeOverflow(InvalidInput):
     """A dense vector over all 2^n states is asked for past the exact-mode cap."""
 
 
-class InvalidSamples(StochresError, ValueError):
+class InvalidSamples(InvalidInput):
     """Sampled bitstrings are not a non-empty array of in-range integers."""
 
 
@@ -108,7 +146,7 @@ class SearchBudgetExceeded(StochresError):
 
 # --- qubit embedding --------------------------------------------------------
 
-class OutOfRange(StochresError):
+class OutOfRange(InvalidInput):
     """A probability parameter is outside [0, 1]."""
 
 

@@ -29,10 +29,12 @@ from .capacity import (
 from .errors import (
     ConditioningFailure,
     InvalidInput,
+    Interval,
     NonpositiveSignal,
     SearchBudgetExceeded,
 )
 from .reservoir import (
+    BITS,
     BitstringDistribution,
     InputMeasure,
     InputSequence,
@@ -48,18 +50,19 @@ from .signals import probability_signals
 
 logger = logging.getLogger(__name__)
 
+# the shift register's noise rate; at 0.5 the state is uniform after every step
+NOISE_RATE = Interval(0.0, 0.5)
+# the monomial Gram of power_basis_demo is numerically singular from n = 7 on
+POWER_BASIS_BITS = Interval(1, 6, integer=True)
+RATE = Interval(0.0, 1.0)
+LEARNABILITY_TRIALS = Interval(1000, integer=True)
+# a peak of the normalized switching family is at most 1
+PEAK = Interval(0.0, 1.0, open_lo=True)
+
 
 # ---------------------------------------------------------------------------
 # reservoir families for the size scan
 # ---------------------------------------------------------------------------
-
-def _check_shift_register(n: int, noise: float) -> None:
-    """The shift-register family needs ``n >= 1`` and a noise rate in [0, 0.5]."""
-    if n < 1:
-        raise InvalidInput(f"the shift register needs n >= 1, got {n!r}")
-    if not 0.0 <= noise <= 0.5:
-        raise InvalidInput(f"noise rate must be in [0, 0.5], got {noise!r}")
-
 
 def shift_register_flip_family(n: int, noise: float) -> ReservoirSpec:
     """Shift register that absorbs one drive bit per step, with flip noise.
@@ -72,10 +75,10 @@ def shift_register_flip_family(n: int, noise: float) -> ReservoirSpec:
     has the closed form prod_{a=1..n} (1 + (1-2*noise)**(2a)). With
     ``noise == 0`` the step is deterministic and the trajectory reaches
     every bitstring; with ``noise == 0.5`` the state is exactly uniform
-    after every step. ``n < 1`` or a noise rate outside [0, 0.5], NaN
-    included, raises :class:`InvalidInput`, a ``ValueError``.
+    after every step.
     """
-    _check_shift_register(n, noise)
+    BITS.check("n", n)
+    NOISE_RATE.check("noise", noise)
     gates = []
     for i in range(n - 1):
         gates.append(swap_gate(i, i + 1))
@@ -98,10 +101,9 @@ def shift_register_capacity_closed_form(n: int, noise: float) -> float:
     Given the last n drive bits, the state is a product of independent
     Bernoullis whose bit of age a has mean (1 +/- (1-2*noise)**a) / 2; the
     trace formula then factorizes into prod_{a=1..n} (1 + (1-2*noise)**(2a)).
-    It refuses what :func:`shift_register_flip_family` refuses, with the
-    same :class:`InvalidInput`.
     """
-    _check_shift_register(n, noise)
+    BITS.check("n", n)
+    NOISE_RATE.check("noise", noise)
     r = 1.0 - 2.0 * noise
     out = 1.0
     for a in range(1, n + 1):
@@ -126,15 +128,19 @@ class ScalingCurve:
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray):
-    """OLS slope and its standard error."""
+    """OLS slope and its standard error, each None where undefined: the slope
+    below two distinct x, the error below three points (no residual dof)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.min() == x.max():
+        return None, None
     xm = x - x.mean()
     sxx = float(np.sum(xm * xm))
     slope = float(np.sum(xm * y) / sxx)
+    if len(x) < 3:
+        return slope, None
     resid = y - (y.mean() + slope * xm)
-    dof = max(len(x) - 2, 1)
-    stderr = math.sqrt(float(np.sum(resid * resid)) / dof / sxx)
+    stderr = math.sqrt(float(np.sum(resid * resid)) / (len(x) - 2) / sxx)
     return slope, stderr
 
 
@@ -149,9 +155,14 @@ def scan_system_size(family: Callable[[int, float], ReservoirSpec],
     Error bars come from independent drive realizations. Fits the log of the
     mean capacity against n and against log n, and flags the curve as
     consistent with subexponential growth when the slope in n sits more
-    than three standard errors below log 2.
+    than three standard errors below log 2. With fewer than three sizes the
+    standard errors are None and the flag is False, and with one size the
+    slopes are None too.
     """
-    n_values = sorted(int(n) for n in n_values)
+    n_values = sorted(BITS.check("n", n) for n in n_values)
+    Interval(1, integer=True).check("timesteps", timesteps)
+    Interval(0, integer=True).check("washout", washout)
+    Interval(1, integer=True).check("repeats", repeats)
     _check_dense(max(n_values), "scan's exact mode")
     means, errs, samples = [], [], []
     for n in n_values:
@@ -178,7 +189,7 @@ def scan_system_size(family: Callable[[int, float], ReservoirSpec],
         n_values=np.asarray(n_values), ipc_mean=means, ipc_stderr=errs,
         noise=noise, slope_n=slope_n, slope_n_stderr=se_n,
         slope_logn=slope_logn, slope_logn_stderr=se_logn,
-        subexponential_consistent=slope_n < math.log(2.0) - 3.0 * se_n,
+        subexponential_consistent=se_n is not None and slope_n < math.log(2.0) - 3.0 * se_n,
         samples=samples,
     )
 
@@ -215,13 +226,10 @@ def switching_family(kind: str, count: int, domain=(0.0, 1.0),
     2**(-sharpness * |u - c|); ``polynomial`` uses the inverse-quadratic
     1 / (1 + ((u - c)/sharpness)**2), so the sharpness is a half-width.
     Centers are equispaced; bumps are normalized pointwise to sum to one.
-    A NaN, infinite or non-positive ``sharpness`` raises
-    :class:`InvalidInput`, a ``ValueError``.
     """
-    if not 0.0 < float(sharpness) < math.inf:
-        raise InvalidInput(f"sharpness must be finite and positive, got {sharpness!r}")
-    if count < 1:
-        raise ValueError("need at least one signal")
+    Interval(1, integer=True).check("count", count)
+    Interval(0.0, open_lo=True).check("sharpness", sharpness)
+    Interval(1, integer=True).check("grid_points", grid_points)
     lo, hi = float(domain[0]), float(domain[1])
     grid = np.linspace(lo, hi, grid_points)
     centers = lo + (hi - lo) * (2 * np.arange(count) + 1) / (2.0 * count)
@@ -244,15 +252,16 @@ def sweep_exponential_sharpness(count: int, domain=(0.0, 1.0),
     """Smallest exponential sharpness whose worst signal peak reaches the target,
     bracketed and then bisected 60 times.
 
-    Raises ValueError when no sharpness up to 1e7 reaches it, including
+    Raises InvalidInput when no sharpness up to 1e7 reaches it, including
     when the bumps underflow to a NaN peak first.
     """
+    PEAK.check("target_min_peak", target_min_peak)
     lo_b, hi_b = 1e-3, 4.0
     while not switching_family("exponential", count, domain, hi_b,
                                grid_points).peaks.min() >= target_min_peak:
         hi_b *= 2.0
         if hi_b > 1e7:
-            raise ValueError("target peak unreachable")
+            raise InvalidInput("target peak unreachable")
     for _ in range(60):
         mid = 0.5 * (lo_b + hi_b)
         fam = switching_family("exponential", count, domain, mid, grid_points)
@@ -319,13 +328,14 @@ def classify_tails(u: np.ndarray, p: np.ndarray, region=None) -> TailFit:
     if region is not None:
         mask = (u >= region[0]) & (u <= region[1])
     uu, pp = u[mask], p[mask]
-    if uu.size < 3:  # two points fit both laws exactly, to rounding
+    distinct = len(set(uu.tolist()))
+    if distinct < 3:  # two values of u fit both laws exactly, to rounding
         raise ValueError(f"tail classification needs at least 3 samples in the region, "
-                         f"got {uu.size}")
+                         f"at distinct u, got {distinct}")
     if np.any(pp <= 0.0):
         raise NonpositiveSignal("tail classification needs positive samples")
     if np.any(uu <= 0.0):
-        raise ValueError("decay region must have positive drive values")
+        raise InvalidInput("decay region must have positive drive values")
     logp = np.log(pp)
     slope_poly, r_poly = _fit_residual(np.log(uu), logp)
     slope_exp, r_exp = _fit_residual(uu, logp)
@@ -365,8 +375,8 @@ def power_basis_demo(n: int, samples: int = 100_000, seed: int = 0) -> PowerBasi
     rank below 2**n raises ConditioningFailure with diagnostics instead of
     reporting a silently wrong span.
     """
-    if not 1 <= n <= 6:
-        raise ValueError("power basis demo supports 1 <= n <= 6")
+    POWER_BASIS_BITS.check("n", n)
+    Interval(1, integer=True).check("samples", samples)
     lo, hi = -1.0, 1.0
     d = 2 ** n
     x = _rng.stream(seed, n).uniform(lo, hi, size=samples)
@@ -420,11 +430,9 @@ def sample_complexity_curve(q: float, m0_grid: Sequence[int], trials: int,
     complement, not the probability itself, and both are reported so the
     discrepancy stays visible.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must be in [0, 1]")
-    if trials < 1000:
-        raise ValueError("at least 1000 trials required")
-    m0_grid = np.asarray([int(m) for m in m0_grid])
+    RATE.check("q", q)
+    LEARNABILITY_TRIALS.check("trials", trials)
+    m0_grid = np.asarray([Interval(0, integer=True).check("m0", m) for m in m0_grid])
     gen = _rng.stream(seed)
     exact = (1.0 - q) ** m0_grid.astype(float)
     empirical = np.empty(len(m0_grid))
@@ -442,11 +450,10 @@ def sample_complexity_curve(q: float, m0_grid: Sequence[int], trials: int,
 def detection_sample_threshold(q: float, prob: float = 0.5) -> float:
     """Samples needed so the any-nonzero detector fires with probability >= prob.
 
-    Solves (1-q)**m = 1-prob for real m; ``q`` and ``prob`` outside (0, 1)
-    raise :class:`InvalidInput`.
+    Solves (1-q)**m = 1-prob for real m, ``q`` and ``prob`` in (0, 1).
     """
-    if not (0.0 < q < 1.0 and 0.0 < prob < 1.0):
-        raise InvalidInput(f"q and prob must be in (0, 1), got {q!r} and {prob!r}")
+    for name, rate in (("q", q), ("prob", prob)):
+        Interval(0.0, 1.0, open_lo=True, open_hi=True).check(name, rate)
     return math.log(1.0 - prob) / math.log(1.0 - q)
 
 
@@ -491,16 +498,15 @@ def fat_shattering_lower_bound(values: np.ndarray, gamma: float,
     instance). Instance subsets and threshold combinations are scanned in
     lexicographic order and the first witness found for the largest feasible
     d is returned after independent re-verification; each dichotomy is
-    assigned its lowest-index function. Non-finite input, and gamma < 0,
-    raise ``ValueError``.
+    assigned its lowest-index function.
     """
+    Interval(0.0).check("gamma", gamma)
+    Interval(0, integer=True).check("budget", budget)
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError("values must be functions x instances")
     if not np.all((values >= -1e-12) & (values <= 1 + 1e-12)):
-        raise ValueError("function values must be finite and lie in [0, 1]")
-    if not 0.0 <= gamma < math.inf:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
+        raise InvalidInput("function values must be finite and lie in [0, 1]")
     n_fun, n_inst = values.shape
     if n_inst > 20:
         raise ValueError("exhaustive search limited to 20 instances")
@@ -514,9 +520,7 @@ def fat_shattering_lower_bound(values: np.ndarray, gamma: float,
         if len(pinned) != n_inst:
             raise ValueError(f"{len(pinned)} thresholds for {n_inst} instances: "
                              "give a scalar or one threshold per instance")
-        cand = [np.array([float(t)]) for t in pinned]
-        if not np.all(np.isfinite(cand)):
-            raise ValueError(f"thresholds must be finite, got {thresholds!r}")
+        cand = [np.array([float(Interval().check("threshold", t))]) for t in pinned]
 
     # per instance, one (lo, hi, threshold) per candidate: lo and hi are the
     # bitsets of the functions at most t - gamma and at least t + gamma (a

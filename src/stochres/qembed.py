@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidState, OutOfRange, SingularPath
+from .errors import InvalidInput, InvalidState, Interval, OutOfRange, SingularPath
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 HERMITICITY_TOL = 1e-12
@@ -76,8 +76,7 @@ def _averaged(u1: np.ndarray, u2: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def rotation_pair(p: float) -> UnitaryPair:
     """exp(-i*theta*X) and exp(+i*theta*X) with theta = arccos(sqrt(p))."""
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"p must be in [0, 1], got {p!r}")
+    Interval(0.0, 1.0).check("p", p, OutOfRange)
     theta = float(np.arccos(np.sqrt(p)))
     return UnitaryPair(*_rotations(theta, PAULI_X), float(p), theta)
 
@@ -113,16 +112,15 @@ def verify_rate_relation(p_path: np.ndarray, dt: float) -> float:
 
     Both derivatives are taken by central differences on the sampled path,
     so the deviation vanishes at second order in ``dt``. The path must stay
-    strictly positive. A NaN or infinity in the path, or a ``dt`` that is
-    not finite and positive, raises :class:`InvalidInput`, a ``ValueError``.
+    strictly positive. A NaN or infinity in the path raises
+    :class:`InvalidInput`, a ``ValueError``.
     """
     p = np.asarray(p_path, dtype=float)
     if p.size < 3:
         raise ValueError("need at least three samples")
     if not np.isfinite(p).all():
         raise InvalidInput("the rate relation needs a finite path p(t)")
-    if not 0.0 < float(dt) < np.inf:
-        raise InvalidInput(f"dt must be finite and positive, got {dt!r}")
+    Interval(0.0, open_lo=True).check("dt", dt)
     if np.any(p <= 0.0):
         raise SingularPath("p(t) touches zero on the grid")
     alpha = np.sqrt(p)
@@ -138,11 +136,9 @@ def correlated_flip_check(theta: float) -> dict:
     """Populations after the pair-averaged exp(-/+ i*theta*X(x)X) on |00><00|.
 
     The channel moves population only between |00> and |11>; the |01> and
-    |10> populations must stay at zero. A NaN or infinite ``theta`` raises
-    :class:`InvalidInput`, a ``ValueError``.
+    |10> populations must stay at zero.
     """
-    if not np.isfinite(theta):
-        raise InvalidInput(f"theta must be finite, got {theta!r}")
+    Interval().check("theta", theta)
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
     out = _averaged(*_rotations(theta, np.kron(PAULI_X, PAULI_X)), rho0)

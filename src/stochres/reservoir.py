@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -34,6 +33,7 @@ from .errors import (
     InsufficientTrials,
     InvalidInput,
     InvalidSamples,
+    Interval,
     LocalityViolation,
     MixedDimensions,
     NonfiniteDrive,
@@ -64,16 +64,9 @@ COUNT_ENTRIES_PER_OP = 64
 # largest |sum / previous sum - 1| of run_exact's unnormalized state over
 # one step; a gate's kernel rows may be off by ROW_SUM_TOL
 RENORM_DRIFT_TOL = 1e-9
-
-
-def default_depth_bound(n: int) -> int:
-    """Gates allowed per step: linear in the bit count."""
-    return 4 * n
-
-
-def default_derivative_bound(n: int) -> float:
-    """Max |d(kernel entry)/du| allowed: linear in the bit count."""
-    return 4.0 * max(n, 1)
+BITS = Interval(1, integer=True)
+# a shot count; above 2**53 the count sampler's float bincount loses shots
+SHOTS = Interval(1, 2 ** 53, integer=True)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +88,7 @@ def eval_drive_fn(spec: dict, u):
 
     Supported forms:
 
-    - ``{"type": "constant", "value": v}``
+    - ``{"type": "constant", "value": v}`` -- ``v`` in [0, 1] (InvalidInput).
     - ``{"type": "poly", "coeffs": [c0, c1, ...]}`` -- polynomial in ``u``,
       clipped into [0, 1].
     - ``{"type": "logistic", "rate": b, "center": c, "lo": l, "hi": h}`` --
@@ -103,7 +96,7 @@ def eval_drive_fn(spec: dict, u):
     """
     kind = spec["type"]
     if kind == "constant":
-        return np.clip(float(spec["value"]), 0.0, 1.0) * np.ones_like(np.asarray(u, dtype=float))
+        return np.full(np.shape(u), Interval(0.0, 1.0).check("constant drive", spec["value"]), float)
     if kind == "poly":
         coeffs = np.asarray(spec["coeffs"], dtype=float)
         val = np.polynomial.polynomial.polyval(np.asarray(u, dtype=float), coeffs)
@@ -199,7 +192,7 @@ class StochasticGate:
 
 def _drive_spec(drive) -> dict:
     """A drive spec dict as given, or a number as a constant drive."""
-    return drive if isinstance(drive, dict) else {"type": "constant", "value": float(drive)}
+    return drive if isinstance(drive, dict) else {"type": "constant", "value": drive}
 
 
 def constant_gate(support, matrix) -> StochasticGate:
@@ -270,24 +263,22 @@ class BitstringDistribution:
         return int(round(math.log2(self.probs.size)))
 
     def validate(self, tol: float = 1e-12) -> None:
+        Interval(0.0).check("tol", tol)
         if np.any(self.probs < -tol):
-            raise ValueError("negative probability entry")
+            raise InvalidInput("negative probability entry")
         if abs(self.probs.sum() - 1.0) > tol:
-            raise ValueError(f"probabilities sum to {self.probs.sum()!r}, not 1")
+            raise InvalidInput(f"probabilities sum to {self.probs.sum()!r}, not 1")
 
     @classmethod
     def uniform(cls, n: int) -> "BitstringDistribution":
+        BITS.check("n", n)
         return cls(np.full(2 ** n, 1.0 / 2 ** n))
 
     @classmethod
     def point_mass(cls, n: int, index: int) -> "BitstringDistribution":
-        """All mass on bitstring ``index``, an integer (not a bool) in
-        [0, 2**n); any other index raises :class:`InvalidInput`, a
-        ``ValueError``."""
-        if (isinstance(index, bool) or not isinstance(index, numbers.Integral)
-                or not 0 <= index < 2 ** n):
-            raise InvalidInput(
-                f"point mass index must be an integer in [0, {2 ** n}), got {index!r}")
+        """All mass on bitstring ``index``."""
+        BITS.check("n", n)
+        Interval(0, 2 ** n, open_hi=True, integer=True).check("point mass index", index)
         p = np.zeros(2 ** n)
         p[index] = 1.0
         return cls(p)
@@ -311,10 +302,10 @@ class InputMeasure:
     def __post_init__(self):
         if self.kind not in ("iid-uniform-interval", "iid-uniform-binary", "quadrature-grid"):
             raise ValueError(f"unknown measure kind: {self.kind!r}")
-        if not self.lo < self.hi:
-            raise ValueError("need lo < hi")
-        if self.kind == "quadrature-grid" and self.order < 2:
-            raise ValueError("quadrature order must be >= 2")
+        Interval().check("lo", self.lo)
+        Interval(self.lo, open_lo=True).check("hi", self.hi)
+        Interval(2, integer=True).check("order", self.order)
+        Interval(integer=True).check("seed", self.seed)
 
     def quadrature(self):
         """Nodes and probability weights (weights sum to 1)."""
@@ -324,6 +315,7 @@ class InputMeasure:
 
     def draw(self, length: int, generator) -> np.ndarray:
         """Sample ``length`` iid drive values using ``generator``."""
+        Interval(0, integer=True).check("length", length)
         if self.kind == "iid-uniform-interval":
             return generator.uniform(self.lo, self.hi, size=length)
         if self.kind == "iid-uniform-binary":
@@ -339,6 +331,7 @@ class InputMeasure:
         per-row weights), so ``length`` must be ``order`` and
         ``washout_length`` 0; anything else raises ``ValueError``.
         """
+        Interval(1, integer=True).check("length", length)
         if self.kind == "quadrature-grid":
             if length != self.order or washout_length != 0:
                 raise ValueError(
@@ -370,9 +363,7 @@ class InputSequence:
 
     ``values`` is a 1-D array of T drives or a (T, 1) column of them, and is
     held as the column; any other shape, such as (T, m) with m > 1, is
-    rejected rather than reduced to a scalar per step. ``washout_length``
-    must be an integer (not a bool), else :class:`InvalidInput`, a
-    ``ValueError``, is raised.
+    rejected rather than reduced to a scalar per step.
     """
 
     values: np.ndarray
@@ -387,11 +378,7 @@ class InputSequence:
             raise ValueError(f"values must be 1-D (T,) or (T, 1), got shape {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise NonfiniteDrive("input values must be finite")
-        if (isinstance(self.washout_length, bool)
-                or not isinstance(self.washout_length, numbers.Integral)):
-            raise InvalidInput(f"washout_length must be an integer, got {self.washout_length!r}")
-        if self.washout_length < 0:
-            raise ValueError("washout_length must be >= 0")
+        Interval(0, integer=True).check("washout_length", self.washout_length)
         self.weights = _check_weights(self.weights, len(self))
 
     def __len__(self) -> int:
@@ -416,14 +403,16 @@ class ReservoirSpec:
     drive_domain: tuple = (-1.0, 1.0)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one bit")
+        BITS.check("n", self.n)
+        Interval(1, integer=True).check("k_max", self.k_max)
         if self.initial_state is None:
             self.initial_state = BitstringDistribution.uniform(self.n)
-        if self.depth_bound is None:
-            self.depth_bound = default_depth_bound(self.n)
-        if self.derivative_bound is None:
-            self.derivative_bound = default_derivative_bound(self.n)
+        if self.depth_bound is None:  # gates per step, linear in the bit count
+            self.depth_bound = 4 * self.n
+        if self.derivative_bound is None:  # max |d(kernel entry)/du|, linear too
+            self.derivative_bound = 4.0 * self.n
+        Interval(0, integer=True).check("depth_bound", self.depth_bound)
+        Interval(0.0).check("derivative_bound", self.derivative_bound)
 
 
 @dataclass
@@ -445,6 +434,9 @@ class TrajectoryEnsemble:
     washout_length: int = 0
 
     def __post_init__(self):
+        BITS.check("n", self.n)
+        Interval(integer=True).check("seed_root", self.seed_root)
+        Interval(0, integer=True).check("washout_length", self.washout_length)
         samples = np.asarray(self.samples)
         if samples.dtype.kind not in "iu":
             raise InvalidSamples(f"samples must be integers, got dtype {samples.dtype}")
@@ -843,7 +835,7 @@ def _validate_gate(gate: StochasticGate, n: int, k_max: int,
         raise StochasticityViolation(
             f"kernel shape {stack.shape[1:]} does not match support size {gate.arity}"
         )
-    if np.any(stack < -ROW_SUM_TOL) or np.any(stack > 1 + ROW_SUM_TOL):
+    if not np.all((stack >= -ROW_SUM_TOL) & (stack <= 1 + ROW_SUM_TOL)):  # NaN fails too
         raise StochasticityViolation("kernel entries outside [0, 1]")
     row_sums = stack.sum(axis=2)
     if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
@@ -908,7 +900,7 @@ def _checked_drives(reservoir: Reservoir, inputs: InputSequence) -> tuple:
 
 
 def _check_dense(n: int, what: str) -> None:
-    """Raise :class:`ExactModeOverflow`, a ``ValueError``, when ``what`` would
+    """Raise :class:`ExactModeOverflow`, an :class:`InvalidInput`, when ``what`` would
     hold a dense vector of 2^n entries past ``EXACT_MODE_MAX_BITS``."""
     if n > EXACT_MODE_MAX_BITS:
         raise ExactModeOverflow(f"{what} supports up to {EXACT_MODE_MAX_BITS} bits, got {n}")
@@ -929,7 +921,8 @@ def step_exact(reservoir: Reservoir, state, u: float) -> np.ndarray:
     :func:`run_exact`: a non-finite drive raises :class:`NonfiniteDrive` and
     one outside the drive domain :class:`DriveBoundViolation`.
     """
-    values, _ = _checked_drives(reservoir, InputSequence([float(u)], washout_length=0))
+    Interval().check("u", u, NonfiniteDrive)
+    values, _ = _checked_drives(reservoir, InputSequence([u], washout_length=0))
     _check_dense(reservoir.n, "exact mode")
     vec = state.probs if isinstance(state, BitstringDistribution) else np.asarray(state, dtype=float)
     if vec.size != reservoir.dim:
@@ -1014,15 +1007,6 @@ def run_exact(reservoir: Reservoir, inputs: InputSequence) -> np.ndarray:
 # sampled propagation
 # ---------------------------------------------------------------------------
 
-def _check_shots(shots) -> None:
-    """A shot count must be an integer (not a bool) in [1, 2**53], above
-    which the count sampler's float ``bincount`` would lose shots."""
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
-        raise InvalidInput(f"shots must be an integer, got {shots!r}")
-    if not 1 <= shots <= 2 ** 53:
-        raise InvalidInput(f"shots must be in [1, 2**53], got {shots!r}")
-
-
 def _op_parts(plan: StepPlan) -> list:
     """The plan's ops with each block op given back as its parts: the ops
     that the per-shot sampler takes one by one."""
@@ -1048,7 +1032,7 @@ def sample_trajectories(reservoir: Reservoir, inputs: InputSequence, shots: int,
     leaves every stream, and the output, unchanged. States and samples are
     held in the register's own width, ``np.min_scalar_type(2**n - 1)``.
     """
-    _check_shots(shots)
+    SHOTS.check("shots", shots)
     values, index = _checked_drives(reservoir, inputs)
     washout = inputs.washout_length
 
@@ -1248,15 +1232,12 @@ def fading_memory_error(reservoir: Reservoir, h: int, measure: InputMeasure,
     Each resampled history is one :func:`run_exact` call, so it gets the
     same drive-bound and renormalization-drift checks.
     """
-    if h < 1:
-        raise ValueError("history window must be >= 1")
-    if trials < 10:
-        raise InsufficientTrials(f"need at least 10 trials, got {trials}")
-    if resamples < 2:  # a sample variance needs two histories
-        raise InsufficientTrials(f"need at least 2 resamples, got {resamples}")
-    total = total_window if total_window is not None else max(48, h + 32)
-    if total < h:
-        raise ValueError("total_window must be >= h")
+    Interval(1, integer=True).check("h", h)
+    Interval(10, integer=True).check("trials", trials, InsufficientTrials)
+    # a sample variance needs two histories
+    Interval(2, integer=True).check("resamples", resamples, InsufficientTrials)
+    total = (max(48, h + 32) if total_window is None
+             else Interval(h, integer=True).check("total_window", total_window))
 
     acc = 0.0
     for trial in range(trials):

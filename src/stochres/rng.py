@@ -7,11 +7,9 @@ which they are created, so results are reproducible regardless of how work is
 chunked or threaded.
 """
 
-import numbers
-
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, is_integer
 
 _MASK64 = (1 << 64) - 1
 
@@ -26,7 +24,7 @@ def stream(root_seed, *path):
     would alias onto an integer's stream, raises :class:`InvalidInput`.
     """
     words = (root_seed, *path)
-    if any(isinstance(w, bool) or not isinstance(w, numbers.Integral) for w in words):
+    if not all(map(is_integer, words)):
         raise InvalidInput(f"stream seeds and paths must be integers, got {words!r}")
     entropy = tuple(int(w) & _MASK64 for w in words)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

@@ -14,7 +14,6 @@ import datetime
 import hashlib
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -24,8 +23,14 @@ import numpy as np
 from . import __version__
 from . import rng as _rng
 from .capacity import eigentask_decomposition, ipc_probability_rep, ipc_spectral
-from .errors import ConditioningFailure, ConfigValidation, IOFailure, NumericCheckFailure, UnknownExperiment
+from .errors import (ConditioningFailure, ConfigValidation, InvalidInput, Interval, IOFailure,
+                     NumericCheckFailure, UnknownExperiment, is_integer)
 from .experiments import (
+    LEARNABILITY_TRIALS,
+    NOISE_RATE,
+    PEAK,
+    POWER_BASIS_BITS,
+    RATE,
     classify_tails,
     detection_sample_threshold,
     fat_shattering_lower_bound,
@@ -43,6 +48,7 @@ from .fileio import csv_text, json_default, json_text, write_atomic
 from .qembed import RATE_DT_MAX, verification_report
 from .reservoir import (
     EXACT_MODE_MAX_BITS,
+    SHOTS,
     InputMeasure,
     InputSequence,
     build_reservoir,
@@ -332,78 +338,40 @@ def _run_embed_check(params, seed):
 class OneOf(frozenset):
     """Limit: one of the given values."""
 
-    def check(self, key, value, default) -> None:
+    def check(self, name, value) -> None:
         if value not in self:
-            raise ConfigValidation(
-                f"config key {key!r} must be one of {sorted(self)}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Limit: ``lo`` to ``hi``, each end closed unless marked open, or unbounded if None."""
-
-    lo: float = None
-    hi: float = None
-    open_lo: bool = False
-    open_hi: bool = False
-
-    def check(self, key, value, default) -> None:
-        if self.lo is not None and (value <= self.lo if self.open_lo else value < self.lo):
-            bound = f"{'>' if self.open_lo else '>='} {self.lo}"
-        elif self.hi is not None and (value >= self.hi if self.open_hi else value > self.hi):
-            bound = f"{'<' if self.open_hi else '<='} {self.hi}"
-        else:
-            return
-        raise ConfigValidation(f"config key {key!r} must be {bound}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class Each:
-    """Limit of a list key: non-empty, each entry typed like the default's and within ``entry``."""
-
-    entry: object
-
-    def check(self, key, values, default) -> None:
-        if not values:
-            raise ConfigValidation(f"config key {key!r} must be a non-empty list")
-        for i, value in enumerate(values):  # checked, not rewritten
-            self.entry.check(f"{key}[{i}]", _typed(f"{key}[{i}]", value, default[0]), default[0])
+            raise InvalidInput(f"{name} must be one of {sorted(self)}, got {value!r}")
 
 
 _AT_LEAST_1 = Interval(1)
 _AT_LEAST_0 = Interval(0)
 _POSITIVE = Interval(0.0, open_lo=True)
 _ANY = Interval()
-# shift_register_flip_family takes noise rates in [0, 0.5]; at 0.5 the state
-# is uniform after every step
-_NOISE_RATE = Interval(0.0, 0.5)
-# a signal peak of the normalized switching family is at most 1, so no
-# sharpness reaches a target_min_peak above it
-_PEAK = Interval(0.0, 1.0, open_lo=True)
 
 # keys that say nothing about what a run computes, so config_hash leaves them
 # out; threads has no effect and stays only because existing configs carry it
-_EXECUTION_KEYS = {"threads": (1, _AT_LEAST_1), "out_dir": (".", _ANY)}
+_EXECUTION_KEYS = {"threads": (1, _AT_LEAST_1), "out_dir": (".", None)}
 # keys every experiment takes; rng.stream masks seeds to 64 bits, so a seed
 # outside [0, 2^64 - 1] would alias one inside it under another config_hash
 COMMON_KEYS = {"seed": (0, Interval(0, 2 ** 64 - 1)), **_EXECUTION_KEYS}
 
-# experiment name -> (runner, {key: (default, limit)})
+# experiment name -> (runner, {key: (default, limit)}); the limit, of each entry of
+# a list, is an Interval, a OneOf, or None where any value of the default's type will do
 EXPERIMENTS: dict = {
     "ipc": (_run_ipc, {
         # both modes take the full 2^n distribution, so n stops at the exact-mode cap
         "n": (3, Interval(1, EXACT_MODE_MAX_BITS)),
-        "lambda": (0.1, _NOISE_RATE),
+        "lambda": (0.1, NOISE_RATE),
         "timesteps": (1500, _AT_LEAST_1),
         "washout": (100, _AT_LEAST_0),
         "mode": ("exact", OneOf({"exact", "sampled"})),
-        "shots": (2000, Interval(1, 2 ** 53)),
+        "shots": (2000, SHOTS),
     }),
     "scan-n": (_run_scan, {
         # every n of the scan runs in exact mode
         "n_min": (2, Interval(1, EXACT_MODE_MAX_BITS)),
         "n_max": (8, Interval(1, EXACT_MODE_MAX_BITS)),
-        "lambda": (0.05, _NOISE_RATE),
+        "lambda": (0.05, NOISE_RATE),
         "timesteps": (2000, _AT_LEAST_1),
         "washout": (100, _AT_LEAST_0),
         "repeats": (3, _AT_LEAST_1),
@@ -412,7 +380,7 @@ EXPERIMENTS: dict = {
         "count": (4, _AT_LEAST_1),
         "domain_lo": (0.0, _ANY),
         "domain_hi": (1.0, _ANY),
-        "target_min_peak": (0.99, _PEAK),
+        "target_min_peak": (0.99, PEAK),
         "grid_points": (2001, _AT_LEAST_1),
         "match_rule": ("decay-scale", OneOf({"decay-scale", "half-width"})),
     }),
@@ -427,17 +395,14 @@ EXPERIMENTS: dict = {
         "noise": (0.01, Interval(0.0)),
     }),
     "power-basis": (_run_power_basis, {
-        # power_basis_demo supports 1 <= n <= 6
-        "n": (3, Interval(1, 6)),
+        "n": (3, POWER_BASIS_BITS),
         "samples": (100_000, _AT_LEAST_1),
     }),
     "learnability": (_run_learnability, {
-        # each q is a probability
-        "q_values": ([0.01, 0.1], Each(Interval(0.0, 1.0))),
+        "q_values": ([0.01, 0.1], RATE),
         # each m0 is a sample count
-        "m0_grid": ([1, 10, 100], Each(_AT_LEAST_1)),
-        # sample_complexity_curve needs at least 1000 trials
-        "trials": (10_000, Interval(1000)),
+        "m0_grid": ([1, 10, 100], _AT_LEAST_1),
+        "trials": (10_000, LEARNABILITY_TRIALS),
         # the growth q = n^2 / 2^n is below 1 from n = 5 on, and 1 - q rounds
         # to 1 from n = 67 on
         "growth_n_min": (8, Interval(5)),
@@ -451,7 +416,7 @@ EXPERIMENTS: dict = {
         "gamma": (0.3, Interval(0.0, 0.5, open_lo=True)),
         # a threshold between values in [0, 1]
         "threshold": (0.5, Interval(0.0, 1.0)),
-        "target_min_peak": (0.99, _PEAK),
+        "target_min_peak": (0.99, PEAK),
     }),
     "embed-check": (_run_embed_check, {
         # a bound on residuals, which are >= 0; 0 fails the check on purpose
@@ -486,24 +451,33 @@ def _number(key, value, want):
     """``value`` as ``want`` (int or float). Bools, non-numbers, non-finite
     numbers and, for int, numbers with a fraction raise ConfigValidation
     rather than being rounded or passed on."""
-    if not isinstance(value, bool):
-        if isinstance(value, numbers.Integral):
-            return want(value)
-        if isinstance(value, numbers.Real) and math.isfinite(value) \
-                and (want is float or float(value).is_integer()):
-            return want(value)
+    if is_integer(value) or (isinstance(value, float) and math.isfinite(value)
+                             and (want is float or value.is_integer())):
+        return want(value)
     kind = "an integer" if want is int else "a finite number"
     raise ConfigValidation(f"config key {key!r} expects {kind}, got {value!r}")
 
 
-def _typed(key, value, default):
-    """``value`` as the type of ``default``, numbers through :func:`_number`."""
+def _checked(key, value, default, limit):
+    """``value`` as the type of ``default``, numbers through :func:`_number`, and
+    within ``limit`` (if not None) on pain of ConfigValidation; a list must be
+    non-empty, and each entry is checked so, but not rewritten."""
     want = type(default)
     if want in (int, float):
-        return _number(key, value, want)
-    if not isinstance(value, want):
+        value = _number(key, value, want)
+    elif not isinstance(value, want):
         raise ConfigValidation(
             f"config key {key!r} expects {want.__name__}, got {type(value).__name__}")
+    if want is list:
+        if not value:
+            raise ConfigValidation(f"config key {key!r} must be a non-empty list")
+        for i, entry in enumerate(value):
+            _checked(f"{key}[{i}]", entry, default[0], limit)
+    elif limit is not None:
+        try:
+            limit.check(f"config key {key!r}", value)
+        except InvalidInput as exc:
+            raise ConfigValidation(str(exc)) from None
     return value
 
 
@@ -521,9 +495,7 @@ def validate_config(config: dict) -> dict:
             raise ConfigValidation(f"unknown config key: {key!r}")
     effective = {"experiment": name}
     for key, (default, limit) in table.items():
-        value = _typed(key, copy.copy(config.get(key, default)), default)
-        limit.check(key, value, default)
-        effective[key] = value
+        effective[key] = _checked(key, copy.copy(config.get(key, default)), default, limit)
     for key, other, holds, rule in _RULES:
         if key in effective and not holds(effective[key], effective[other]):
             raise ConfigValidation(f"config key {key!r} must be {rule}, got "

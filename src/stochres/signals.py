@@ -14,15 +14,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MissingShotMetadata, MixedDimensions
+from .errors import Interval, InvalidInput, MissingShotMetadata, MixedDimensions
 from .fileio import read_raw, write_raw
 from .reservoir import (
+    SHOTS,
     BitstringDistribution,
     InputSequence,
     Reservoir,
     TrajectoryEnsemble,
     _check_dense,
-    _check_shots,
     _check_weights,
     _count_frequencies,
 )
@@ -51,6 +51,9 @@ class SignalMatrix:
             raise ValueError("signal data must be 2-D (time x columns)")
         if self.mode not in (MODE_EXACT, MODE_EMPIRICAL, MODE_MOMENT):
             raise ValueError(f"unknown signal mode: {self.mode!r}")
+        Interval(0, integer=True).check("n", self.n)
+        if self.shots is not None:
+            SHOTS.check("shots", self.shots)
         if self.labels is None:
             self.labels = np.arange(self.data.shape[1], dtype=np.int64)
         else:
@@ -76,21 +79,21 @@ class SignalMatrix:
     def validate(self) -> None:
         if self.mode == MODE_EXACT:
             if np.any(self.data < -1e-12) or np.any(self.data > 1 + 1e-12):
-                raise ValueError("probabilities outside [0, 1]")
+                raise InvalidInput("probabilities outside [0, 1]")
             if np.max(np.abs(self.data.sum(axis=1) - 1.0)) > 1e-10:
-                raise ValueError("probability rows must sum to 1 within 1e-10")
+                raise InvalidInput("probability rows must sum to 1 within 1e-10")
         elif self.mode == MODE_EMPIRICAL:
             if self.shots is None:
                 raise MissingShotMetadata("empirical mode requires a shot count")
             scaled = self.data * self.shots
             if np.max(np.abs(scaled - np.round(scaled))) > 1e-6:
-                raise ValueError("frequencies must be multiples of 1/shots")
+                raise InvalidInput("frequencies must be multiples of 1/shots")
             if np.max(np.abs(self.data.sum(axis=1) - 1.0)) > 1e-10:
-                raise ValueError("frequency rows must sum to 1")
+                raise InvalidInput("frequency rows must sum to 1")
         else:
             empty = np.where(self.labels == 0)[0]
             if empty.size and np.max(np.abs(self.data[:, empty[0]] - 1.0)) > 1e-12:
-                raise ValueError("moment column for the empty mask must be 1")
+                raise InvalidInput("moment column for the empty mask must be 1")
 
 
 def probability_signals(dists) -> SignalMatrix:
@@ -147,7 +150,7 @@ def sample_frequencies(reservoir: Reservoir, inputs: InputSequence, shots: int,
     them, with the same bits for a seed on every run. ``shots`` and the
     drives are checked as ``sample_trajectories`` checks them.
     """
-    _check_shots(shots)
+    SHOTS.check("shots", shots)
     _check_dense(reservoir.n, "dense frequencies")
     sm = SignalMatrix(_count_frequencies(reservoir, inputs, shots, seed), MODE_EMPIRICAL,
                       reservoir.n, shots=int(shots))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidSamples, NegativeProbability
+from .errors import InvalidInput, InvalidSamples, Interval, NegativeProbability
 from .reservoir import _check_dense
 from .signals import MODE_MOMENT, SignalMatrix
 
@@ -23,6 +23,7 @@ from .signals import MODE_MOMENT, SignalMatrix
 def _superset_pass(values, n: int, combine) -> np.ndarray:
     """Along each bit axis, ``values[m] = combine(values[m], values[m | bit])``
     for every ``m`` without the bit, in place on a float copy."""
+    Interval(0, integer=True).check("n", n)
     _check_dense(n, "dense transforms")
     out = np.array(values, dtype=float, copy=True)
     t = out.reshape(out.shape[:-1] + (2,) * n)
@@ -72,12 +73,13 @@ def probabilities_from_moments(moments: np.ndarray, n: int,
     Raises NegativeProbability when the inversion produces an entry below
     ``-tol``, which signals an inconsistent moment vector.
     """
+    Interval(0.0).check("tol", tol)
     moments = np.asarray(moments, dtype=float)
     if not np.isfinite(moments).all():
         raise InvalidInput("moments must be finite")
     empty = moments[..., 0]
     if np.max(np.abs(empty - 1.0)) > 1e-9:
-        raise ValueError("moment for the empty mask must be 1")
+        raise InvalidInput("moment for the empty mask must be 1")
     probs = mobius_superset(moments, n)
     if np.min(probs) < -tol:
         raise NegativeProbability(
@@ -90,13 +92,17 @@ def moments_for_masks(probs: np.ndarray, masks: Sequence[int], n: int) -> np.nda
     """Moments for an explicit mask list, without a dense 2**n vector.
 
     Intended for n beyond the dense limit when only a few product signals
-    are needed.
+    are needed. ``probs`` must end in an axis of 2**n entries.
     """
+    Interval(0, integer=True).check("n", n)
     probs = np.asarray(probs, dtype=float)
+    if probs.shape[-1:] != (2 ** n,):
+        raise InvalidInput(f"probs must end in an axis of 2**{n} entries, got shape {probs.shape}")
     idx = np.arange(probs.shape[-1], dtype=np.int64)
     out = np.empty(probs.shape[:-1] + (len(masks),))
     for j, m in enumerate(masks):
-        sel = (idx & int(m)) == int(m)
+        m = int(Interval(0, 2 ** n, open_hi=True, integer=True).check("mask", m))
+        sel = (idx & m) == m
         out[..., j] = probs[..., sel].sum(axis=-1)
     return out
 
@@ -107,8 +113,9 @@ def moments_from_samples(samples: np.ndarray, masks: Sequence[int]) -> np.ndarra
     ``samples`` is any integer array of non-negative bitstring indices, read
     in its own dtype without a copy; for each mask the result is the
     fraction of samples containing that mask. A mask wider than the dtype
-    is in no sample and gives 0. Non-integer, negative or no samples and
-    negative masks raise :class:`InvalidSamples`, a ``ValueError``.
+    is in no sample and gives 0. Non-integer, negative or no samples, and
+    masks that are not integers >= 0, raise :class:`InvalidSamples`, an
+    :class:`InvalidInput`.
     """
     samples = np.asarray(samples)
     if samples.dtype.kind not in "iu":
@@ -120,9 +127,7 @@ def moments_from_samples(samples: np.ndarray, masks: Sequence[int]) -> np.ndarra
     widest = np.iinfo(samples.dtype).max
     out = np.empty(len(masks))
     for j, m in enumerate(masks):
-        m = int(m)
-        if m < 0:
-            raise InvalidSamples(f"masks must be non-negative, got {m}")
+        m = int(Interval(0, integer=True).check("mask", m, InvalidSamples))
         out[j] = np.mean((samples & m) == m) if m <= widest else 0.0
     return out
 

@@ -48,6 +48,10 @@ SAMPLED = (
 # largest relative gap between each sampled IPC and its finite-shot target
 FINITE_SHOT_BOUND = 0.02
 
+# scan-n runs over too few sizes for a fit with a standard error, and their size counts
+SHORT_SCANS = (("scan-n-one", '{"n_min": 3, "n_max": 3}', 1),
+               ("scan-n-two", '{"n_min": 3, "n_max": 4}', 2))
+
 
 def check(ok, message):
     if not ok:
@@ -114,6 +118,20 @@ def near_finite_shot_target(label, n, lam, shots, ipc):
     print(f"{label}: ipc {ipc:.4f} against {shots}-shot target {target:.4f}, gap {gap:+.2%}")
 
 
+def short_scan_fit(fit_path, label, sizes):
+    """Check a scan-n fit over fewer than three sizes: null standard errors, a false flag,
+    and slopes that are null at one size and numbers at two."""
+    fit = json.loads(Path(fit_path).read_text())
+    check(fit["slope_stderr"] is None and fit["slope_logn_stderr"] is None,
+          f"{label}: standard errors {fit['slope_stderr']}, {fit['slope_logn_stderr']} over "
+          f"{sizes} of n")
+    check(fit["subexponential_consistent"] is False,
+          f"{label}: subexponential_consistent {fit['subexponential_consistent']} over {sizes} of n")
+    slopes = (fit["slope_log_ipc_vs_n"], fit["slope_log_ipc_vs_log_n"])
+    check(all((s is None) == (sizes < 2) for s in slopes), f"{label}: slopes {slopes} over {sizes} of n")
+    print(f"{label}: slopes {slopes}, null standard errors and a false flag over {sizes} of n")
+
+
 def shatters_16(report_path):
     report = json.loads(Path(report_path).read_text())
     check(report["dimension"] == 16, f"fat-shatter count 16: dimension {report['dimension']}")
@@ -145,6 +163,9 @@ def main(root, cmd):
     for row in rows:
         near_closed_form(f"scan-n n = {row['n']}", int(row["n"]), float(row["lambda"]),
                          float(row["ipc"]))
+    for name, config, sizes in SHORT_SCANS:
+        run(cmd, root, name, "scan-n", config)
+        short_scan_fit(root / name / "scan_fit.json", name, sizes)
     run(cmd, root, "fat-16", "fat-shatter", '{"count": 16}')
     shatters_16(root / "fat-16" / "fat_shatter.json")
     err = run(cmd, root, "fat-budget", "fat-shatter",

@@ -672,6 +672,18 @@ def test_target_basis_rejects_an_unknown_measure_kind(kind):
         TargetBasis(1, 1, kind)
 
 
+@pytest.mark.parametrize("max_delay, max_degree, name", [
+    (-2, 1, "max_delay"),  # recursed until RecursionError
+    (1, -1, "max_degree"),  # built an empty basis
+    (1.0, 1, "max_delay"),
+    (1, True, "max_degree"),
+])
+def test_target_basis_bounds_are_integers_at_least_zero(max_delay, max_degree, name):
+    with pytest.raises(InvalidInput, match=name):
+        TargetBasis(max_delay, max_degree, "iid-uniform-interval")
+    assert len(TargetBasis(0, 0, "iid-uniform-interval")) == 1
+
+
 def test_quadrature_grid_measure_gets_an_interval_basis():
     measure = InputMeasure("quadrature-grid", -0.5, 2.0, order=8)
     basis = build_target_basis(measure, max_delay=0, max_degree=3)

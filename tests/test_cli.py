@@ -23,7 +23,6 @@ from stochres.runio import (
     COMMON_KEYS,
     EXPERIMENTS,
     Artifact,
-    Each,
     Interval,
     OneOf,
     config_hash,
@@ -433,6 +432,18 @@ def test_cli_runs_other_experiments_at_their_least_values(experiment, text, tmp_
     assert (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("n_max", [3, 4])
+def test_scan_over_one_or_two_sizes_writes_null_standard_errors(n_max, tmp_path):
+    # one size exited 1 with a ZeroDivisionError; two wrote a stderr of 0.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_min": 3, "n_max": n_max, "timesteps": 200, "washout": 20}))
+    assert main(["scan-n", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    fit = json.loads((tmp_path / "out" / "scan_fit.json").read_text())
+    assert fit["slope_stderr"] is None and fit["slope_logn_stderr"] is None
+    assert fit["subexponential_consistent"] is False
+    assert (fit["slope_log_ipc_vs_n"] is None) == (n_max == 3)
+
+
 @pytest.mark.parametrize("experiment, overrides", [
     ("ipc", {"seed": 0}),
     ("ipc", {"seed": 2 ** 64 - 1}),
@@ -462,10 +473,12 @@ def test_every_key_has_a_limit_that_admits_its_default():
     tables = [COMMON_KEYS] + [table for _, table in EXPERIMENTS.values()]
     for table in tables:
         for key, (default, limit) in table.items():
-            assert isinstance(limit, (OneOf, Interval, Each)), key
-            limit.check(key, default, default)
-            if isinstance(limit, Each):
+            assert limit is None or isinstance(limit, (OneOf, Interval)), key
+            if isinstance(default, list):
                 assert default and all(type(v) is type(default[0]) for v in default), key
+            for value in default if isinstance(default, list) else [default]:
+                if limit is not None:
+                    limit.check(key, value)
     keys = {key for table in tables for key in table}
     for key, other, _, _ in _RULES:
         assert {key, other} <= keys
@@ -474,12 +487,12 @@ def test_every_key_has_a_limit_that_admits_its_default():
         validate_config({"experiment": name})
 
 
-def _limit_text(limit) -> str:
+def _limit_text(limit, default) -> str:
+    if isinstance(default, list):
+        return "non-empty; each entry in " + _limit_text(limit, default[0])
     if isinstance(limit, OneOf):
         return "one of " + ", ".join(f"`{v}`" for v in sorted(limit))
-    if isinstance(limit, Each):
-        return "non-empty; each entry in " + _limit_text(limit.entry)
-    if limit.lo is None and limit.hi is None:
+    if limit is None or limit.lo is None and limit.hi is None:
         return "any"
     lo = "(-∞" if limit.lo is None else f"{'(' if limit.open_lo else '['}{limit.lo}"
     hi = "∞)" if limit.hi is None else f"{limit.hi}{')' if limit.open_hi else ']'}"
@@ -491,7 +504,7 @@ def schema_readme_lines() -> list:
     rows = [("all", COMMON_KEYS)]
     rows += [(f"`{name}`", table) for name, (_, table) in EXPERIMENTS.items()]
     lines = ["| experiment | key | default | limit |", "| --- | --- | --- | --- |"]
-    lines += [f"| {name} | `{key}` | `{json.dumps(default)}` | {_limit_text(limit)} |"
+    lines += [f"| {name} | `{key}` | `{json.dumps(default)}` | {_limit_text(limit, default)} |"
               for name, table in rows for key, (default, limit) in table.items()]
     rules = ", ".join(f"`{key} {rule}`" for key, _, _, rule in _RULES)
     return lines + ["", f"Cross-key rules: {rules}."]

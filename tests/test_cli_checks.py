@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from cli_checks import (manifest_matches, near_closed_form, near_finite_shot_target, routes_agree,
-                        run, same_bytes, shatters_16)
+                        run, same_bytes, shatters_16, short_scan_fit)
 from stochres.experiments import shift_register_capacity_closed_form
 
 
@@ -88,3 +88,21 @@ def test_fat_shatter_below_dimension_16_fails(tmp_path):
     (tmp_path / "low.json").write_text(json.dumps({**report, "dimension": 15}))
     with pytest.raises(SystemExit, match="fat-shatter count 16: dimension 15"):
         shatters_16(tmp_path / "low.json")
+
+
+def _fit(path, slope, stderr, flag):
+    path.write_text(json.dumps({"slope_log_ipc_vs_n": slope, "slope_stderr": stderr,
+                                "slope_log_ipc_vs_log_n": slope, "slope_logn_stderr": stderr,
+                                "subexponential_consistent": flag}))
+    return path
+
+
+def test_short_scan_with_a_stderr_a_true_flag_or_a_wrong_slope_fails(tmp_path):
+    short_scan_fit(_fit(tmp_path / "two.json", 0.5, None, False), "scan-n-two", 2)
+    short_scan_fit(_fit(tmp_path / "one.json", None, None, False), "scan-n-one", 1)
+    with pytest.raises(SystemExit, match="scan-n-two: standard errors 0.0"):
+        short_scan_fit(_fit(tmp_path / "dof.json", 0.5, 0.0, False), "scan-n-two", 2)
+    with pytest.raises(SystemExit, match="scan-n-two: subexponential_consistent True"):
+        short_scan_fit(_fit(tmp_path / "flag.json", 0.5, None, True), "scan-n-two", 2)
+    with pytest.raises(SystemExit, match="scan-n-one: slopes"):
+        short_scan_fit(_fit(tmp_path / "slope.json", 0.5, None, False), "scan-n-one", 1)

@@ -71,6 +71,23 @@ def test_closed_form_refuses_what_the_family_refuses(n, noise):
         shift_register_capacity_closed_form(n, noise)
 
 
+@pytest.mark.parametrize("n_values", [[3], [3, 4]])
+def test_scan_over_fewer_than_three_sizes_reports_no_standard_error(n_values):
+    # one size divided by zero; two reported a stderr of 0.0 from a fit with no
+    # residual degree of freedom, and called the curve subexponential
+    curve = sr.scan_system_size(sr.shift_register_flip_family, n_values, 0.05, BINARY,
+                                timesteps=200, washout=20, repeats=2)
+    assert curve.slope_n_stderr is None and curve.slope_logn_stderr is None
+    assert curve.subexponential_consistent is False
+    if len(n_values) == 1:
+        assert curve.slope_n is None and curve.slope_logn is None
+    else:
+        log_ipc = np.log(curve.ipc_mean)
+        assert curve.slope_n == pytest.approx(log_ipc[1] - log_ipc[0], rel=1e-12)
+        assert curve.slope_logn == pytest.approx((log_ipc[1] - log_ipc[0]) / math.log(4 / 3),
+                                                 rel=1e-12)
+
+
 def test_scan_rejects_oversized_exact_mode():
     with pytest.raises(ExactModeOverflow):
         sr.scan_system_size(sr.shift_register_flip_family, [15], 0.1, BINARY)
@@ -157,6 +174,14 @@ def test_switching_family_rejects_sharpness_that_is_not_finite_and_positive(shar
     for kind in ("exponential", "polynomial"):
         with pytest.raises(InvalidInput, match="sharpness"):
             sr.switching_family(kind, 4, sharpness=sharpness)
+
+
+def test_tail_classification_needs_three_distinct_drive_values():
+    # a region of one u value divided by zero in the line fit
+    with pytest.raises(ValueError, match="at least 3 samples in the region, at distinct u, got 1"):
+        sr.classify_tails(np.full(5, 2.0), np.array([0.5, 0.4, 0.3, 0.2, 0.1]))
+    with pytest.raises(ValueError, match="got 2"):
+        sr.classify_tails(np.array([2.0, 2.0, 3.0, 3.0]), np.array([0.5, 0.4, 0.3, 0.2]))
 
 
 def test_exponential_beats_polynomial_prefactor():
@@ -413,7 +438,7 @@ def test_pinned_thresholds_need_one_per_instance(count):
 ], ids=["nan-value", "nan-threshold", "inf-threshold", "nan-gamma", "inf-gamma",
         "negative-gamma"])
 def test_search_rejects_non_finite_input_and_negative_gamma(values, gamma, thresholds):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(InvalidInput, match="finite|gamma must be >= 0"):
         sr.fat_shattering_lower_bound(np.array(values), gamma, thresholds=thresholds)
 
 

@@ -141,7 +141,7 @@ def test_rate_relation_rejects_a_nonfinite_path(bad):
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-3])
 def test_rate_relation_rejects_a_nonfinite_or_nonpositive_step(dt):
-    with pytest.raises(InvalidInput, match="dt must be finite and positive"):
+    with pytest.raises(InvalidInput, match="dt must be (finite|> 0)"):
         verify_rate_relation(np.cos(np.arange(0.1, 1.4, 1e-2)) ** 2, dt)
 
 

@@ -110,6 +110,14 @@ def test_build_rejects_non_stochastic_kernel():
         sr.build_reservoir(ReservoirSpec(n=1, gates=[bad]))
 
 
+@pytest.mark.parametrize("drive", [{"type": "poly", "coeffs": [np.nan]},
+                                   {"type": "logistic", "rate": np.nan}])
+def test_build_rejects_a_nan_kernel(drive):
+    # NaN compared false against both ends of [0, 1], so the kernel passed
+    with pytest.raises(StochasticityViolation):
+        sr.build_reservoir(ReservoirSpec(n=1, gates=[flip_gate(0, drive)]))
+
+
 # --- the two-rate bit kernel behind the drive-dependent kinds ----------------
 
 _POLY = {"type": "poly", "coeffs": [0.5, 0.5]}  # p = (1 + u) / 2: 0 and 1 at the ends

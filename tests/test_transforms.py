@@ -162,6 +162,19 @@ def test_mask_list_path_matches_dense():
     np.testing.assert_allclose(sparse, dense[masks], atol=1e-14)
 
 
+@pytest.mark.parametrize("probs, masks, n, match", [
+    (np.full(8, 1 / 8), [1], 5, "2\\*\\*5 entries"),  # returned a value
+    (np.full((2, 8), 1 / 8), [1], 2, "2\\*\\*2 entries"),
+    (np.full(8, 1 / 8), [9], 3, "mask must be < 8"),  # returned 0
+    (np.full(8, 1 / 8), [-1], 3, "mask must be >= 0"),  # returned 0
+    (np.full(8, 1 / 8), [1.0], 3, "mask must be an integer"),
+    (np.full(8, 1 / 8), [1], 3.0, "n must be an integer"),
+], ids=["wide-n", "narrow-n-rows", "mask-past-n-bits", "negative-mask", "float-mask", "float-n"])
+def test_mask_list_path_needs_2_to_the_n_probabilities_and_masks_below_it(probs, masks, n, match):
+    with pytest.raises(InvalidInput, match=match):
+        moments_for_masks(probs, masks, n)
+
+
 def test_moments_from_samples_on_known_counts():
     samples = np.array([3, 3, 1, 0])  # n = 2: bits (1,1), (1,1), (0,1), (0,0)
     m = moments_from_samples(samples, [0, 1, 2, 3])
@@ -201,7 +214,7 @@ def test_moments_from_samples_rejects_non_integer_samples(samples):
 def test_moments_from_samples_rejects_negative_samples_and_masks():
     with pytest.raises(InvalidSamples, match="non-negative"):
         moments_from_samples(np.array([3, -1]), [1])
-    with pytest.raises(InvalidSamples, match="non-negative"):
+    with pytest.raises(InvalidSamples, match="mask must be >= 0, got -2"):
         moments_from_samples(np.array([3, 1]), [1, -2])
 
 
