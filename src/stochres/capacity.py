@@ -46,8 +46,11 @@ from .signals import MODE_EMPIRICAL, MODE_EXACT, SignalMatrix
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_RANK_TOLERANCE = 1e-10
+# eigenvalues below this share of the largest count as zero rank
+RANK_TOLERANCE = 1e-10
 NUMERICAL_SLACK = 1e-9
+# largest deviation of a target basis Gram matrix from the identity
+ORTHONORMALITY_TOL = 1e-6
 
 
 def finite_time_threshold(rows: int) -> float:
@@ -175,17 +178,18 @@ class ReadoutFit:
         return ReadoutScores(caps, weights, clipped_by, thr, caps < thr)
 
 
-def capacity(signals, target, weights: Optional[np.ndarray] = None) -> CapacityReport:
+def capacity(signals, target) -> CapacityReport:
     """Capacity to reconstruct ``target`` linearly from the signal columns.
 
     Fits a :class:`ReadoutFit` and scores the one target against it: the
-    weighted least-squares capacity ``1 - SSE/SST`` clipped into [0, 1].
-    Columns that are identically zero are dropped (and logged); a target
-    with zero weighted energy raises ZeroTarget. To score many targets
-    against the same signals, fit once and call :meth:`ReadoutFit.score`.
+    least-squares capacity ``1 - SSE/SST``, under a :class:`SignalMatrix`'s
+    row weights, clipped into [0, 1]. Columns that are identically zero are
+    dropped (and logged); a target with zero weighted energy raises
+    ZeroTarget. To score many targets against the same signals, fit once
+    and call :meth:`ReadoutFit.score`.
     """
     y = np.asarray(target, dtype=float)
-    fit = ReadoutFit(signals, weights)
+    fit = ReadoutFit(signals)
     if y.shape != (fit.rows,):
         raise ValueError("target length must match signal rows")
     scores = fit.score(y[:, None])
@@ -258,18 +262,16 @@ class EigentaskDecomposition:
     ``V.T @ G2 @ V = diag(1 + sigma_sq)``. The one-hot route returns the
     readout weights themselves as ``whitener``, one ``eigh`` on first read
     that raises NumericCheckFailure if the signals changed since, and the
-    identity as ``eigentasks``. ``rank_tolerance`` lies in (0, 1], and
-    ``dropped_count`` is ``signal_dim - retained_rank``. ``repr`` leaves out
-    ``eigentasks`` and ``whitener``, so it never runs that ``eigh``, and
-    ``==`` is identity: a field-wise compare would run it and then fail on
-    array fields.
+    identity as ``eigentasks``. ``dropped_count`` is ``signal_dim -
+    retained_rank``. ``repr`` leaves out ``eigentasks`` and ``whitener``, so
+    it never runs that ``eigh``, and ``==`` is identity: a field-wise
+    compare would run it and then fail on array fields.
     """
 
     sigma_sq: np.ndarray
     eigentasks: np.ndarray = field(repr=False)
     retained_rank: int
     dropped_count: int
-    rank_tolerance: float
     signal_dim: int
     whitener: np.ndarray = field(repr=False)
     clipped_negatives: int = 0
@@ -289,9 +291,7 @@ def _sorted_ratios(sigma_sq: np.ndarray):
     return sigma_sq[order], int(np.sum(clip)), order
 
 
-def eigentask_decomposition(source, g2: Optional[np.ndarray] = None,
-                            rank_tolerance: float = DEFAULT_RANK_TOLERANCE
-                            ) -> EigentaskDecomposition:
+def eigentask_decomposition(source, g2: Optional[np.ndarray] = None) -> EigentaskDecomposition:
     """Diagonalize the noise-to-signal matrix of one-hot signals or of a
     pair (G1, G2).
 
@@ -303,7 +303,7 @@ def eigentask_decomposition(source, g2: Optional[np.ndarray] = None,
     the eigenvalues of G1 relative to G2, b = 1/(1 + sigma_sq); one
     ``eigvalsh`` of the smaller of ``Y Y^T`` (rows x rows) and ``Y^T Y``
     gives them, without eigenvectors, and neither G1 nor G2 is formed.
-    Values b >= ``rank_tolerance`` * max(b) are retained and sigma_sq =
+    Values b >= ``RANK_TOLERANCE`` * max(b) are retained and sigma_sq =
     1/b - 1. The b sum to the trace of ``Y Y^T``, which is the
     probability-trace capacity, so :func:`ipc_spectral` and
     :func:`ipc_probability_rep` agree by construction. The readout weights
@@ -318,20 +318,19 @@ def eigentask_decomposition(source, g2: Optional[np.ndarray] = None,
 
     ``eigentask_decomposition(g1, g2)`` takes any pair, such as a G2 from
     :func:`shot_averaged_second_moment`. G1 is spectrally decomposed;
-    directions below ``rank_tolerance`` times its top eigenvalue are
+    directions below ``RANK_TOLERANCE`` times its top eigenvalue are
     dropped; G2 is whitened by the retained part of G1; the eigenvalues of
     the whitened matrix minus one are the ratios. A non-finite entry in
     either matrix raises NumericCheckFailure.
 
-    Both routes take ``rank_tolerance`` in (0, 1], set
-    ratios in [-1e-10, 0) to zero, counting them in ``clipped_negatives``,
-    warn about any ratio still negative, and sort the ratios ascending.
+    Both routes set ratios in [-1e-10, 0) to zero, counting them in
+    ``clipped_negatives``, warn about any ratio still negative, and sort the
+    ratios ascending.
     """
-    Interval(0.0, 1.0, open_lo=True).check("rank_tolerance", rank_tolerance)
     if isinstance(source, SignalMatrix):
         if g2 is not None:
             raise ValueError("pass a SignalMatrix alone or the pair (G1, G2)")
-        return _OneHotEigentasks(source, rank_tolerance)
+        return _OneHotEigentasks(source)
     if g2 is None:
         raise ValueError("G1 needs its G2")
     g1, g2 = _finite(source, "G1"), _finite(g2, "G2")
@@ -350,7 +349,7 @@ def eigentask_decomposition(source, g2: Optional[np.ndarray] = None,
     if g2_evals[0] < -1e-8 * max(g2_evals[-1], 1e-300):
         raise NotPSD(f"G2 eigenvalue {g2_evals[0]:.3g} below -1e-8 * max")
 
-    keep = evals >= rank_tolerance * top
+    keep = evals >= RANK_TOLERANCE * top
     whitener = vecs[:, keep] / np.sqrt(evals[keep])
     m = whitener.T @ g2 @ whitener
     mu, tasks = np.linalg.eigh(0.5 * (m + m.T))
@@ -360,7 +359,6 @@ def eigentask_decomposition(source, g2: Optional[np.ndarray] = None,
         eigentasks=tasks[:, order],
         retained_rank=int(np.sum(keep)),
         dropped_count=int(np.sum(~keep)),
-        rank_tolerance=rank_tolerance,
         signal_dim=g1.shape[0],
         whitener=whitener,
         clipped_negatives=clipped,
@@ -389,14 +387,13 @@ class _OneHotEigentasks(EigentaskDecomposition):
     taken from ``signals`` at construction, the readout weights on first
     read of ``whitener``."""
 
-    def __init__(self, signals: SignalMatrix, rank_tolerance: float):
+    def __init__(self, signals: SignalMatrix):
         _, keep, _, gram = _scaled_one_hot(signals)
         beta = np.linalg.eigvalsh(gram)
-        beta = beta[beta >= rank_tolerance * beta[-1]]
+        beta = beta[beta >= RANK_TOLERANCE * beta[-1]]
         self.sigma_sq, self.clipped_negatives, _ = _sorted_ratios(1.0 / beta - 1.0)
         self.retained_rank = beta.size
         self.dropped_count = keep.size - beta.size
-        self.rank_tolerance = rank_tolerance
         self.signal_dim = keep.size
         self._signals = signals
 
@@ -620,19 +617,20 @@ def build_target_basis(measure, max_delay: int, max_degree: int) -> TargetBasis:
 
 
 def total_capacity(signals, basis: TargetBasis, drives: np.ndarray,
-                   start: int, orthonormality_tol: float = 1e-6) -> IPCReport:
+                   start: int) -> IPCReport:
     """Sum of capacities over the truncated orthonormal target basis.
 
     ``drives`` is the full drive sequence; ``start`` is the absolute time of
     the first signal row (the washout length), at least
     ``basis.max_delay``. All targets are scored against one
     :class:`ReadoutFit` of the signals. Capacities below the finite-time
-    threshold 4/sqrt(T) are reported but excluded from the total.
+    threshold 4/sqrt(T) are reported but excluded from the total. A basis
+    whose Gram matrix is off the identity by more than
+    ``ORTHONORMALITY_TOL`` raises BasisNotOrthonormal.
     """
     Interval(basis.max_delay, integer=True).check("start", start)
-    Interval(0.0).check("orthonormality_tol", orthonormality_tol)
     gram_err = basis.gram_error()
-    if gram_err > orthonormality_tol:
+    if gram_err > ORTHONORMALITY_TOL:
         raise BasisNotOrthonormal(
             f"basis Gram deviates from identity by {gram_err:.3g}"
         )

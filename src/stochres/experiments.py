@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng as _rng
 from .capacity import (
-    DEFAULT_RANK_TOLERANCE,
+    RANK_TOLERANCE,
     IPCReport,
     ReadoutFit,
     TargetBasis,
@@ -58,6 +58,8 @@ RATE = Interval(0.0, 1.0)
 LEARNABILITY_TRIALS = Interval(1000, integer=True)
 # a peak of the normalized switching family is at most 1
 PEAK = Interval(0.0, 1.0, open_lo=True)
+# dichotomies the exhaustive shattering search may test before it gives up
+SHATTER_BUDGET = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -308,38 +310,35 @@ def _fit_residual(x: np.ndarray, y: np.ndarray):
     return slope, float(np.mean(resid * resid))
 
 
-def classify_tails(u: np.ndarray, p: np.ndarray, region=None) -> TailFit:
+def classify_tails(u: np.ndarray, p: np.ndarray) -> TailFit:
     """Classify the tail decay of one signal as polynomial or exponential by
     competing fits.
 
     Fits log p against log u (polynomial tail, parameter = degree) and log p
-    against u (exponential tail, parameter = natural-log rate) over the
-    decay region and keeps the lower-residual law; residuals within 10 % of
-    the larger one, or both at the rounding level of log p (as for a
-    constant p), give "inconclusive". Fewer than 3 samples in the region
-    raise ``ValueError``, and a NaN or infinity in ``u`` or ``p``
+    against u (exponential tail, parameter = natural-log rate) over every
+    sample given, so the caller passes the decay region's slice, and keeps
+    the lower-residual law; residuals within 10 % of the larger one, or both
+    at the rounding level of log p (as for a constant p), give
+    "inconclusive". The fit's ``region`` is the span of u. Fewer than 3
+    distinct u raise ``ValueError``, and a NaN or infinity in ``u`` or ``p``
     :class:`InvalidInput`, a ``ValueError``.
     """
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
     if not (np.isfinite(u).all() and np.isfinite(p).all()):
         raise InvalidInput("tail classification needs finite u and p")
-    mask = np.ones_like(u, dtype=bool)
-    if region is not None:
-        mask = (u >= region[0]) & (u <= region[1])
-    uu, pp = u[mask], p[mask]
-    distinct = len(set(uu.tolist()))
+    distinct = len(set(u.tolist()))
     if distinct < 3:  # two values of u fit both laws exactly, to rounding
         raise ValueError(f"tail classification needs at least 3 samples in the region, "
                          f"at distinct u, got {distinct}")
-    if np.any(pp <= 0.0):
+    if np.any(p <= 0.0):
         raise NonpositiveSignal("tail classification needs positive samples")
-    if np.any(uu <= 0.0):
+    if np.any(u <= 0.0):
         raise InvalidInput("decay region must have positive drive values")
-    logp = np.log(pp)
-    slope_poly, r_poly = _fit_residual(np.log(uu), logp)
-    slope_exp, r_exp = _fit_residual(uu, logp)
-    reg = (float(uu.min()), float(uu.max()))
+    logp = np.log(p)
+    slope_poly, r_poly = _fit_residual(np.log(u), logp)
+    slope_exp, r_exp = _fit_residual(u, logp)
+    reg = (float(u.min()), float(u.max()))
     floor = (64 * np.finfo(float).eps) ** 2 * float(np.mean(logp * logp))
     if abs(r_poly - r_exp) <= 0.10 * max(r_poly, r_exp) or max(r_poly, r_exp) <= floor:
         return TailFit("inconclusive", float("nan"), r_poly, r_exp, reg)
@@ -369,7 +368,7 @@ def power_basis_demo(n: int, samples: int = 100_000, seed: int = 0) -> PowerBasi
     These products are exactly the monomials x^0 .. x^(2^n - 1), taken at
     ``samples`` drives drawn uniformly from [-1, 1]. The report contains the
     numeric rank of their Gram matrix, with eigenvalues below
-    ``DEFAULT_RANK_TOLERANCE`` times the largest counted as zero, and the
+    ``RANK_TOLERANCE`` times the largest counted as zero, and the
     summed capacity against the orthonormal polynomial targets of the same
     degrees, all scored against one :class:`ReadoutFit` of the monomials. A
     rank below 2**n raises ConditioningFailure with diagnostics instead of
@@ -386,10 +385,10 @@ def power_basis_demo(n: int, samples: int = 100_000, seed: int = 0) -> PowerBasi
     g1 = (cols * w[:, None]).T @ cols
     g1 = 0.5 * (g1 + g1.T)
     eigs = np.linalg.eigvalsh(g1)
-    rank = int(np.sum(eigs >= DEFAULT_RANK_TOLERANCE * eigs[-1]))
+    rank = int(np.sum(eigs >= RANK_TOLERANCE * eigs[-1]))
     if rank < d:
         raise ConditioningFailure(
-            f"Gram rank {rank} < {d} at tolerance {DEFAULT_RANK_TOLERANCE:.1e} "
+            f"Gram rank {rank} < {d} at tolerance {RANK_TOLERANCE:.1e} "
             f"(eigenvalue range {eigs[0]:.3e} .. {eigs[-1]:.3e}); "
             "the monomial Gram is numerically singular at this size"
         )
@@ -447,14 +446,14 @@ def sample_complexity_curve(q: float, m0_grid: Sequence[int], trials: int,
     )
 
 
-def detection_sample_threshold(q: float, prob: float = 0.5) -> float:
-    """Samples needed so the any-nonzero detector fires with probability >= prob.
+def detection_sample_threshold(q: float) -> float:
+    """Median number of samples the any-nonzero detector needs to fire.
 
-    Solves (1-q)**m = 1-prob for real m, ``q`` and ``prob`` in (0, 1).
+    Solves (1-q)**m = 1/2 for real m, ``q`` in (0, 1): m = ln(1/2) /
+    ln(1-q), close to ln2/q for small q.
     """
-    for name, rate in (("q", q), ("prob", prob)):
-        Interval(0.0, 1.0, open_lo=True, open_hi=True).check(name, rate)
-    return math.log(1.0 - prob) / math.log(1.0 - q)
+    Interval(0.0, 1.0, open_lo=True, open_hi=True).check("q", q)
+    return math.log(0.5) / math.log(1.0 - q)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +487,7 @@ def verify_shatter_witness(values: np.ndarray, witness: ShatterWitness) -> bool:
     return bool(np.where(hi, vals >= thr + witness.gamma, vals <= thr - witness.gamma).all())
 
 
-def fat_shattering_lower_bound(values: np.ndarray, gamma: float,
-                               thresholds=None, budget: int = 2_000_000):
+def fat_shattering_lower_bound(values: np.ndarray, gamma: float, thresholds=None):
     """Largest d such that d instances are gamma-shattered, by exhaustion.
 
     ``values[f, i]`` is function f evaluated at instance i, in [0, 1].
@@ -498,10 +496,10 @@ def fat_shattering_lower_bound(values: np.ndarray, gamma: float,
     instance). Instance subsets and threshold combinations are scanned in
     lexicographic order and the first witness found for the largest feasible
     d is returned after independent re-verification; each dichotomy is
-    assigned its lowest-index function.
+    assigned its lowest-index function. A search that would test more than
+    ``SHATTER_BUDGET`` dichotomies raises SearchBudgetExceeded.
     """
     Interval(0.0).check("gamma", gamma)
-    Interval(0, integer=True).check("budget", budget)
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError("values must be functions x instances")
@@ -540,8 +538,8 @@ def fat_shattering_lower_bound(values: np.ndarray, gamma: float,
         for subset in itertools.combinations(range(n_inst), d):
             for choice in itertools.product(*(columns[i] for i in subset)):
                 work += 2 ** d
-                if work > budget:
-                    raise SearchBudgetExceeded(f"shattering search exceeded budget {budget}")
+                if work > SHATTER_BUDGET:
+                    raise SearchBudgetExceeded(f"shattering search exceeded budget {SHATTER_BUDGET}")
                 assignment = {}
                 for pattern in range(2 ** d):
                     feasible = everyone

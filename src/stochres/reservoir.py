@@ -262,11 +262,13 @@ class BitstringDistribution:
     def n(self) -> int:
         return int(round(math.log2(self.probs.size)))
 
-    def validate(self, tol: float = 1e-12) -> None:
-        Interval(0.0).check("tol", tol)
-        if np.any(self.probs < -tol):
-            raise InvalidInput("negative probability entry")
-        if abs(self.probs.sum() - 1.0) > tol:
+    def validate(self) -> None:
+        """Entries must be finite, at least ``-ROW_SUM_TOL``, and sum to 1
+        within ``ROW_SUM_TOL`` (:class:`InvalidInput`)."""
+        low = float(self.probs.min())
+        if not low >= -ROW_SUM_TOL:  # NaN fails too
+            raise InvalidInput(f"probabilities must be finite and >= 0, got {low!r}")
+        if not abs(self.probs.sum() - 1.0) <= ROW_SUM_TOL:  # and so does an infinity
             raise InvalidInput(f"probabilities sum to {self.probs.sum()!r}, not 1")
 
     @classmethod
@@ -869,7 +871,7 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
         )
     for gate in spec.gates:
         _validate_gate(gate, spec.n, spec.k_max, spec.derivative_bound, spec.drive_domain)
-    spec.initial_state.validate(tol=1e-12)
+    spec.initial_state.validate()
     if spec.initial_state.n != spec.n:
         raise MixedDimensions("initial state size does not match n")
     return Reservoir(spec)

@@ -3,7 +3,8 @@
 A :class:`SignalMatrix` is a T x d array of reservoir readouts in one of
 three modes: exact bitstring probabilities, empirical shot frequencies, or
 product moments indexed by subset masks. Rows may carry probability weights
-(used for quadrature input grids); columns carry integer labels.
+(used for quadrature input grids); column ``k`` is bitstring ``k``, or the
+moment of mask ``k``.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ MODE_MOMENT = "moment"
 
 @dataclass
 class SignalMatrix:
-    """T x d readout signals with mode and column labels."""
+    """T x d readout signals; column ``k`` is bitstring or mask ``k``."""
 
     data: np.ndarray
     mode: str
     n: int
-    labels: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     shots: Optional[int] = None
 
@@ -54,12 +54,6 @@ class SignalMatrix:
         Interval(0, integer=True).check("n", self.n)
         if self.shots is not None:
             SHOTS.check("shots", self.shots)
-        if self.labels is None:
-            self.labels = np.arange(self.data.shape[1], dtype=np.int64)
-        else:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.size != self.data.shape[1]:
-                raise ValueError("one label per column required")
         self.weights = _check_weights(self.weights, self.data.shape[0])
 
     @property
@@ -77,23 +71,28 @@ class SignalMatrix:
         return self.weights / self.weights.sum()
 
     def validate(self) -> None:
+        """Check the data against the mode (:class:`InvalidInput`): finite
+        probabilities in [0, 1], or frequencies on the ``1/shots`` grid, in
+        rows that sum to 1; or a moment of 1 for the empty mask, column 0."""
         if self.mode == MODE_EXACT:
-            if np.any(self.data < -1e-12) or np.any(self.data > 1 + 1e-12):
+            # min and max make no T x d temporaries; NaN fails them too
+            if self.data.size and not (self.data.min() >= -1e-12 and self.data.max() <= 1 + 1e-12):
                 raise InvalidInput("probabilities outside [0, 1]")
-            if np.max(np.abs(self.data.sum(axis=1) - 1.0)) > 1e-10:
+            if not np.max(np.abs(self.data.sum(axis=1) - 1.0)) <= 1e-10:
                 raise InvalidInput("probability rows must sum to 1 within 1e-10")
         elif self.mode == MODE_EMPIRICAL:
             if self.shots is None:
                 raise MissingShotMetadata("empirical mode requires a shot count")
-            scaled = self.data * self.shots
-            if np.max(np.abs(scaled - np.round(scaled))) > 1e-6:
-                raise InvalidInput("frequencies must be multiples of 1/shots")
-            if np.max(np.abs(self.data.sum(axis=1) - 1.0)) > 1e-10:
+            if not np.max(np.abs(self.data.sum(axis=1) - 1.0)) <= 1e-10:  # NaN fails too
                 raise InvalidInput("frequency rows must sum to 1")
-        else:
-            empty = np.where(self.labels == 0)[0]
-            if empty.size and np.max(np.abs(self.data[:, empty[0]] - 1.0)) > 1e-12:
-                raise InvalidInput("moment column for the empty mask must be 1")
+            # count / shots * shots is off its count by up to about
+            # count * eps, which passes 1e-6 near 10**10 shots
+            scaled = self.data * self.shots
+            grid_tol = max(1e-6, 2 * self.shots * np.finfo(float).eps)
+            if np.max(np.abs(scaled - np.round(scaled))) > grid_tol:
+                raise InvalidInput("frequencies must be multiples of 1/shots")
+        elif self.columns and not np.max(np.abs(self.data[:, 0] - 1.0)) <= 1e-12:
+            raise InvalidInput("moment column for the empty mask must be 1")
 
 
 def probability_signals(dists) -> SignalMatrix:
@@ -164,13 +163,12 @@ def sample_frequencies(reservoir: Reservoir, inputs: InputSequence, shots: int,
 
 def write_binary(sm: SignalMatrix, path) -> None:
     """Raw little-endian float64 rows plus a JSON sidecar at ``<path>.json``
-    (mode, n, shape, labels, shots and the row weights, null when none)."""
+    (mode, n, shape, shots and the row weights, null when none)."""
     write_raw(path, sm.data, "<f8", {
         "mode": sm.mode,
         "n": sm.n,
         "rows": sm.rows,
         "columns": sm.columns,
-        "labels": sm.labels,
         "shots": sm.shots,
         "weights": sm.weights,
     })
@@ -178,8 +176,8 @@ def write_binary(sm: SignalMatrix, path) -> None:
 
 def read_binary(path) -> SignalMatrix:
     """Read a :func:`write_binary` file; a sidecar without weights (written
-    before they were recorded) reads as unweighted."""
+    before they were recorded) reads as unweighted, and the ``labels`` key
+    of older sidecars is ignored."""
     data, sidecar = read_raw(path, "<f8", ("rows", "columns"))
     return SignalMatrix(data, sidecar["mode"], sidecar["n"],
-                        labels=np.asarray(sidecar["labels"]),
                         weights=sidecar.get("weights"), shots=sidecar["shots"])

@@ -19,6 +19,9 @@ from .errors import InvalidInput, InvalidSamples, Interval, NegativeProbability
 from .reservoir import _check_dense
 from .signals import MODE_MOMENT, SignalMatrix
 
+# how far below 0 rounding may take the inversion of consistent moments
+NEGATIVE_PROBABILITY_TOL = 1e-10
+
 
 def _superset_pass(values, n: int, combine) -> np.ndarray:
     """Along each bit axis, ``values[m] = combine(values[m], values[m | bit])``
@@ -65,15 +68,14 @@ def moments_from_probabilities(probs: np.ndarray, n: int) -> np.ndarray:
     return moments
 
 
-def probabilities_from_moments(moments: np.ndarray, n: int,
-                               tol: float = 1e-10) -> np.ndarray:
+def probabilities_from_moments(moments: np.ndarray, n: int) -> np.ndarray:
     """Invert :func:`moments_from_probabilities`.
 
     A non-finite moment raises :class:`InvalidInput`, a ``ValueError``.
     Raises NegativeProbability when the inversion produces an entry below
-    ``-tol``, which signals an inconsistent moment vector.
+    ``-NEGATIVE_PROBABILITY_TOL``, which signals an inconsistent moment
+    vector.
     """
-    Interval(0.0).check("tol", tol)
     moments = np.asarray(moments, dtype=float)
     if not np.isfinite(moments).all():
         raise InvalidInput("moments must be finite")
@@ -81,7 +83,7 @@ def probabilities_from_moments(moments: np.ndarray, n: int,
     if np.max(np.abs(empty - 1.0)) > 1e-9:
         raise InvalidInput("moment for the empty mask must be 1")
     probs = mobius_superset(moments, n)
-    if np.min(probs) < -tol:
+    if np.min(probs) < -NEGATIVE_PROBABILITY_TOL:
         raise NegativeProbability(
             f"inverted probabilities reach {np.min(probs):.3g}; moments inconsistent"
         )
@@ -135,8 +137,6 @@ def moments_from_samples(samples: np.ndarray, masks: Sequence[int]) -> np.ndarra
 def signal_moments(sm: SignalMatrix) -> SignalMatrix:
     """Row-wise moment transform of a probability/frequency signal matrix."""
     data = moments_from_probabilities(sm.data, sm.n)
-    out = SignalMatrix(data, MODE_MOMENT, sm.n,
-                       labels=np.arange(2 ** sm.n, dtype=np.int64),
-                       weights=sm.weights, shots=sm.shots)
+    out = SignalMatrix(data, MODE_MOMENT, sm.n, weights=sm.weights, shots=sm.shots)
     out.validate()
     return out

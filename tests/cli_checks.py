@@ -42,6 +42,8 @@ SAMPLED = (
     ("sampled-n9", '{"mode": "sampled", "n": 9, "shots": 4000}', True),
     # large counts through the noise block, taken in one multinomial per step
     ("sampled-n4-large", '{"mode": "sampled", "n": 4, "shots": 1000000}', True),
+    # counts past 10**10, where count / shots * shots rounds off the integers by more than 1e-6
+    ("sampled-n4-huge", '{"mode": "sampled", "n": 4, "shots": 300000000000001}', True),
     # fewer shots than states: the plug-in bias dominates (about 6.5 against 4.49)
     ("sampled-n11", '{"mode": "sampled", "n": 11, "shots": 1000, "timesteps": 300}', False),
 )

@@ -12,7 +12,7 @@ from stochres.experiments import sweep_exponential_sharpness
 PUBLIC = {
     "BitstringDistribution": "(probs)",
     "CapacityReport": "(capacity, weights, rows, threshold, below_threshold, clipped_by=0.0, dropped_columns=0)",
-    "EigentaskDecomposition": "(sigma_sq, eigentasks, retained_rank, dropped_count, rank_tolerance, signal_dim, whitener, clipped_negatives=0)",
+    "EigentaskDecomposition": "(sigma_sq, eigentasks, retained_rank, dropped_count, signal_dim, whitener, clipped_negatives=0)",
     "IPCReport": "(ipc_value, method, components, signal_count, retained_rank=None, skipped_columns=0, truncation=None, threshold=None)",
     "InputMeasure": "(kind, lo=-1.0, hi=1.0, order=64, seed=0)",
     "InputSequence": "(values, washout_length=1000, weights=None)",
@@ -23,7 +23,7 @@ PUBLIC = {
     "ReservoirSpec": "(n, gates, initial_state=None, k_max=2, depth_bound=None, derivative_bound=None, drive_domain=(-1.0, 1.0))",
     "ScalingCurve": "(n_values, ipc_mean, ipc_stderr, noise, slope_n=0.0, slope_n_stderr=0.0, slope_logn=0.0, slope_logn_stderr=0.0, subexponential_consistent=False, samples=<factory>)",
     "ShatterWitness": "(instance_indices, thresholds, assignment, gamma)",
-    "SignalMatrix": "(data, mode, n, labels=None, weights=None, shots=None)",
+    "SignalMatrix": "(data, mode, n, weights=None, shots=None)",
     "StochasticGate": "(support, kind, params)",
     "SwitchingFamily": "(kind, centers, sharpness, grid, signals, peaks, confusion)",
     "TailFit": "(classification, parameter, residual_poly, residual_exp, region)",
@@ -32,14 +32,14 @@ PUBLIC = {
     "bernoulli_channel": "(p, rho)",
     "build_reservoir": "(spec)",
     "build_target_basis": "(measure, max_delay, max_degree)",
-    "capacity": "(signals, target, weights=None)",
-    "classify_tails": "(u, p, region=None)",
+    "capacity": "(signals, target)",
+    "classify_tails": "(u, p)",
     "correlated_flip_check": "(theta)",
-    "detection_sample_threshold": "(q, prob=0.5)",
-    "eigentask_decomposition": "(source, g2=None, rank_tolerance=1e-10)",
+    "detection_sample_threshold": "(q)",
+    "eigentask_decomposition": "(source, g2=None)",
     "empirical_probabilities": "(ensemble)",
     "fading_memory_error": "(reservoir, h, measure, trials, resamples=12, total_window=None, seed=0)",
-    "fat_shattering_lower_bound": "(values, gamma, thresholds=None, budget=2000000)",
+    "fat_shattering_lower_bound": "(values, gamma, thresholds=None)",
     "gram_matrices": "(signals)",
     "ipc_probability_rep": "(signals)",
     "ipc_spectral": "(decomp)",
@@ -47,7 +47,7 @@ PUBLIC = {
     "moments_from_probabilities": "(probs, n)",
     "moments_from_samples": "(samples, masks)",
     "power_basis_demo": "(n, samples=100000, seed=0)",
-    "probabilities_from_moments": "(moments, n, tol=1e-10)",
+    "probabilities_from_moments": "(moments, n)",
     "probability_signals": "(dists)",
     "rotation_pair": "(p)",
     "run_exact": "(reservoir, inputs)",
@@ -59,7 +59,7 @@ PUBLIC = {
     "shift_register_flip_family": "(n, noise)",
     "step_exact": "(reservoir, state, u)",
     "switching_family": "(kind, count, domain=(0.0, 1.0), sharpness=8.0, grid_points=2001)",
-    "total_capacity": "(signals, basis, drives, start, orthonormality_tol=1e-06)",
+    "total_capacity": "(signals, basis, drives, start)",
     "verify_rate_relation": "(p_path, dt)",
 }
 

@@ -1,5 +1,6 @@
 """Capacity, gram matrices, eigentask spectra, and total capacity."""
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import stochres as sr
 from stochres.capacity import (
+    RANK_TOLERANCE,
     ReadoutFit,
     TargetBasis,
     _legendre_orthonormal,
@@ -133,7 +135,8 @@ def test_readout_fit_matches_per_target_lstsq(seed, rows, cols, zeros, dups, k):
     assert scores.threshold == finite_time_threshold(rows)
     assert np.array_equal(scores.below_threshold, scores.capacities < scores.threshold)
     assert np.all(scores.weights[:zeros] == 0.0)
-    assert abs(sr.capacity(x, y[:, -1], weights=w).capacity - scores.capacities[-1]) <= 1e-12
+    weighted = SignalMatrix(x, "exact-probability", 0, weights=w)
+    assert abs(sr.capacity(weighted, y[:, -1]).capacity - scores.capacities[-1]) <= 1e-12
 
 
 def test_readout_fit_rejects_any_zero_energy_target():
@@ -448,12 +451,12 @@ def test_one_hot_route_matches_pencil_route(seed, n, steps, shots):
     assert dec.retained_rank + dec.dropped_count == dec.signal_dim
     if not shots:
         # the trace counts every beta; the rank cut drops, by design, each
-        # beta below rank_tolerance * beta_max of the whitened Gram
+        # beta below RANK_TOLERANCE * beta_max of the whitened Gram
         w = sm.row_weights()
         mean = w @ sm.data
         y = np.sqrt(w)[:, None] * sm.data[:, mean > 0] / np.sqrt(mean[mean > 0])
         every = np.linalg.eigvalsh(y.T @ y)
-        dropped = every[every < dec.rank_tolerance * every[-1]].sum()
+        dropped = every[every < RANK_TOLERANCE * every[-1]].sum()
         trace = sr.ipc_probability_rep(sm).ipc_value
         assert abs(sr.ipc_spectral(dec).ipc_value + dropped - trace) <= 1e-12
     # each capacity b = 1/(1 + sigma_sq) is known to absolute rounding, so
@@ -585,15 +588,33 @@ def test_one_hot_repr_of_changed_signals_does_not_raise():
     assert f"retained_rank={dec.retained_rank}" in repr(dec)
 
 
-@pytest.mark.parametrize("tolerance", [0.0, -1.0, 2.0, np.nan])
+@pytest.mark.parametrize("keep", [1, 2, 4, 7, None])
 @pytest.mark.parametrize("route", ["one-hot", "pair"])
-def test_rank_tolerance_outside_the_unit_interval_is_rejected(route, tolerance):
-    sm = _physical_signals(3, 2, 30, 0)
-    source = (sm,) if route == "one-hot" else sr.gram_matrices(sm)
-    with pytest.raises(ValueError, match="rank_tolerance"):
-        sr.eigentask_decomposition(*source, rank_tolerance=tolerance)
-    # at 1 the top eigenvalue still passes the cut
-    assert sr.eigentask_decomposition(*source, rank_tolerance=1.0).retained_rank >= 1
+def test_rank_cut_keeps_the_eigenvalues_at_or_above_rank_tolerance(route, keep, monkeypatch):
+    # the one-hot route cuts the spectrum of the whitened Gram Y^T Y, the pair
+    # route that of G1; a tolerance set midway between two eigenvalues keeps
+    # exactly the larger ones, at 1 the top eigenvalue still passes its own
+    # cut, and the default keeps all eight here
+    sm = _physical_signals(0, 3, 30, 0)
+    if route == "one-hot":
+        source = (sm,)
+        w = sm.row_weights()
+        mean = w @ sm.data
+        y = np.sqrt(w)[:, None] * sm.data[:, mean > 0] / np.sqrt(mean[mean > 0])
+        spectrum = np.linalg.eigvalsh(y.T @ y)[::-1]
+    else:
+        source = sr.gram_matrices(sm)
+        spectrum = np.linalg.eigvalsh(source[0])[::-1]
+    if keep is None:
+        keep = spectrum.size
+        assert spectrum[-1] > 1e3 * RANK_TOLERANCE * spectrum[0]
+    else:
+        assert spectrum[keep - 1] > 1.5 * spectrum[keep]  # no eigenvalue near the cut
+        cut = 1.0 if keep == 1 else 0.5 * (spectrum[keep - 1] + spectrum[keep]) / spectrum[0]
+        monkeypatch.setattr(sys.modules["stochres.capacity"], "RANK_TOLERANCE", cut)
+    dec = sr.eigentask_decomposition(*source)
+    assert (dec.retained_rank, dec.dropped_count) == (keep, spectrum.size - keep)
+    assert dec.sigma_sq.size == keep
 
 
 # --- aggregate capacity --------------------------------------------------------
@@ -601,7 +622,7 @@ def test_rank_tolerance_outside_the_unit_interval_is_rejected(route, tolerance):
 def test_spectral_capacity_of_clean_rank():
     dec = sr.EigentaskDecomposition(
         sigma_sq=np.zeros(3), eigentasks=np.eye(3), retained_rank=3,
-        dropped_count=0, rank_tolerance=1e-10, signal_dim=3, whitener=np.eye(3))
+        dropped_count=0, signal_dim=3, whitener=np.eye(3))
     assert sr.ipc_spectral(dec).ipc_value == 3.0
 
 
@@ -614,7 +635,7 @@ def test_spectral_capacity_anchor_value():
 def test_spectral_capacity_vanishes_for_huge_noise():
     dec = sr.EigentaskDecomposition(
         sigma_sq=np.full(4, 1e12), eigentasks=np.eye(4), retained_rank=4,
-        dropped_count=0, rank_tolerance=1e-10, signal_dim=4, whitener=np.eye(4))
+        dropped_count=0, signal_dim=4, whitener=np.eye(4))
     assert sr.ipc_spectral(dec).ipc_value < 1e-11
 
 
@@ -755,14 +776,15 @@ def test_basis_sum_matches_trace_capacity_with_single_shot_sampling():
     assert abs(trace.ipc_value - 4.0 / 3.0) < 0.01  # finite-T drive average
 
 
-def test_basis_sum_orthonormality_gate():
+def test_basis_sum_orthonormality_gate(monkeypatch):
     gen = np.random.default_rng(9)
     measure = InputMeasure("iid-uniform-interval", -1, 1)
     basis = build_target_basis(measure, max_delay=0, max_degree=2)
     drives = gen.uniform(-1, 1, 100)
+    # the package's name ``capacity`` is the function, so the module comes from sys.modules
+    monkeypatch.setattr(sys.modules["stochres.capacity"], "ORTHONORMALITY_TOL", 0.0)
     with pytest.raises(BasisNotOrthonormal):
-        sr.total_capacity(gen.dirichlet(np.ones(2), size=100), basis, drives,
-                          start=0, orthonormality_tol=0.0)
+        sr.total_capacity(gen.dirichlet(np.ones(2), size=100), basis, drives, start=0)
 
 
 def test_basis_sum_requires_enough_washout():

@@ -109,7 +109,8 @@ def test_weighted_signals_survive_a_binary_round_trip(tmp_path):
     assert np.array_equal(back.data, sm.data)
     for a, b in zip(gram_matrices(sm), gram_matrices(back)):
         assert np.array_equal(a, b)
-    assert json.loads((tmp_path / "w.bin.json").read_text())["weights"] == [0.2, 0.5, 0.3]
+    sidecar = json.loads((tmp_path / "w.bin.json").read_text())
+    assert sidecar["weights"] == [0.2, 0.5, 0.3] and "labels" not in sidecar
 
 
 # a file written any other way than through the writer module

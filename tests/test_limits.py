@@ -1,12 +1,23 @@
 """Every scalar argument of the public library, pinned to its limit: NaN, the
 infinities, a bool, a float where an integer is due and the first value past
-each end raise InvalidInput, and a value inside does not."""
+each end raise InvalidInput, and a value inside does not. Every fixed
+tolerance or budget, a module constant, keeps its value and is read where it
+is used: a call inside it passes, and the same call fails once it is
+tightened."""
+
+import sys
 
 import numpy as np
 import pytest
 
 import stochres as sr
-from stochres.errors import InvalidInput
+from stochres.errors import (
+    BasisNotOrthonormal,
+    ConditioningFailure,
+    InvalidInput,
+    NegativeProbability,
+    SearchBudgetExceeded,
+)
 from stochres.experiments import sweep_exponential_sharpness
 from stochres.reservoir import flip_gate
 from stochres.signals import MODE_EMPIRICAL, MODE_EXACT
@@ -49,8 +60,6 @@ LIMITS = {
     "InputMeasure order": (lambda v: sr.InputMeasure("quadrature-grid", order=v), 2, 1, None, True),
     "InputMeasure seed": (lambda v: sr.InputMeasure("iid-uniform-binary", seed=v), 0, None, None, True),
     "InputMeasure.draw length": (lambda v: MEASURE.draw(v, sr.rng.stream(0)), 0, -1, None, True),
-    "BitstringDistribution.validate tol": (
-        lambda v: sr.BitstringDistribution(np.ones(1)).validate(tol=v), 0.0, BELOW_0, None, False),
     "InputMeasure.sequence length": (lambda v: MEASURE.sequence(v, 0), 1, 0, None, True),
     "InputMeasure.sequence washout_length": (lambda v: MEASURE.sequence(4, v), 0, -1, None, True),
     "InputSequence washout_length": (
@@ -94,11 +103,6 @@ LIMITS = {
         lambda v: sr.moments_from_probabilities(np.ones(1), v), 0, -1, 15, True),
     "probabilities_from_moments n": (
         lambda v: sr.probabilities_from_moments(np.ones(1), v), 0, -1, 15, True),
-    "probabilities_from_moments tol": (
-        lambda v: sr.probabilities_from_moments(np.ones(1), 0, tol=v), 0.0, BELOW_0, None, False),
-    "eigentask_decomposition rank_tolerance": (
-        lambda v: sr.eigentask_decomposition(np.eye(2), 2 * np.eye(2), rank_tolerance=v),
-        1.0, 0.0, ABOVE_1, False),
     "shot_averaged_second_moment shots": (
         lambda v: sr.shot_averaged_second_moment(np.eye(2), 2 * np.eye(2), v), 1, 0, 2 ** 53 + 1, True),
     "TargetBasis max_delay": (
@@ -117,9 +121,6 @@ LIMITS = {
         lambda v: sr.build_target_basis(MEASURE, 1, v), 1, -1, 2, True),
     "total_capacity start": (
         lambda v: sr.total_capacity(SIGNALS, BASIS, DRIVES, v), 1, 0, None, True),
-    "total_capacity orthonormality_tol": (
-        lambda v: sr.total_capacity(SIGNALS, BASIS, DRIVES, 1, orthonormality_tol=v),
-        1e-6, BELOW_0, None, False),
     "shift_register_flip_family n": (
         lambda v: sr.shift_register_flip_family(v, 0.1), 1, 0, None, True),
     "shift_register_flip_family noise": (
@@ -150,14 +151,10 @@ LIMITS = {
     "sample_complexity_curve seed": (
         lambda v: sr.sample_complexity_curve(0.5, [1], 1000, seed=v), 0, None, None, True),
     "detection_sample_threshold q": (lambda v: sr.detection_sample_threshold(v), 0.5, 0.0, 1.0, False),
-    "detection_sample_threshold prob": (
-        lambda v: sr.detection_sample_threshold(0.5, v), 0.5, 0.0, 1.0, False),
     "fat_shattering_lower_bound gamma": (
         lambda v: sr.fat_shattering_lower_bound(VALUES, v), 0.0, BELOW_0, None, False),
     "fat_shattering_lower_bound thresholds": (
         lambda v: sr.fat_shattering_lower_bound(VALUES, 0.1, thresholds=v), 0.5, None, None, False),
-    "fat_shattering_lower_bound budget": (
-        lambda v: sr.fat_shattering_lower_bound(VALUES, 0.1, budget=v), 100, -1, None, True),
     "rotation_pair p": (sr.rotation_pair, 0.0, BELOW_0, ABOVE_1, False),
     "bernoulli_channel p": (
         lambda v: sr.bernoulli_channel(v, np.diag([1.0, 0.0])), 1.0, BELOW_0, ABOVE_1, False),
@@ -191,3 +188,65 @@ def test_a_value_outside_the_limit_raises_invalid_input(call, value):
 def test_a_value_inside_the_limit_passes_it(name):
     call, inside, *_ = LIMITS[name]
     call(inside)
+
+
+# "module.CONSTANT" -> the value it has always had
+FIXED = {
+    "capacity.RANK_TOLERANCE": 1e-10,
+    "capacity.ORTHONORMALITY_TOL": 1e-6,
+    "transforms.NEGATIVE_PROBABILITY_TOL": 1e-10,
+    "reservoir.ROW_SUM_TOL": 1e-12,
+    "experiments.SHATTER_BUDGET": 2_000_000,
+}
+
+OFF_BY_HALF_A_TOL = np.array([0.5, 0.5 + 5e-13])
+
+# "callable constant" -> (the module constant it reads, a call inside it, the
+# tightened value, the error the call then raises)
+FIXED_USES = {
+    "power_basis_demo RANK_TOLERANCE": (
+        "experiments.RANK_TOLERANCE", lambda: sr.power_basis_demo(2, samples=50),
+        1.0, ConditioningFailure),
+    "total_capacity ORTHONORMALITY_TOL": (
+        "capacity.ORTHONORMALITY_TOL", lambda: sr.total_capacity(SIGNALS, BASIS, DRIVES, 1),
+        0.0, BasisNotOrthonormal),
+    "probabilities_from_moments NEGATIVE_PROBABILITY_TOL": (
+        "transforms.NEGATIVE_PROBABILITY_TOL",
+        lambda: sr.probabilities_from_moments(np.array([1.0, -5e-11]), 1), 0.0, NegativeProbability),
+    "BitstringDistribution.validate ROW_SUM_TOL": (
+        "reservoir.ROW_SUM_TOL", lambda: sr.BitstringDistribution(OFF_BY_HALF_A_TOL).validate(),
+        0.0, InvalidInput),
+    "build_reservoir ROW_SUM_TOL": (
+        "reservoir.ROW_SUM_TOL",
+        lambda: sr.build_reservoir(sr.ReservoirSpec(
+            n=1, gates=[], initial_state=sr.BitstringDistribution(OFF_BY_HALF_A_TOL))),
+        0.0, InvalidInput),
+    "fat_shattering_lower_bound SHATTER_BUDGET": (
+        "experiments.SHATTER_BUDGET", lambda: sr.fat_shattering_lower_bound(VALUES, 0.1),
+        0, SearchBudgetExceeded),
+}
+
+
+def _module_constant(name):
+    module, constant = name.split(".")
+    # the package's name ``capacity`` is the function, so the module comes from sys.modules
+    return sys.modules[f"stochres.{module}"], constant
+
+
+@pytest.mark.parametrize("name", FIXED)
+def test_a_fixed_limit_keeps_its_value(name):
+    assert getattr(*_module_constant(name)) == FIXED[name]
+
+
+@pytest.mark.parametrize("name", FIXED_USES)
+def test_a_call_inside_a_fixed_limit_passes_it(name):
+    _, call, *_ = FIXED_USES[name]
+    call()
+
+
+@pytest.mark.parametrize("name", FIXED_USES)
+def test_a_tightened_fixed_limit_fails_the_same_call(name, monkeypatch):
+    constant, call, tightened, error = FIXED_USES[name]
+    monkeypatch.setattr(*_module_constant(constant), tightened)
+    with pytest.raises(error):
+        call()

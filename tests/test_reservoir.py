@@ -118,6 +118,18 @@ def test_build_rejects_a_nan_kernel(drive):
         sr.build_reservoir(ReservoirSpec(n=1, gates=[flip_gate(0, drive)]))
 
 
+@pytest.mark.parametrize("at", [0, 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_rejects_a_non_finite_initial_state(bad, at):
+    # a NaN entry passed validate: sample_trajectories then drew all-zero
+    # samples and sample_frequencies raised numpy's bare "pvals" ValueError
+    state = BitstringDistribution(np.insert([1.0], at, bad))
+    with pytest.raises(InvalidInput, match="finite|sum to"):
+        state.validate()
+    with pytest.raises(InvalidInput):
+        sr.build_reservoir(ReservoirSpec(n=1, gates=[], initial_state=state))
+
+
 # --- the two-rate bit kernel behind the drive-dependent kinds ----------------
 
 _POLY = {"type": "poly", "coeffs": [0.5, 0.5]}  # p = (1 + u) / 2: 0 and 1 at the ends
@@ -967,6 +979,18 @@ def test_count_rows_are_integer_counts_over_shots():
     assert np.all(counts.sum(axis=1) == shots)
     # the float output divided by shots in place has the bits of counts / shots
     assert sm.data.tobytes() == (np.round(counts) / shots).tobytes()
+
+
+@pytest.mark.parametrize("shots", [1, 10 ** 6 + 3, 10 ** 10 + 7, 300_000_000_000_001, 2 ** 53])
+def test_count_frequencies_validate_at_any_admitted_shot_count(shots):
+    # count / shots * shots is off its count by up to count * eps, so a fixed
+    # 1e-6 grid tolerance refused the sampler's own output past about 10**10
+    res = sr.build_reservoir(sr.shift_register_flip_family(2, 0.1))
+    seq = InputSequence(_binary_drives(5, 12), washout_length=2)
+    sm = sr.sample_frequencies(res, seq, shots=shots, seed=3)
+    assert sm.shots == shots
+    worst = np.float64(shots - 1) / shots  # the largest rounding: a count near shots
+    sr.SignalMatrix(np.array([[worst, 1.0 / shots]]), "empirical-frequency", 1, shots=shots).validate()
 
 
 def test_count_frequencies_are_fixed_by_the_seed():

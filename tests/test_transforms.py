@@ -307,6 +307,33 @@ def test_signal_matrix_validation():
         SignalMatrix(np.array([[0.5, 0.6]]), MODE_EXACT, 1).validate()
     with pytest.raises(MissingShotMetadata):
         SignalMatrix(np.array([[0.5, 0.5]]), "empirical-frequency", 1).validate()
+    # off the 1/shots grid by far more than rounding
+    with pytest.raises(InvalidInput, match="multiples of 1/shots"):
+        SignalMatrix(np.array([[0.5001, 0.4999]]), "empirical-frequency", 1, shots=2).validate()
+
+
+@pytest.mark.parametrize("shots", [1, 2, 3, 1000, 10 ** 6, 10 ** 10 + 7, 10 ** 14])
+def test_frequencies_half_a_step_off_the_shot_grid_are_rejected(shots):
+    # the grid tolerance grows with shots only by the rounding of count / shots
+    count = shots // 3
+    on = np.array([[count / shots, (shots - count) / shots]])
+    SignalMatrix(on, "empirical-frequency", 1, shots=shots).validate()
+    off = on + np.array([[0.5, -0.5]]) / shots
+    with pytest.raises(InvalidInput, match="multiples of 1/shots"):
+        SignalMatrix(off, "empirical-frequency", 1, shots=shots).validate()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", [MODE_EXACT, "empirical-frequency", "moment"])
+def test_signal_matrix_validation_rejects_non_finite_entries(mode, bad):
+    # NaN compared false against every bound, so the exact and empirical
+    # modes passed it; the moment mode checks column 0, the empty mask
+    data = np.array([[bad, 1.0], [1.0, 0.0]])
+    with pytest.raises(InvalidInput):
+        SignalMatrix(data, mode, 1, shots=2).validate()
+    if mode == MODE_EXACT:
+        with pytest.raises(InvalidInput):
+            sr.probability_signals(data)
 
 
 def test_csv_roundtrip_bit_exact():
